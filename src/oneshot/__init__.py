@@ -2,23 +2,20 @@
 problems, with spectral convergence certificates, explicit sufficient
 descent-step bounds, and a desk-scale cavity experiment harness."""
 
-from .bessel import bessel_y0
 from .bounds import (CaseParameters, TauBoundReport, bound_report_for,
                      gamma_select, marden_quadratic_inside,
                      optimize_case_parameters, pq_decompose, s_of,
                      sufficient_tau_k_step, sufficient_tau_one_step)
 from .cavity import (CavityConfig, GeneratedCavity, export_cavity, generate,
                      load_problem, multi_source_objective)
-from .descent import (ConvergenceTrace, RunConfig, RunStatus, SchemeKind,
-                      run, step_k_shot, step_semi_implicit_gd,
-                      step_semi_implicit_k_shot, step_usual_gd)
+from .descent import ConvergenceTrace, RunConfig, RunStatus, SchemeKind, run, step
 from .errors import (EigensolverError, OneShotError, ProblemAssumptionError,
                      SingularSystemError, SizeGuardError, SpecParseError,
                      SpecValidationError)
 from .problem import (IterationState, LinearInverseProblem, Objective, cost,
                       fixed_point_sweep, gradient, random_problem,
-                      reduced_operator, regularized_solution,
-                      solve_adjoint_exact, solve_state_exact)
+                      regularized_solution, solve_adjoint_exact,
+                      solve_state_exact)
 from .spectral import (KStepOperators, SpectralCertificate, certify,
                        eigen_equation_residual, iteration_matrix_semi_implicit,
                        k_step_operators)

@@ -459,7 +459,7 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     B^k, T_k and X_k).  The default (None) enables that path when it is
     required (||B|| >= 1) or cheap (n_u <= 128); pass True/False to force.
     """
-    from .spectral import k_step_operators, matrix_power
+    from .spectral import k_step_operators
 
     norm_B, norm_M, norm_H = problem.norm_B, problem.norm_M, problem.norm_H
     if use_s_path is None:
@@ -474,7 +474,7 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     extras = {}
     if use_s_path:
         ops = k_step_operators(problem, k)
-        Bk = matrix_power(problem.B, k)
+        Bk = np.linalg.matrix_power(problem.B, k)
         extras = dict(norm_Bk=operator_norm(Bk), norm_Tk=operator_norm(ops.T),
                       norm_Xk=operator_norm(ops.X), s_Bk=s_of(Bk))
     return sufficient_tau_k_step(norm_B, norm_M, norm_H, alpha, k,

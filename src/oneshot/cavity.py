@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
-from .bessel import bessel_y0
 from .errors import ProblemAssumptionError
 from .matrixio import write_matrix
 from .problem import LinearInverseProblem, Objective, spectral_radius
@@ -97,6 +97,9 @@ class CavityConfig:
             raise ValueError("boundary_subsample must be >= 1")
         if not self.data_scale > 0:
             raise ValueError("data_scale must be > 0")
+        if not self.effective_source_radius > self.domain_radius:
+            raise ValueError("source_radius must be > domain_radius "
+                             "(the sources sit strictly outside the domain)")
         sx, sy = self.sigma_subdivision
         if sx < 1 or sy < 1:
             raise ValueError("sigma_subdivision entries must be >= 1")
@@ -322,7 +325,7 @@ def generate(config: CavityConfig) -> GeneratedCavity:
                 - config.omega ** 2 * mass)[np.ix_(sel, interior)]
     for y in sources:
         dist = np.linalg.norm(nodes[boundary] - y, axis=1)
-        f = bessel_y0(config.omega * dist)
+        f = scipy.special.y0(config.omega * dist)
         u0 = np.zeros(len(nodes))
         u0[boundary] = f
         u0[interior] = np.linalg.solve(A1_full[II], -A1_full[IB] @ f)

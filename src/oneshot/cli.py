@@ -4,7 +4,6 @@ Subcommands:
 
     generate   cavity manifest -> problem directory (matrix container files)
     run        experiment spec -> trace CSVs + summary + manifest
-    sweep      like run, but insists the spec actually sweeps something
     bounds     problem directory -> TauBoundReport CSV
     certify    problem directory + (tau, alpha, k) -> certificate CSV
 
@@ -50,13 +49,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seed", type=int, help="override the manifest rng seed")
     gen.add_argument("--quiet", action="store_true")
 
-    for name, description in (("run", "run an experiment spec"),
-                              ("sweep", "run a spec that sweeps parameter lists")):
-        cmd = sub.add_parser(name, help=description)
-        cmd.add_argument("--spec", required=True, help="experiment document")
-        cmd.add_argument("--out", help="override the spec output_dir")
-        cmd.add_argument("--seed", type=int, help="override the cavity rng seed")
-        cmd.add_argument("--quiet", action="store_true")
+    run = sub.add_parser("run", help="run an experiment spec")
+    run.add_argument("--spec", required=True, help="experiment document")
+    run.add_argument("--out", help="override the spec output_dir")
+    run.add_argument("--seed", type=int, help="override the cavity rng seed")
+    run.add_argument("--quiet", action="store_true")
 
     bounds = sub.add_parser("bounds", help="sufficient descent-step bounds for a problem")
     bounds.add_argument("--problem", required=True, help="problem directory (from generate)")
@@ -65,7 +62,6 @@ def _build_parser() -> _Parser:
     bounds.add_argument("--theta0", type=float)
     bounds.add_argument("--delta0", type=float)
     bounds.add_argument("--out", help="write CSV here instead of stdout")
-    bounds.add_argument("--quiet", action="store_true")
 
     cert = sub.add_parser("certify", help="spectral certificate for (tau, alpha, k)")
     cert.add_argument("--problem", required=True)
@@ -77,7 +73,6 @@ def _build_parser() -> _Parser:
                            f"(default {SIZE_GUARD})")
     cert.add_argument("--out", help="write CSV here instead of stdout")
     cert.add_argument("--spectrum", help="also dump the full spectrum as re,im CSV")
-    cert.add_argument("--quiet", action="store_true")
     return parser
 
 
@@ -106,16 +101,10 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_run(args, require_lists: bool) -> int:
+def _cmd_run(args) -> int:
     spec = load_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, cavity=replace(spec.cavity, rng_seed=args.seed))
-    if require_lists:
-        lists = (spec.schemes, spec.taus, spec.ks, spec.alphas,
-                 spec.noise_levels, spec.mesh_hs, spec.deltas)
-        if not any(len(values) > 1 for values in lists):
-            raise SpecValidationError(
-                "sweep requires a spec with at least one multi-entry list; use 'run'")
     written = run_experiment(spec, output_dir=args.out, quiet=args.quiet)
     if not args.quiet:
         print(f"wrote {len(written)} files to {args.out or spec.output_dir}")
@@ -150,8 +139,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             return _cmd_generate(args)
-        if args.command in ("run", "sweep"):
-            return _cmd_run(args, require_lists=args.command == "sweep")
+        if args.command == "run":
+            return _cmd_run(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
         if args.command == "certify":

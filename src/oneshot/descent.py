@@ -1,18 +1,20 @@
-"""The four coupled iteration schemes and their run loop.
+"""One step rule for the four coupled iteration schemes, and their run loop.
 
-Two classical schemes solve state and adjoint exactly at every outer step:
+The four schemes are the corners of two choices, made by one function
+``step``.  The adjoint p that drives the sigma update comes either from
+exact state/adjoint solves at the incoming sigma (gradient descent) or
+from the carried iterate, followed by exactly k warm-started fixed-point
+sweeps with the new sigma (one-shot).  The Tikhonov term is treated
+explicitly or implicitly:
 
-    usual gradient descent      sigma' = sigma - tau M* p - tau alpha sigma
-    semi-implicit descent       sigma' = (sigma - tau M* p) / (1 + tau alpha)
+    explicit        sigma' = sigma - tau M* p - tau alpha sigma
+    implicit        sigma' = (sigma - tau M* p) / (1 + tau alpha)
 
-and two one-shot schemes replace the exact solves by exactly k warm-started
-fixed-point sweeps per outer iteration (the semi-implicit variant treats
-the regularization term implicitly in the sigma update):
+                    exact solves       k sweeps
+    explicit        UsualGD            KStepOneShot
+    implicit        SemiImplicitGD     SemiImplicitKStepOneShot
 
-    k-step one-shot             explicit sigma update, then k sweeps
-    semi-implicit k-step        implicit sigma update, then k sweeps
-
-At alpha = 0 the explicit and semi-implicit variants coincide exactly.
+At alpha = 0 the explicit and implicit updates coincide exactly.
 The run loop records one trace row per outer iteration and stops on an
 iteration cap, a cost tolerance, a relative step tolerance, or a
 divergence guard; divergence is an outcome, not an error, so parameter
@@ -47,6 +49,10 @@ class SchemeKind(str, enum.Enum):
     @property
     def is_one_shot(self) -> bool:
         return self in (SchemeKind.KStepOneShot, SchemeKind.SemiImplicitKStepOneShot)
+
+    @property
+    def is_implicit(self) -> bool:
+        return self in (SchemeKind.SemiImplicitGD, SchemeKind.SemiImplicitKStepOneShot)
 
 
 class RunStatus(str, enum.Enum):
@@ -160,59 +166,29 @@ def format_trace_csv(trace: ConvergenceTrace, deterministic_wall=True) -> str:
 
 
 # ----------------------------------------------------------------------
-# single steps (pure functions state -> state)
+# one step (a pure function state -> state)
 # ----------------------------------------------------------------------
 
-def step_usual_gd(objective: Objective, state: IterationState, tau: float) -> IterationState:
-    """One usual gradient-descent step with exact state/adjoint solves.
+def step(objective: Objective, state: IterationState, scheme: SchemeKind,
+         tau: float, k: int = 1) -> IterationState:
+    """One outer iteration of ``scheme`` (the table in the module docstring).
 
-    sigma' = sigma - tau M* p(sigma) - tau alpha sigma; the returned u, p
-    hold the exact solves at the incoming sigma.
+    ``k`` is ignored by gradient descent, whose returned u, p are the
+    exact solves at the incoming sigma.
     """
     problem = objective.problem
-    u = solve_state_exact(problem, state.sigma)
-    p = solve_adjoint_exact(problem, u, objective.g)
-    sigma_new = state.sigma - tau * (problem.M.T @ p) - tau * objective.alpha * state.sigma
+    if scheme.is_one_shot:
+        p = state.p
+    else:
+        u = solve_state_exact(problem, state.sigma)
+        p = solve_adjoint_exact(problem, u, objective.g)
+    if scheme.is_implicit:
+        sigma_new = (state.sigma - tau * (problem.M.T @ p)) / (1.0 + tau * objective.alpha)
+    else:
+        sigma_new = state.sigma - tau * (problem.M.T @ p) - tau * objective.alpha * state.sigma
+    if scheme.is_one_shot:
+        u, p = fixed_point_sweep(problem, state, sigma_new, objective.g, k)
     return IterationState(sigma_new, u, p)
-
-
-def step_semi_implicit_gd(objective: Objective, state: IterationState, tau: float) -> IterationState:
-    """Semi-implicit variant: sigma' = (sigma - tau M* p(sigma)) / (1 + tau alpha)."""
-    problem = objective.problem
-    u = solve_state_exact(problem, state.sigma)
-    p = solve_adjoint_exact(problem, u, objective.g)
-    sigma_new = (state.sigma - tau * (problem.M.T @ p)) / (1.0 + tau * objective.alpha)
-    return IterationState(sigma_new, u, p)
-
-
-def step_k_shot(objective: Objective, state: IterationState, tau: float, k: int) -> IterationState:
-    """One k-step one-shot iteration.
-
-    Explicit sigma update from the carried adjoint iterate, then exactly k
-    warm-started inner sweeps with the new sigma.
-    """
-    problem = objective.problem
-    sigma_new = state.sigma - tau * (problem.M.T @ state.p) - tau * objective.alpha * state.sigma
-    u, p = fixed_point_sweep(problem, state, sigma_new, objective.g, k)
-    return IterationState(sigma_new, u, p)
-
-
-def step_semi_implicit_k_shot(objective: Objective, state: IterationState,
-                              tau: float, k: int) -> IterationState:
-    """One semi-implicit k-step one-shot iteration."""
-    problem = objective.problem
-    sigma_new = (state.sigma - tau * (problem.M.T @ state.p)) / (1.0 + tau * objective.alpha)
-    u, p = fixed_point_sweep(problem, state, sigma_new, objective.g, k)
-    return IterationState(sigma_new, u, p)
-
-
-_STEPPERS = {
-    SchemeKind.UsualGD: lambda obj, st, cfg: step_usual_gd(obj, st, cfg.tau),
-    SchemeKind.SemiImplicitGD: lambda obj, st, cfg: step_semi_implicit_gd(obj, st, cfg.tau),
-    SchemeKind.KStepOneShot: lambda obj, st, cfg: step_k_shot(obj, st, cfg.tau, cfg.k),
-    SchemeKind.SemiImplicitKStepOneShot:
-        lambda obj, st, cfg: step_semi_implicit_k_shot(obj, st, cfg.tau, cfg.k),
-}
 
 
 def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
@@ -231,7 +207,6 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
     except (SingularSystemError, OneShotError):
         sigma_ref, ref_norm = None, 0.0
 
-    stepper = _STEPPERS[config.scheme]
     inner_per_outer = config.k if config.scheme.is_one_shot else 1
 
     trace = ConvergenceTrace(scheme=config.scheme, tau=config.tau,
@@ -254,7 +229,7 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
     status = RunStatus.MAX_OUTER
     for n in range(1, config.max_outer + 1):
         prev_sigma = state.sigma
-        state = stepper(objective, state, config)
+        state = step(objective, state, config.scheme, config.tau, config.k)
         if not np.isfinite(state.sigma).all() or not np.isfinite(state.u).all() \
                 or not np.isfinite(state.p).all():
             # Leave a finite-cost guard row out: the iterate itself is unusable.

@@ -9,12 +9,15 @@ An experiment document is plain text with ``[section]`` headers and
                    (comma-separated lists)
     [run]          max_outer, tol_cost, tol_step
 
-Unknown sections or keys are hard errors carrying the line number.  The
-seven experiment kinds cover the standard study families: TauSweep and
-KComparison on one fixed cavity, NoiseStudy across noise levels,
-MeshRobustness across mesh sizes, DeltaDependence across contrast
-scalings, plus BoundReport and CertifySweep which tabulate step bounds
-and spectral certificates instead of running iterations.
+Unknown sections or keys are hard errors carrying the line number.  Every
+run kind is one sweep: the cavity variants are the product, in that
+order, of whichever of noise_levels, mesh_hs and deltas are non-empty
+(an empty list keeps the [cavity] value), and every variant runs every
+(scheme, tau, k, alpha) cell.  The kind names TauSweep, KComparison,
+NoiseStudy, MeshRobustness and DeltaDependence label the study; the last
+three also require their axis (noise_levels, mesh_hs, deltas) to be
+listed.  BoundReport and CertifySweep tabulate step bounds and spectral
+certificates on the [cavity] itself instead of running iterations.
 
 Outputs per invocation: one trace CSV per run cell (``cell0000.csv``,
 ...), a ``summary.csv`` with one row per cell, and a reproduction
@@ -28,6 +31,7 @@ shortest round-trip form (summary) or with 17 significant digits
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -51,9 +55,14 @@ class ExperimentKind(str, enum.Enum):
     CertifySweep = "CertifySweep"
 
 
-_RUN_KINDS = (ExperimentKind.TauSweep, ExperimentKind.KComparison,
-              ExperimentKind.NoiseStudy, ExperimentKind.MeshRobustness,
-              ExperimentKind.DeltaDependence)
+#: The sweep lists that vary the cavity, with the CavityConfig field each sets.
+_CAVITY_AXES = (("noise_levels", "noise_level"), ("mesh_hs", "mesh_h"),
+                ("deltas", "delta"))
+
+#: The run kinds that must list their cavity axis.
+_REQUIRED_AXIS = {ExperimentKind.NoiseStudy: "noise_levels",
+                  ExperimentKind.MeshRobustness: "mesh_hs",
+                  ExperimentKind.DeltaDependence: "deltas"}
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ class ExperimentSpec:
     taus: tuple = ()
     ks: tuple = (1,)
     alphas: tuple = (0.0,)
-    noise_levels: tuple = (0.0,)
+    noise_levels: tuple = ()
     mesh_hs: tuple = ()
     deltas: tuple = ()
     max_outer: int = 200
@@ -86,24 +95,20 @@ class ExperimentSpec:
                 raise SpecValidationError(
                     f"experiment kind {self.kind.value} requires a non-empty {name!r}")
 
-        if self.kind in _RUN_KINDS:
+        if self.kind is ExperimentKind.BoundReport:
+            require("ks")
+            require("alphas")
+        elif self.kind is ExperimentKind.CertifySweep:
+            require("taus")
+            require("ks")
+            require("alphas")
+        else:
             require("schemes")
             require("taus")
             require("ks")
             require("alphas")
-        if self.kind is ExperimentKind.NoiseStudy:
-            require("noise_levels")
-        if self.kind is ExperimentKind.MeshRobustness:
-            require("mesh_hs")
-        if self.kind is ExperimentKind.DeltaDependence:
-            require("deltas")
-        if self.kind is ExperimentKind.BoundReport:
-            require("ks")
-            require("alphas")
-        if self.kind is ExperimentKind.CertifySweep:
-            require("taus")
-            require("ks")
-            require("alphas")
+            if self.kind in _REQUIRED_AXIS:
+                require(_REQUIRED_AXIS[self.kind])
         for name in ("taus", "alphas", "noise_levels", "mesh_hs", "deltas"):
             values = getattr(self, name)
             if any(not math.isfinite(v) for v in values):
@@ -114,10 +119,20 @@ class ExperimentSpec:
             raise SpecValidationError("ks must be >= 1")
         if any(a < 0 for a in self.alphas):
             raise SpecValidationError("alphas must be non-negative")
-        if any(e < 0 for e in self.noise_levels):
-            raise SpecValidationError("noise_levels must be non-negative")
         if self.max_outer < 1:
             raise SpecValidationError("max_outer must be >= 1")
+        try:
+            self.cavity_variants()
+        except ValueError as exc:
+            raise SpecValidationError(str(exc)) from exc
+
+    def cavity_variants(self) -> list:
+        """The [cavity] with every combination of the listed axis values."""
+        axes = [(name, getattr(self, key)) for key, name in _CAVITY_AXES
+                if getattr(self, key)]
+        names = [name for name, _ in axes]
+        return [replace(self.cavity, **dict(zip(names, values)))
+                for values in itertools.product(*(values for _, values in axes))]
 
 
 # ----------------------------------------------------------------------
@@ -248,27 +263,20 @@ def _fmt(value) -> str:
 
 
 def _cells(spec: ExperimentSpec):
-    """Enumerate (cavity_variant, scheme, tau, k, alpha) run cells.
+    """Enumerate (cavity, scheme, tau, k, alpha) run cells.
 
-    Cavity variants regenerate the cavity with one field swapped (noise
-    level, mesh size or contrast scaling); the gradient-descent schemes
-    ignore k, so their cells collapse to a single k.
+    Each cavity variant is generated once, just before its cells; the
+    gradient-descent schemes ignore k, so their cells collapse to a
+    single k.
     """
-    if spec.kind is ExperimentKind.NoiseStudy:
-        variants = [replace(spec.cavity, noise_level=e) for e in spec.noise_levels]
-    elif spec.kind is ExperimentKind.MeshRobustness:
-        variants = [replace(spec.cavity, mesh_h=h) for h in spec.mesh_hs]
-    elif spec.kind is ExperimentKind.DeltaDependence:
-        variants = [replace(spec.cavity, delta=d) for d in spec.deltas]
-    else:
-        variants = [spec.cavity]
-    for variant in variants:
+    for variant in spec.cavity_variants():
+        cavity = generate(variant)
         for scheme in spec.schemes:
-            ks = spec.ks if SchemeKind(scheme).is_one_shot else (spec.ks[0],)
+            ks = spec.ks if scheme.is_one_shot else (spec.ks[0],)
             for tau in spec.taus:
                 for k in ks:
                     for alpha in spec.alphas:
-                        yield variant, scheme, tau, k, alpha
+                        yield cavity, scheme, tau, k, alpha
 
 
 def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
@@ -292,38 +300,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                 + serialize_spec(spec))
     emit("manifest.txt", manifest)
 
-    if spec.kind in _RUN_KINDS:
-        summary_rows = [_SUMMARY_HEADER]
-        cavity_cache = {}
-        for index, (variant, scheme, tau, k, alpha) in enumerate(_cells(spec)):
-            key = (variant.noise_level, variant.mesh_h, variant.delta)
-            if key not in cavity_cache:
-                cavity_cache[key] = generate(variant)
-            cavity = cavity_cache[key]
-            objective = multi_source_objective(
-                cavity, alpha=alpha, use_noisy=variant.noise_level > 0)
-            config = RunConfig(scheme=scheme, tau=tau, k=k,
-                               max_outer=spec.max_outer, tol_cost=spec.tol_cost,
-                               tol_step=spec.tol_step, sigma0=cavity.init_sigma)
-            trace = run(objective, config)
-            if not quiet:
-                print(f"cell {index:04d}: {SchemeKind(scheme).value} tau={tau} k={k} "
-                      f"alpha={alpha} -> {trace.status.value} "
-                      f"(n={trace.records[-1].n}, J={trace.final_cost:.3e})")
-            emit(f"cell{index:04d}.csv", format_trace_csv(trace))
-            last = trace.records[-1]
-            summary_rows.append(",".join([
-                f"{index:04d}", spec.kind.value, SchemeKind(scheme).value,
-                _fmt(float(tau)), str(k), _fmt(float(alpha)),
-                _fmt(float(variant.noise_level)), _fmt(float(variant.mesh_h)),
-                _fmt(float(variant.delta)), str(cavity.mesh_summary.n_u),
-                str(cavity.mesh_summary.n_sigma), trace.status.value,
-                str(last.n), str(last.acc_inner), _fmt(last.cost),
-                _fmt(last.grad_norm), _fmt(last.rel_err_sigma),
-                _fmt(trace.iterations_to_cost(1e-8)),
-            ]))
-        emit("summary.csv", "\n".join(summary_rows) + "\n")
-    elif spec.kind is ExperimentKind.BoundReport:
+    if spec.kind is ExperimentKind.BoundReport:
         cavity = generate(spec.cavity)
         rows = [report_csv_header()]
         for k in spec.ks:
@@ -339,4 +316,31 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                     rows.append(certificate_csv_row(
                         certify(cavity.problem, tau, alpha, k)))
         emit("certify.csv", "\n".join(rows) + "\n")
+    else:
+        summary_rows = [_SUMMARY_HEADER]
+        for index, (cavity, scheme, tau, k, alpha) in enumerate(_cells(spec)):
+            variant = cavity.config
+            objective = multi_source_objective(
+                cavity, alpha=alpha, use_noisy=variant.noise_level > 0)
+            config = RunConfig(scheme=scheme, tau=tau, k=k,
+                               max_outer=spec.max_outer, tol_cost=spec.tol_cost,
+                               tol_step=spec.tol_step, sigma0=cavity.init_sigma)
+            trace = run(objective, config)
+            if not quiet:
+                print(f"cell {index:04d}: {scheme.value} tau={tau} k={k} "
+                      f"alpha={alpha} -> {trace.status.value} "
+                      f"(n={trace.records[-1].n}, J={trace.final_cost:.3e})")
+            emit(f"cell{index:04d}.csv", format_trace_csv(trace))
+            last = trace.records[-1]
+            summary_rows.append(",".join([
+                f"{index:04d}", spec.kind.value, scheme.value,
+                _fmt(float(tau)), str(k), _fmt(float(alpha)),
+                _fmt(float(variant.noise_level)), _fmt(float(variant.mesh_h)),
+                _fmt(float(variant.delta)), str(cavity.mesh_summary.n_u),
+                str(cavity.mesh_summary.n_sigma), trace.status.value,
+                str(last.n), str(last.acc_inner), _fmt(last.cost),
+                _fmt(last.grad_norm), _fmt(last.rel_err_sigma),
+                _fmt(trace.iterations_to_cost(1e-8)),
+            ]))
+        emit("summary.csv", "\n".join(summary_rows) + "\n")
     return written

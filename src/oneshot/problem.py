@@ -317,11 +317,6 @@ def gradient(objective: Objective, sigma) -> np.ndarray:
     return problem.M.T @ p + objective.alpha * sigma
 
 
-def reduced_operator(problem: LinearInverseProblem) -> np.ndarray:
-    """A = H (I - B)^{-1} M; full column rank by the problem invariant."""
-    return problem.reduced_operator()
-
-
 def regularized_solution(objective: Objective) -> np.ndarray:
     """argmin of J, via the normal equations (A*A + alpha I) s = A* g_tilde."""
     problem = objective.problem

@@ -68,10 +68,6 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
     return KStepOperators(T=T, U=U, X=X, k=k)
 
 
-def matrix_power(B: np.ndarray, k: int) -> np.ndarray:
-    return np.linalg.matrix_power(B, k)
-
-
 def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
                                    alpha: float, k: int) -> np.ndarray:
     """The (2 n_u + n_sigma)-square block matrix, rows ordered (p, u, sigma)."""
@@ -83,7 +79,7 @@ def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
     B, M = problem.B, problem.M
     n_u, n_s = problem.n_u, problem.n_sigma
     d = 1.0 + tau * alpha
-    Bk = matrix_power(B, k)
+    Bk = np.linalg.matrix_power(B, k)
     MMt = M @ M.T
     top = np.hstack([Bk.T - (tau / d) * (ops.X @ MMt), ops.U, (ops.X @ M) / d])
     mid = np.hstack([-(tau / d) * (ops.T @ MMt), Bk, (ops.T @ M) / d])
@@ -157,7 +153,7 @@ def eigen_equation_residual(problem: LinearInverseProblem, lam: complex, y,
     if not np.isclose(nrm, 1.0, atol=1e-8):
         raise ValueError(f"y must be a unit vector, got norm {nrm}")
     lam = complex(lam)
-    Bk = matrix_power(problem.B, k)
+    Bk = np.linalg.matrix_power(problem.B, k)
     exclusion = RESOLVENT_EXCLUSION * problem.norm_B ** k
     if exclusion > 0:
         dist = np.min(np.abs(np.linalg.eigvals(Bk) - lam))

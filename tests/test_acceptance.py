@@ -17,13 +17,10 @@ from oneshot import (CavityConfig, IterationState, Objective, RunConfig,
                      iteration_matrix_semi_implicit, k_step_operators,
                      marden_quadratic_inside, multi_source_objective,
                      pq_decompose, random_problem, regularized_solution, run,
-                     s_of, solve_adjoint_exact, solve_state_exact,
-                     step_semi_implicit_gd, step_semi_implicit_k_shot,
-                     step_usual_gd)
+                     s_of, solve_adjoint_exact, solve_state_exact, step)
 from oneshot.bounds import CaseParameters, bound_report_for
 from oneshot.experiments import load_spec, run_experiment
 from oneshot.problem import LinearInverseProblem, operator_norm
-from oneshot.spectral import matrix_power
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -56,7 +53,7 @@ def test_criterion_01_algebraic_identity_suite():
             HtH = p.H.T @ p.H
             for k in range(1, 13):
                 ops = k_step_operators(p, k)
-                lhs = ops.U @ ops.T - ops.X @ matrix_power(p.B, k) + ops.X
+                lhs = ops.U @ ops.T - ops.X @ np.linalg.matrix_power(p.B, k) + ops.X
                 rhs = ops.T.T @ HtH @ ops.T
                 scale = max(operator_norm(rhs), 1.0)
                 assert operator_norm(lhs - rhs) <= 1e-12 * scale
@@ -128,20 +125,20 @@ def test_criterion_04_gd_threshold_sharpness():
                 sigma0 = rng.standard_normal(6)
                 start = np.linalg.norm(sigma0 - sigma_ref)
 
-                def trend(step_fn, tau, steps=10_000):
+                def trend(scheme, tau, steps=10_000):
                     state = IterationState(sigma0, np.zeros(6), np.zeros(6))
                     for _ in range(steps):
-                        state = step_fn(objective, state, tau)
+                        state = step(objective, state, scheme, tau)
                         if not np.isfinite(state.sigma).all():
                             return np.inf
                     return float(np.linalg.norm(state.sigma - sigma_ref))
 
                 threshold = 2.0 / (rho + alpha)
-                assert trend(step_usual_gd, 0.99 * threshold) <= 1e-6 * start
-                assert trend(step_usual_gd, 1.01 * threshold) >= 1e3 * start
+                assert trend(SchemeKind.UsualGD, 0.99 * threshold) <= 1e-6 * start
+                assert trend(SchemeKind.UsualGD, 1.01 * threshold) >= 1e3 * start
                 threshold = 2.0 / (rho - alpha)
-                assert trend(step_semi_implicit_gd, 0.99 * threshold) <= 1e-6 * start
-                assert trend(step_semi_implicit_gd, 1.01 * threshold) >= 1e3 * start
+                assert trend(SchemeKind.SemiImplicitGD, 0.99 * threshold) <= 1e-6 * start
+                assert trend(SchemeKind.SemiImplicitGD, 1.01 * threshold) >= 1e3 * start
 
 
 def test_criterion_05_error_recursion_equivalence():
@@ -158,7 +155,7 @@ def test_criterion_05_error_recursion_equivalence():
             state = IterationState(sigma_ref + rng.standard_normal(3),
                                    u_ref + rng.standard_normal(8),
                                    p_ref + rng.standard_normal(8))
-            new = step_semi_implicit_k_shot(objective, state, tau, k)
+            new = step(objective, state, SchemeKind.SemiImplicitKStepOneShot, tau, k)
             mat = iteration_matrix_semi_implicit(p, tau, alpha, k)
             err = np.concatenate([state.p - p_ref, state.u - u_ref,
                                   state.sigma - sigma_ref])

@@ -76,6 +76,21 @@ class TestGenerate:
         half_width = config.domain_radius * lam
         assert np.all(np.max(np.abs(positions), axis=1) > half_width)
 
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    def test_source_inside_or_on_domain_rejected(self, radius):
+        with pytest.raises(ValueError, match="source_radius"):
+            small_config(source_radius=radius)
+
+    def test_incident_traces_pinned(self, small_cavity):
+        # clean data of both sources; a wrong special function or argument
+        # in the incident traces moves these values
+        pinned = {1: 5.57108589942677, 13: 6.196467296386792,
+                  29: 8.146089127981718, 45: -0.07363030944932708,
+                  55: 7.072406198896992}
+        g = small_cavity.stacked_clean
+        for index, value in pinned.items():
+            assert abs(g[index] - value) <= 1e-9 * abs(value)
+
     def test_inclusion_outside_domain_rejected(self):
         with pytest.raises(ProblemAssumptionError, match="inside"):
             generate(small_config(inclusion_layout=((1.9, 0.0, 0.5),)))

@@ -64,20 +64,6 @@ class TestRunAndSweep:
         assert code == 0
         assert (tmp_path / "out" / "summary.csv").exists()
 
-    def test_sweep_accepts_lists(self, tmp_path):
-        spec = tmp_path / "exp.cfg"
-        spec.write_text(TINY_SPEC)
-        code = main(["sweep", "--spec", str(spec), "--out",
-                     str(tmp_path / "out"), "--quiet"])
-        assert code == 0
-
-    def test_sweep_rejects_singleton_spec(self, tmp_path):
-        spec = tmp_path / "exp.cfg"
-        spec.write_text(TINY_SPEC.replace("ks = 1,2", "ks = 1"))
-        code = main(["sweep", "--spec", str(spec), "--out",
-                     str(tmp_path / "out"), "--quiet"])
-        assert code == 2
-
     def test_missing_spec_file_is_usage_error(self, tmp_path):
         code = main(["run", "--spec", str(tmp_path / "nope.cfg"), "--quiet"])
         assert code == 1
@@ -87,6 +73,15 @@ class TestRunAndSweep:
         spec.write_text(TINY_SPEC.replace("taus = 0.005", "taau = 2"))
         code = main(["run", "--spec", str(spec), "--quiet"])
         assert code == 2
+
+    def test_bad_axis_value_fails_before_any_output(self, tmp_path):
+        spec = tmp_path / "exp.cfg"
+        spec.write_text(TINY_SPEC.replace(
+            "ks = 1,2", "ks = 1,2\nmesh_hs = 0.2857142857142857,-0.2"))
+        code = main(["run", "--spec", str(spec), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 class TestBoundsAndCertify:
@@ -130,6 +125,11 @@ class TestUsage:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
+        assert excinfo.value.code == 1
+
+    def test_sweep_is_not_a_command(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--spec", str(tmp_path / "exp.cfg")])
         assert excinfo.value.code == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):

@@ -4,9 +4,7 @@ import pytest
 from oneshot import (IterationState, LinearInverseProblem, Objective,
                      RunConfig, RunStatus, SchemeKind,
                      iteration_matrix_semi_implicit, regularized_solution,
-                     run, solve_adjoint_exact, solve_state_exact, step_k_shot,
-                     step_semi_implicit_gd, step_semi_implicit_k_shot,
-                     step_usual_gd)
+                     run, solve_adjoint_exact, solve_state_exact, step)
 from oneshot.bounds import bound_report_for
 from oneshot.descent import format_trace_csv
 from conftest import make_objective
@@ -39,7 +37,7 @@ class TestUsualGD:
     def test_fixed_point_at_exact_solution(self):
         obj, sigma_ex = make_objective(30, alpha=0.0, exact_data=True)
         state = reference_state(obj)
-        new = step_usual_gd(obj, state, tau=0.1)
+        new = step(obj, state, SchemeKind.UsualGD, tau=0.1)
         assert np.allclose(new.sigma, state.sigma, atol=1e-12)
 
     def test_reduced_operator_form_without_source(self, rng):
@@ -47,7 +45,7 @@ class TestUsualGD:
         A = obj.problem.reduced_operator()
         state = random_state(obj.problem, rng)
         tau = 0.05
-        new = step_usual_gd(obj, state, tau)
+        new = step(obj, state, SchemeKind.UsualGD, tau)
         expected = state.sigma - tau * A.T @ (A @ state.sigma - obj.g) \
             - tau * obj.alpha * state.sigma
         assert np.linalg.norm(new.sigma - expected) <= 1e-12 * (1 + np.linalg.norm(expected))
@@ -63,7 +61,7 @@ class TestUsualGD:
         def final_error(tau, steps=2000):
             state = IterationState(sigma0, np.zeros_like(obj.g), np.zeros_like(obj.g))
             for _ in range(steps):
-                state = step_usual_gd(obj, state, tau)
+                state = step(obj, state, SchemeKind.UsualGD, tau)
                 if not np.isfinite(state.sigma).all():
                     return np.inf
             return np.linalg.norm(state.sigma - sigma_ref)
@@ -77,15 +75,15 @@ class TestSemiImplicitGD:
     def test_matches_usual_at_alpha_zero(self, rng):
         obj = make_objective(33, alpha=0.0)
         state = random_state(obj.problem, rng)
-        a = step_usual_gd(obj, state, 0.07)
-        b = step_semi_implicit_gd(obj, state, 0.07)
+        a = step(obj, state, SchemeKind.UsualGD, 0.07)
+        b = step(obj, state, SchemeKind.SemiImplicitGD, 0.07)
         assert np.array_equal(a.sigma, b.sigma)
 
     def test_large_alpha_contracts_to_zero(self, rng):
         obj = make_objective(34, alpha=1e8, with_source=False)
         obj = Objective(obj.problem, np.zeros(obj.problem.n_g), 1e8)
         state = random_state(obj.problem, rng)
-        new = step_semi_implicit_gd(obj, state, tau=1.0)
+        new = step(obj, state, SchemeKind.SemiImplicitGD, tau=1.0)
         # sigma' = (sigma - tau M*p)/(1 + tau alpha): the whole update is
         # damped by 1e8, including the alpha-independent misfit term
         assert np.linalg.norm(new.sigma) <= 1e-5 * np.linalg.norm(state.sigma)
@@ -104,7 +102,7 @@ class TestSemiImplicitGD:
         def final_error(tau, steps=4000):
             state = IterationState(sigma0, np.zeros_like(obj.g), np.zeros_like(obj.g))
             for _ in range(steps):
-                state = step_semi_implicit_gd(obj, state, tau)
+                state = step(obj, state, SchemeKind.SemiImplicitGD, tau)
                 if not np.isfinite(state.sigma).all():
                     return np.inf
             return np.linalg.norm(state.sigma - sigma_ref)
@@ -119,7 +117,7 @@ class TestKShot:
         from oneshot import fixed_point_sweep
         obj = make_objective(36, alpha=0.02)
         state = random_state(obj.problem, rng)
-        new = step_k_shot(obj, state, tau=0.05, k=1)
+        new = step(obj, state, SchemeKind.KStepOneShot, tau=0.05, k=1)
         sigma_new = state.sigma - 0.05 * (obj.problem.M.T @ state.p) \
             - 0.05 * obj.alpha * state.sigma
         u1, p1 = fixed_point_sweep(obj.problem, state, sigma_new, obj.g, 1)
@@ -135,8 +133,8 @@ class TestKShot:
         u = solve_state_exact(obj.problem, sigma)
         p = solve_adjoint_exact(obj.problem, u, obj.g)
         state = IterationState(sigma, u, p)
-        a = step_usual_gd(obj, state, 0.02)
-        b = step_k_shot(obj, state, 0.02, k=500)
+        a = step(obj, state, SchemeKind.UsualGD, 0.02)
+        b = step(obj, state, SchemeKind.KStepOneShot, 0.02, k=500)
         assert np.array_equal(a.sigma, b.sigma)  # same update from exact p
         u_new = solve_state_exact(obj.problem, b.sigma)
         p_new = solve_adjoint_exact(obj.problem, u_new, obj.g)
@@ -146,7 +144,7 @@ class TestKShot:
     def test_fixed_point_at_exact_solution(self):
         obj, sigma_ex = make_objective(38, alpha=0.0, exact_data=True)
         state = reference_state(obj)
-        new = step_k_shot(obj, state, tau=0.1, k=3)
+        new = step(obj, state, SchemeKind.KStepOneShot, tau=0.1, k=3)
         assert np.allclose(new.sigma, state.sigma, atol=1e-12)
         assert np.allclose(new.u, state.u, atol=1e-12)
         assert np.allclose(new.p, state.p, atol=1e-12)
@@ -156,8 +154,8 @@ class TestSemiImplicitKShot:
     def test_matches_explicit_at_alpha_zero(self, rng):
         obj = make_objective(39, alpha=0.0)
         state = random_state(obj.problem, rng)
-        a = step_k_shot(obj, state, 0.03, k=4)
-        b = step_semi_implicit_k_shot(obj, state, 0.03, k=4)
+        a = step(obj, state, SchemeKind.KStepOneShot, 0.03, k=4)
+        b = step(obj, state, SchemeKind.SemiImplicitKStepOneShot, 0.03, k=4)
         assert np.array_equal(a.sigma, b.sigma)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.p, b.p)
 
@@ -169,7 +167,7 @@ class TestSemiImplicitKShot:
         state = IterationState(ref.sigma + rng.standard_normal(obj.problem.n_sigma),
                                ref.u + rng.standard_normal(obj.problem.n_u),
                                ref.p + rng.standard_normal(obj.problem.n_u))
-        new = step_semi_implicit_k_shot(obj, state, tau, k)
+        new = step(obj, state, SchemeKind.SemiImplicitKStepOneShot, tau, k)
         mat = iteration_matrix_semi_implicit(obj.problem, tau, obj.alpha, k)
         err_in = np.concatenate([state.p - ref.p, state.u - ref.u, state.sigma - ref.sigma])
         err_out = np.concatenate([new.p - ref.p, new.u - ref.u, new.sigma - ref.sigma])
@@ -182,7 +180,7 @@ class TestSemiImplicitKShot:
         B, M, H, F = (obj.problem.B, obj.problem.M, obj.problem.H, obj.problem.F)
         state = random_state(obj.problem, rng)
         tau, d = 0.06, 1.0 + 0.06 * obj.alpha
-        new = step_semi_implicit_k_shot(obj, state, tau, k=1)
+        new = step(obj, state, SchemeKind.SemiImplicitKStepOneShot, tau, k=1)
         sigma_exp = state.sigma / d - (tau / d) * (M.T @ state.p)
         u_exp = B @ state.u + (M @ state.sigma) / d - (tau / d) * (M @ (M.T @ state.p)) + F
         p_exp = B.T @ state.p + H.T @ (H @ state.u) - H.T @ obj.g
@@ -198,11 +196,11 @@ class TestSemiImplicitKShot:
         state = IterationState(rng.standard_normal(obj.problem.n_sigma),
                                np.zeros(obj.problem.n_u), np.zeros(obj.problem.n_u))
         tau = 0.02
-        state = step_semi_implicit_k_shot(obj, state, tau, k=2)  # warm-up
+        state = step(obj, state, SchemeKind.SemiImplicitKStepOneShot, tau, k=2)  # warm-up
         shadow = state
         for _ in range(10):
-            state = step_semi_implicit_k_shot(obj, state, tau, k=2)
-            shadow = step_semi_implicit_gd(obj, shadow, tau)
+            state = step(obj, state, SchemeKind.SemiImplicitKStepOneShot, tau, k=2)
+            shadow = step(obj, shadow, SchemeKind.SemiImplicitGD, tau)
             assert np.allclose(state.sigma, shadow.sigma, atol=1e-13)
 
     def test_whole_run_identical_at_alpha_zero(self, rng):

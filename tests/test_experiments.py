@@ -170,3 +170,43 @@ class TestRunExperiment:
         assert len(rows) == 3  # one scheme x one tau x two meshes
         n_us = {row.split(",")[9] for row in rows[1:]}
         assert len(n_us) == 2
+
+    @pytest.mark.parametrize("kind", ["TauSweep", "KComparison", "NoiseStudy",
+                                      "MeshRobustness", "DeltaDependence"])
+    def test_every_listed_axis_is_swept_under_every_kind(self, kind, tmp_path):
+        # every axis value differs from the [cavity] default it replaces
+        text = MINIMAL.replace("kind = TauSweep", f"kind = {kind}") \
+            + "noise_levels = 0.01\nmesh_hs = 0.2857142857142857,0.2\n" \
+            + "deltas = 0.02\n\n[run]\nmax_outer = 10\n"
+        run_experiment(parse_spec(text), output_dir=str(tmp_path))
+        rows = [row.split(",") for row in
+                (tmp_path / "summary.csv").read_text().strip().split("\n")[1:]]
+        assert len(rows) == 2  # one scheme x one tau x two meshes
+        assert {row[1] for row in rows} == {kind}
+        assert {row[6] for row in rows} == {"0.01"}
+        assert {row[8] for row in rows} == {"0.02"}
+        assert len({row[9] for row in rows}) == 2
+        assert sorted(p.name for p in tmp_path.glob("cell*.csv")) == \
+            ["cell0000.csv", "cell0001.csv"]
+
+
+class TestCavityVariants:
+    def test_product_of_listed_axes_in_order(self):
+        spec = parse_spec(MINIMAL + "noise_levels = 0.0,0.01\n"
+                          "mesh_hs = 0.2857142857142857,0.2\ndeltas = 0.01,0.02\n")
+        variants = spec.cavity_variants()
+        assert [(v.noise_level, v.mesh_h, v.delta) for v in variants] == [
+            (e, h, d) for e in (0.0, 0.01) for h in (0.2857142857142857, 0.2)
+            for d in (0.01, 0.02)]
+        assert all(v.rng_seed == spec.cavity.rng_seed for v in variants)
+
+    def test_no_axis_keeps_the_cavity(self):
+        spec = parse_spec(MINIMAL)
+        assert spec.noise_levels == ()
+        assert spec.cavity_variants() == [spec.cavity]
+
+    def test_bad_axis_value_is_a_validation_error(self):
+        with pytest.raises(SpecValidationError, match="mesh_h"):
+            parse_spec(MINIMAL + "mesh_hs = 0.2857142857142857,-0.2\n")
+        with pytest.raises(SpecValidationError, match="noise_level"):
+            parse_spec(MINIMAL + "noise_levels = -0.1\n")

@@ -3,8 +3,8 @@ import pytest
 
 from oneshot import (IterationState, LinearInverseProblem, Objective,
                      ProblemAssumptionError, cost, fixed_point_sweep, gradient,
-                     reduced_operator, regularized_solution,
-                     solve_adjoint_exact, solve_state_exact)
+                     regularized_solution, solve_adjoint_exact,
+                     solve_state_exact)
 from conftest import make_objective, make_problem
 
 
@@ -128,7 +128,7 @@ class TestCostAndGradient:
 
     def test_reduced_operator_form(self, rng):
         obj = make_objective(12, alpha=0.37)
-        A = reduced_operator(obj.problem)
+        A = obj.problem.reduced_operator()
         sigma = rng.standard_normal(obj.problem.n_sigma)
         expected = 0.5 * np.linalg.norm(A @ sigma - obj.shifted_data()) ** 2 \
             + 0.5 * obj.alpha * np.linalg.norm(sigma) ** 2
@@ -157,7 +157,7 @@ class TestCostAndGradient:
         # grad J = A*(A sigma - g_tilde) + alpha sigma, up to n_u = 32
         for n_u in (8, 16, 32):
             obj = make_objective(16 + n_u, alpha=0.01, n_u=n_u, n_sigma=4, n_g=6)
-            A = reduced_operator(obj.problem)
+            A = obj.problem.reduced_operator()
             sigma = rng.standard_normal(4)
             expected = A.T @ (A @ sigma - obj.shifted_data()) + obj.alpha * sigma
             assert np.linalg.norm(gradient(obj, sigma) - expected) <= 1e-10 * (
@@ -165,7 +165,7 @@ class TestCostAndGradient:
 
     def test_cost_is_quadratic(self, rng):
         obj = make_objective(17, alpha=0.2)
-        A = reduced_operator(obj.problem)
+        A = obj.problem.reduced_operator()
         n = obj.problem.n_sigma
         hess = A.T @ A + obj.alpha * np.eye(n)
         sigma = rng.standard_normal(n)
@@ -177,16 +177,16 @@ class TestCostAndGradient:
 class TestReducedOperator:
     def test_b_zero(self):
         p = make_problem(20, norm_b=0.0)
-        assert np.allclose(reduced_operator(p), p.H @ p.M, atol=1e-13)
+        assert np.allclose(p.reduced_operator(), p.H @ p.M, atol=1e-13)
 
     def test_scaled_identity(self):
         p = LinearInverseProblem(0.5 * np.eye(3), np.eye(3), np.eye(3), np.zeros(3))
-        assert np.allclose(reduced_operator(p), 2 * np.eye(3), atol=1e-13)
+        assert np.allclose(p.reduced_operator(), 2 * np.eye(3), atol=1e-13)
 
     def test_consistency_with_state_solve(self, rng):
         p = make_problem(21)
         sigma = rng.standard_normal(p.n_sigma)
-        lhs = reduced_operator(p) @ sigma + p.data_offset()
+        lhs = p.reduced_operator() @ sigma + p.data_offset()
         rhs = p.H @ solve_state_exact(p, sigma)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
 
@@ -204,7 +204,7 @@ class TestRegularizedSolution:
 
     def test_large_alpha_bound(self):
         obj = make_objective(24)
-        A = reduced_operator(obj.problem)
+        A = obj.problem.reduced_operator()
         alpha = 1e6 * np.linalg.norm(A, 2) ** 2
         big = Objective(obj.problem, obj.g, alpha)
         sol = regularized_solution(big)

@@ -7,7 +7,6 @@ from oneshot import (IterationState, RunConfig, SchemeKind,
                      k_step_operators, run, s_of)
 from oneshot.bounds import bound_report_for
 from oneshot.problem import operator_norm
-from oneshot.spectral import matrix_power
 from conftest import make_objective, make_problem
 
 
@@ -65,7 +64,7 @@ class TestKStepOperators:
             scale = max(operator_norm(ops.U), operator_norm(ops.X), 1.0)
             assert operator_norm(ops.U - ops.U.T) <= 1e-12 * scale
             assert operator_norm(ops.X - ops.X.T) <= 1e-12 * scale
-            Bk = matrix_power(p.B, k)
+            Bk = np.linalg.matrix_power(p.B, k)
             lhs = ops.U @ ops.T - ops.X @ Bk + ops.X
             rhs = ops.T.T @ (p.H.T @ p.H) @ ops.T
             assert operator_norm(lhs - rhs) <= 1e-12 * max(operator_norm(rhs), 1.0)
@@ -84,7 +83,7 @@ class TestKStepOperators:
                 assert operator_norm(ops.T) <= (1 - bk) / (1 - b) + 1e-10
                 w = 1 - k * b ** (k - 1) + (k - 1) * bk
                 assert operator_norm(ops.X) <= p.norm_H ** 2 * w / (1 - b) ** 2 + 1e-10
-                assert s_of(matrix_power(p.B, k)) <= 1 / (1 - bk) + 1e-6
+                assert s_of(np.linalg.matrix_power(p.B, k)) <= 1 / (1 - bk) + 1e-6
 
 
 class TestIterationMatrix:
@@ -121,7 +120,7 @@ class TestIterationMatrix:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_cross_check_with_step(self, k, rng):
         from oneshot import (regularized_solution, solve_adjoint_exact,
-                             solve_state_exact, step_semi_implicit_k_shot)
+                             solve_state_exact, step)
         obj = make_objective(58, alpha=0.1)
         p = obj.problem
         tau = 0.03
@@ -131,7 +130,7 @@ class TestIterationMatrix:
         state = IterationState(sigma_ref + rng.standard_normal(p.n_sigma),
                                u_ref + rng.standard_normal(p.n_u),
                                p_ref + rng.standard_normal(p.n_u))
-        new = step_semi_implicit_k_shot(obj, state, tau, k)
+        new = step(obj, state, SchemeKind.SemiImplicitKStepOneShot, tau, k)
         mat = iteration_matrix_semi_implicit(p, tau, obj.alpha, k)
         err = np.concatenate([state.p - p_ref, state.u - u_ref, state.sigma - sigma_ref])
         out = np.concatenate([new.p - p_ref, new.u - u_ref, new.sigma - sigma_ref])
