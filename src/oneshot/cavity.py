@@ -21,9 +21,10 @@ i.e. a LinearInverseProblem with F = 0 whose ||B|| shrinks linearly in
 delta.  The incident fields are point-source traces f_i = Y0(omega |x -
 y_i|) imposed as Dirichlet data, with the y_i spread along the square
 contour at sup-norm radius source_radius (strictly outside the domain).
-The several sources are stacked block-diagonally into one problem with a
-shared sigma, so certificates and step bounds apply unchanged; the cost
-of the stacked objective is the sum of the per-source costs.
+The several sources share sigma and are stacked block-diagonally into one
+problem storing the single-source blocks B and H (n_blocks = n_sources),
+so certificates and step bounds apply unchanged; the stacked cost is the
+sum of the per-source costs, and the clean data is A sigma_exact.
 
 Lengths in the configuration (mesh size, domain half-width, inclusion
 geometry, source radius) are expressed in wavelengths lambda =
@@ -33,7 +34,7 @@ geometry, source radius) are expressed in wavelengths lambda =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -41,7 +42,7 @@ import scipy.special
 
 from .errors import ProblemAssumptionError
 from .matrixio import write_matrix
-from .problem import LinearInverseProblem, Objective, spectral_radius
+from .problem import LinearInverseProblem, Objective
 
 #: Relative smallest-singular-value threshold for the resonance check.
 RESONANCE_TOL = 1e-8
@@ -308,27 +309,19 @@ def generate(config: CavityConfig) -> GeneratedCavity:
 
     # single-source operator blocks
     lu = scipy.linalg.lu_factor(A11_II)
-    A12_II = K_rand[II]
-    B_single = -config.delta * scipy.linalg.lu_solve(lu, A12_II)
-    rho = spectral_radius(B_single)
-    if rho >= 1.0:
-        raise ProblemAssumptionError(
-            f"state iteration does not contract: rho(B) = {rho:.4f} >= 1 "
-            "(delta too large or too close to resonance)")
+    B_single = -config.delta * scipy.linalg.lu_solve(lu, K_rand[II])
 
-    # incident fields and per-source couplings
-    A1_full = A11 + config.delta * K_rand
+    # incident fields u0 (A1 u0 = 0 inside, Y0 traces on the boundary)
+    A1 = A11 + config.delta * K_rand
     sources = _source_positions(config)
-    M_blocks, states = [], []
-    sel = boundary[:: config.boundary_subsample]
-    H_single = (config.sigma0_bar * K_unit + config.delta * K_rand
-                - config.omega ** 2 * mass)[np.ix_(sel, interior)]
-    for y in sources:
-        dist = np.linalg.norm(nodes[boundary] - y, axis=1)
-        f = scipy.special.y0(config.omega * dist)
-        u0 = np.zeros(len(nodes))
-        u0[boundary] = f
-        u0[interior] = np.linalg.solve(A1_full[II], -A1_full[IB] @ f)
+    f_all = np.column_stack([
+        scipy.special.y0(config.omega * np.linalg.norm(nodes[boundary] - y, axis=1))
+        for y in sources])
+    U0 = np.zeros((len(nodes), len(sources)))
+    U0[boundary] = f_all
+    U0[interior] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1[II]), -A1[IB] @ f_all)
+    M_blocks = []
+    for u0 in U0.T:
         # A2 column per sigma cell: integral of grad(u0).grad(phi) over the cell
         A2 = np.zeros((len(nodes), n_sigma))
         for col, (_, tlist) in enumerate(cells):
@@ -336,40 +329,28 @@ def generate(config: CavityConfig) -> GeneratedCavity:
             gu0 = np.einsum("tad,ta->td", grads[tlist], u0[tri_nodes])
             contrib = np.einsum("tad,td->ta", grads[tlist], gu0) * areas[tlist, None]
             np.add.at(A2[:, col], tri_nodes.ravel(), contrib.ravel())
-        A2_II = A2[interior]
-        M_blocks.append(scipy.linalg.lu_solve(lu, A2_II))
-        states.append(np.linalg.solve(A1_full[II], A2_II @ exact))
+        M_blocks.append(scipy.linalg.lu_solve(lu, A2[interior]))
 
-    if config.normalize_data:
-        eye_m_B = np.eye(len(interior)) - B_single
-        stacked_A = np.vstack([H_single @ np.linalg.solve(eye_m_B, Mb)
-                               for Mb in M_blocks])
-        H_single = (config.data_scale / np.linalg.norm(stacked_A, 2)) * H_single
-    else:
-        H_single = config.data_scale * H_single
-    data_clean = [H_single @ u_state for u_state in states]
-
-    data_noisy = []
-    eps = config.noise_level
-    for g in data_clean:
-        rel = rng.uniform(-eps, eps, g.shape)
-        data_noisy.append(g + rel * g)
-
+    sel = boundary[:: config.boundary_subsample]
+    H_single = config.data_scale * A1[np.ix_(sel, interior)]
     m = config.n_sources
-    problem = LinearInverseProblem(
-        B=np.kron(np.eye(m), B_single),
-        M=np.vstack(M_blocks),
-        H=np.kron(np.eye(m), H_single),
-        F=np.zeros(m * len(interior)),
-        spectral_radius_bound=rho,
-    )
+    problem = LinearInverseProblem(B=B_single, M=np.vstack(M_blocks), H=H_single,
+                                   F=np.zeros(m * len(interior)), n_blocks=m)
+    if config.normalize_data:
+        # rescale so that the stacked parameter-to-data map has norm data_scale
+        scale = config.data_scale / np.linalg.norm(problem.reduced_operator(), 2)
+        problem = replace(problem, H=scale * problem.H)
+    g_clean = problem.reduced_operator() @ exact
+    eps = config.noise_level
+    g_noisy = g_clean + rng.uniform(-eps, eps, g_clean.shape) * g_clean
+
     summary = MeshSummary(
         cells_per_side=ncell, h=h, n_triangles=len(tris),
-        n_u_single=len(interior), n_g_single=H_single.shape[0],
+        n_u_single=len(interior), n_g_single=len(sel),
         n_u=problem.n_u, n_sigma=n_sigma, n_g=problem.n_g)
     return GeneratedCavity(
         problem=problem, exact_sigma=exact, init_sigma=init,
-        data_clean=tuple(data_clean), data_noisy=tuple(data_noisy),
+        data_clean=tuple(np.split(g_clean, m)), data_noisy=tuple(np.split(g_noisy, m)),
         mesh_summary=summary, config=config, sigma_cell_centers=centers)
 
 
@@ -470,7 +451,7 @@ def parse_manifest(text: str) -> CavityConfig:
 
 
 def export_cavity(cavity: GeneratedCavity, directory):
-    """Write the matrix container files plus the regeneration manifest."""
+    """Write the container files (blocks B, H; stacked M, F) plus the manifest."""
     import os
 
     os.makedirs(directory, exist_ok=True)
@@ -491,17 +472,20 @@ def load_problem(directory):
     """Re-read an exported problem directory.
 
     Returns (problem, g_clean, g_noisy); the constructor re-verifies the
-    contraction and injectivity invariants.
+    contraction and injectivity invariants.  n_blocks = rows(M) / rows(B),
+    so a directory holding the kron-expanded B and H loads as n_blocks = 1;
+    rows(M) not a multiple of rows(B) is a ProblemAssumptionError.
     """
     import os
 
     from .matrixio import read_matrix, read_vector
 
+    B = read_matrix(os.path.join(directory, "B.txt"))
+    M = read_matrix(os.path.join(directory, "M.txt"))
     problem = LinearInverseProblem(
-        B=read_matrix(os.path.join(directory, "B.txt")),
-        M=read_matrix(os.path.join(directory, "M.txt")),
-        H=read_matrix(os.path.join(directory, "H.txt")),
+        B=B, M=M, H=read_matrix(os.path.join(directory, "H.txt")),
         F=read_vector(os.path.join(directory, "F.txt")),
+        n_blocks=max(1, M.shape[0] // max(1, B.shape[0])),
     )
     g_clean = read_vector(os.path.join(directory, "g_clean.txt"))
     g_noisy = read_vector(os.path.join(directory, "g_noisy.txt"))

@@ -135,16 +135,6 @@ class ConvergenceTrace:
                 return rec.n
         return None
 
-    def to_csv(self, path, deterministic_wall=True):
-        """Write the documented trace CSV.
-
-        Floats carry 17 significant digits.  ``deterministic_wall`` zeroes
-        the wall-time column so repeated runs are byte-identical; pass
-        False to keep measured times.
-        """
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_trace_csv(self, deterministic_wall=deterministic_wall))
-
     def __iter__(self):
         return iter(self.records)
 

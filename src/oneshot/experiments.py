@@ -282,23 +282,16 @@ def _cells(spec: ExperimentSpec):
 def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
     """Execute a spec; returns the list of files written (absolute paths).
 
-    ``output_dir`` overrides the spec's own output directory.
+    ``output_dir`` overrides the spec's own output directory.  The files
+    are held in memory and written only after every cell has run, so a
+    failing spec leaves no partial output behind.
     """
-    out = output_dir or spec.output_dir
-    os.makedirs(out, exist_ok=True)
-    written = []
-
-    def emit(name, content):
-        path = os.path.join(out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        written.append(path)
-        return path
+    files = {}
 
     manifest = (f"# oneshot-inversion {__version__}\n"
                 f"# reproduction manifest: run `oneshot run --spec` on the spec below\n"
                 + serialize_spec(spec))
-    emit("manifest.txt", manifest)
+    files["manifest.txt"] = manifest
 
     if spec.kind is ExperimentKind.BoundReport:
         cavity = generate(spec.cavity)
@@ -306,7 +299,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
         for k in spec.ks:
             for alpha in spec.alphas:
                 rows.append(report_csv_row(bound_report_for(cavity.problem, alpha, k)))
-        emit("bounds.csv", "\n".join(rows) + "\n")
+        files["bounds.csv"] = "\n".join(rows) + "\n"
     elif spec.kind is ExperimentKind.CertifySweep:
         cavity = generate(spec.cavity)
         rows = [certificate_csv_header()]
@@ -315,7 +308,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                 for alpha in spec.alphas:
                     rows.append(certificate_csv_row(
                         certify(cavity.problem, tau, alpha, k)))
-        emit("certify.csv", "\n".join(rows) + "\n")
+        files["certify.csv"] = "\n".join(rows) + "\n"
     else:
         summary_rows = [_SUMMARY_HEADER]
         for index, (cavity, scheme, tau, k, alpha) in enumerate(_cells(spec)):
@@ -330,7 +323,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                 print(f"cell {index:04d}: {scheme.value} tau={tau} k={k} "
                       f"alpha={alpha} -> {trace.status.value} "
                       f"(n={trace.records[-1].n}, J={trace.final_cost:.3e})")
-            emit(f"cell{index:04d}.csv", format_trace_csv(trace))
+            files[f"cell{index:04d}.csv"] = format_trace_csv(trace)
             last = trace.records[-1]
             summary_rows.append(",".join([
                 f"{index:04d}", spec.kind.value, scheme.value,
@@ -342,5 +335,11 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                 _fmt(last.grad_norm), _fmt(last.rel_err_sigma),
                 _fmt(trace.iterations_to_cost(1e-8)),
             ]))
-        emit("summary.csv", "\n".join(summary_rows) + "\n")
-    return written
+        files["summary.csv"] = "\n".join(summary_rows) + "\n"
+
+    out = output_dir or spec.output_dir
+    os.makedirs(out, exist_ok=True)
+    for name, content in files.items():
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(content)
+    return [os.path.join(out, name) for name in files]

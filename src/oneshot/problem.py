@@ -20,11 +20,14 @@ with gradient M* p(sigma) + alpha sigma, where the adjoint state p solves
 
     p = B* p + H* (H u - g).
 
-All exact solves use one dense LU factorization of I - B with partial
-pivoting, shared between the state equation and the (transposed) adjoint
-equation.  Problems and objectives are immutable after construction and
-safe to share across threads; every operation here is a pure function of
-its inputs.
+A problem stacking n_blocks copies of one state model with a shared
+sigma (the cavity's sources) stores the single blocks B and H; the full
+operators kron(I, B) and kron(I, H) are applied blockwise, while M and F
+stay stacked (a dense problem has n_blocks = 1).  All exact solves use
+one dense LU factorization of the block I - B with partial pivoting,
+shared by the state and the (transposed) adjoint equation.  Problems and
+objectives are immutable and safe to share across threads; every
+operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -71,43 +74,41 @@ class LinearInverseProblem:
 
     Parameters
     ----------
-    B : (n_u, n_u) array
-        State-iteration operator; must satisfy rho(B) < 1.
+    B : (n, n) array
+        State-iteration block; must satisfy rho(B) < 1.
     M : (n_u, n_sigma) array
-        Parameter-to-state coupling.
-    H : (n_g, n_u) array
-        Measurement operator.
+        Parameter-to-state coupling, stacked over the blocks.
+    H : (m, n) array
+        Measurement block.
     F : (n_u,) array
-        Source term.
-    rank_tol : float, optional
-        Relative singular-value cutoff for the injectivity check of
-        A = H (I - B)^{-1} M.
-    spectral_radius_bound : float, optional
-        A caller-supplied rigorous bound on rho(B), used instead of the
-        dense eigensolve.  Intended for structured constructions (e.g.
-        block-diagonal stacking of blocks whose radius is already known)
-        where the n_u^3 eigensolve would dominate the build.
+        Source term, stacked over the blocks.
+    n_blocks : int, optional
+        Number of diagonal copies of B and H, so n_u = n_blocks * n and
+        n_g = n_blocks * m.
     """
 
     B: np.ndarray
     M: np.ndarray
     H: np.ndarray
     F: np.ndarray
-    rank_tol: float = RANK_TOL
-    spectral_radius_bound: float | None = None
+    n_blocks: int = 1
 
     def __post_init__(self):
         B = _readonly(self.B, ndim=2, name="B")
         M = _readonly(self.M, ndim=2, name="M")
         H = _readonly(self.H, ndim=2, name="H")
         F = _readonly(self.F, ndim=1, name="F")
-        n_u = B.shape[0]
-        if B.shape != (n_u, n_u):
+        if not (isinstance(self.n_blocks, (int, np.integer)) and self.n_blocks >= 1):
+            raise ProblemAssumptionError(
+                f"n_blocks must be a positive integer, got {self.n_blocks!r}")
+        n = B.shape[0]
+        n_u = self.n_blocks * n
+        if B.shape != (n, n):
             raise ProblemAssumptionError(f"B must be square, got {B.shape}")
         if M.shape[0] != n_u:
             raise ProblemAssumptionError(f"M has {M.shape[0]} rows, expected {n_u}")
-        if H.shape[1] != n_u:
-            raise ProblemAssumptionError(f"H has {H.shape[1]} columns, expected {n_u}")
+        if H.shape[1] != n:
+            raise ProblemAssumptionError(f"H has {H.shape[1]} columns, expected {n}")
         if F.shape != (n_u,):
             raise ProblemAssumptionError(f"F has shape {F.shape}, expected ({n_u},)")
         for name, arr in (("B", B), ("M", M), ("H", H), ("F", F)):
@@ -116,19 +117,16 @@ class LinearInverseProblem:
         for name, arr in (("B", B), ("M", M), ("H", H), ("F", F)):
             object.__setattr__(self, name, arr)
 
-        if self.spectral_radius_bound is not None:
-            rho = float(self.spectral_radius_bound)
-        else:
-            rho = spectral_radius(B)
+        rho = spectral_radius(B)
         if not rho < 1.0:
             raise ProblemAssumptionError(
                 f"state iteration does not contract: rho(B) = {rho:.6g} >= 1")
         object.__setattr__(self, "_rho_B", rho)
 
         # Injectivity of A = H (I-B)^{-1} M via its singular values.
-        sv = scipy.linalg.svdvals(self.reduced_operator()) if self.n_sigma else np.array([])
         if self.n_sigma:
-            if sv[0] == 0.0 or sv[-1] <= self.rank_tol * sv[0]:
+            sv = scipy.linalg.svdvals(self.reduced_operator())
+            if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
                 raise ProblemAssumptionError(
                     "parameter-to-data map is rank deficient: "
                     f"smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e}")
@@ -137,7 +135,7 @@ class LinearInverseProblem:
     # -- dimensions ----------------------------------------------------
     @property
     def n_u(self) -> int:
-        return self.B.shape[0]
+        return self.n_blocks * self.B.shape[0]
 
     @property
     def n_sigma(self) -> int:
@@ -145,19 +143,19 @@ class LinearInverseProblem:
 
     @property
     def n_g(self) -> int:
-        return self.H.shape[0]
+        return self.n_blocks * self.H.shape[0]
 
     @property
     def rho_B(self) -> float:
-        """The checked spectral radius (or caller-supplied bound) of B."""
+        """The checked spectral radius of B (equal to that of kron(I, B))."""
         return self._rho_B
 
     # -- cached dense factorizations and norms -------------------------
     @cached_property
     def _lu_state(self):
-        """LU factorization of I - B (used transposed for the adjoint)."""
+        """LU factorization of the block I - B (used transposed for the adjoint)."""
         try:
-            return scipy.linalg.lu_factor(np.eye(self.n_u) - self.B)
+            return scipy.linalg.lu_factor(np.eye(self.B.shape[0]) - self.B)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded by rho(B)<1
             raise SingularSystemError("I - B is numerically singular") from exc
 
@@ -173,10 +171,26 @@ class LinearInverseProblem:
     def norm_H(self) -> float:
         return operator_norm(self.H)
 
+    def _blockwise(self, fn, x):
+        """kron(I, T) x for a stacked vector or matrix x; fn(c) computes T c."""
+        x = np.asarray(x)
+        if self.n_blocks == 1:
+            return fn(x)
+        blocks = x.reshape(self.n_blocks, -1, *x.shape[1:]).swapaxes(0, 1)
+        out = fn(blocks.reshape(blocks.shape[0], -1))
+        return out.reshape(out.shape[0], self.n_blocks, -1).swapaxes(0, 1).reshape(
+            -1, *x.shape[1:])
+
+    def apply(self, op, x):
+        """kron(I, op) @ x for a block matrix op (e.g. B, B.T, H, H.T)."""
+        return self._blockwise(op.__matmul__, x)
+
     def solve_I_minus_B(self, rhs, adjoint=False):
         """Solve (I - B) x = rhs, or (I - B*) x = rhs when ``adjoint``."""
         try:
-            return scipy.linalg.lu_solve(self._lu_state, rhs, trans=1 if adjoint else 0)
+            return self._blockwise(
+                lambda cols: scipy.linalg.lu_solve(self._lu_state, cols,
+                                                   trans=1 if adjoint else 0), rhs)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise SingularSystemError("exact solve failed") from exc
 
@@ -184,7 +198,7 @@ class LinearInverseProblem:
         """The end-to-end map A = H (I - B)^{-1} M (n_g x n_sigma)."""
         cached = self.__dict__.get("_A")
         if cached is None:
-            cached = self.H @ self.solve_I_minus_B(self.M)
+            cached = self.apply(self.H, self.solve_I_minus_B(self.M))
             cached.setflags(write=False)
             self.__dict__["_A"] = cached
         return cached
@@ -193,7 +207,7 @@ class LinearInverseProblem:
         """The sigma-independent measurement part H (I - B)^{-1} F."""
         cached = self.__dict__.get("_offset")
         if cached is None:
-            cached = self.H @ self.solve_I_minus_B(self.F)
+            cached = self.apply(self.H, self.solve_I_minus_B(self.F))
             cached.setflags(write=False)
             self.__dict__["_offset"] = cached
         return cached
@@ -264,7 +278,8 @@ def solve_adjoint_exact(problem: LinearInverseProblem, u, g) -> np.ndarray:
     """Exact adjoint solve: p with (I - B*) p = H* (H u - g)."""
     u = np.asarray(u, dtype=float)
     g = np.asarray(g, dtype=float)
-    return problem.solve_I_minus_B(problem.H.T @ (problem.H @ u - g), adjoint=True)
+    residual = problem.apply(problem.H, u) - g
+    return problem.solve_I_minus_B(problem.apply(problem.H.T, residual), adjoint=True)
 
 
 def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
@@ -290,12 +305,12 @@ def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
             f"sigma has shape {sigma_new.shape}, expected ({problem.n_sigma},)")
     if g.shape != (problem.n_g,):
         raise ProblemAssumptionError(f"g has shape {g.shape}, expected ({problem.n_g},)")
-    B, M, H, F = problem.B, problem.M, problem.H, problem.F
-    drive = M @ sigma_new + F
+    B, H, apply = problem.B, problem.H, problem.apply
+    drive = problem.M @ sigma_new + problem.F
     u, p = state.u, state.p
     for _ in range(k):
-        p_next = B.T @ p + H.T @ (H @ u - g)
-        u = B @ u + drive
+        p_next = apply(B.T, p) + apply(H.T, apply(H, u) - g)
+        u = apply(B, u) + drive
         p = p_next
     return u, p
 
@@ -304,7 +319,7 @@ def cost(objective: Objective, sigma) -> float:
     """J(sigma) = 1/2 ||H u(sigma) - g||^2 + alpha/2 ||sigma||^2."""
     sigma = np.asarray(sigma, dtype=float)
     u = solve_state_exact(objective.problem, sigma)
-    residual = objective.problem.H @ u - objective.g
+    residual = objective.problem.apply(objective.problem.H, u) - objective.g
     return 0.5 * float(residual @ residual) + 0.5 * objective.alpha * float(sigma @ sigma)
 
 
@@ -325,7 +340,7 @@ def regularized_solution(objective: Objective) -> np.ndarray:
     lhs = A.T @ A + objective.alpha * np.eye(problem.n_sigma)
     if objective.alpha == 0.0:
         sv = problem.__dict__.get("_singular_values_A")
-        if sv is not None and sv[-1] <= problem.rank_tol * sv[0]:
+        if sv is not None and sv[-1] <= RANK_TOL * sv[0]:
             raise SingularSystemError(
                 "alpha = 0 with a rank-deficient reduced operator")
     try:

@@ -18,6 +18,8 @@ built from the three k-step operators
 which satisfy the identity  U_k T_k - X_k B^k + X_k = T_k* H*H T_k.
 The scheme converges from every start iff the spectral radius of the
 block matrix is below one, which `certify` checks by a dense eigensolve.
+The k-step operators of a stacked problem are those of its stored block;
+only the block matrix and the eigenvalue-equation residual expand them.
 """
 
 from __future__ import annotations
@@ -32,10 +34,13 @@ from .problem import LinearInverseProblem
 #: Largest dense block dimension (2 n_u + n_sigma) certify will eigensolve.
 SIZE_GUARD = 4000
 
+#: certify calls the scheme convergent iff rho < 1 - CONVERGENCE_MARGIN.
+CONVERGENCE_MARGIN = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class KStepOperators:
-    """The triple (T_k, U_k, X_k) for one value of k."""
+    """The triple (T_k, U_k, X_k) of the block, for one value of k."""
 
     T: np.ndarray
     U: np.ndarray
@@ -53,7 +58,7 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     B, H = problem.B, problem.H
-    n = problem.n_u
+    n = B.shape[0]
     eye = np.eye(n)
     HtH = H.T @ H
     T = eye.copy()
@@ -76,15 +81,21 @@ def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     ops = k_step_operators(problem, k)
-    B, M = problem.B, problem.M
+    M = problem.M
     n_u, n_s = problem.n_u, problem.n_sigma
     d = 1.0 + tau * alpha
-    Bk = np.linalg.matrix_power(B, k)
+    Bk = _dense(problem, np.linalg.matrix_power(problem.B, k))
     MMt = M @ M.T
-    top = np.hstack([Bk.T - (tau / d) * (ops.X @ MMt), ops.U, (ops.X @ M) / d])
-    mid = np.hstack([-(tau / d) * (ops.T @ MMt), Bk, (ops.T @ M) / d])
+    top = np.hstack([Bk.T - (tau / d) * problem.apply(ops.X, MMt), _dense(problem, ops.U),
+                     problem.apply(ops.X, M) / d])
+    mid = np.hstack([-(tau / d) * problem.apply(ops.T, MMt), Bk, problem.apply(ops.T, M) / d])
     bot = np.hstack([-(tau / d) * M.T, np.zeros((n_s, n_u)), np.eye(n_s) / d])
     return np.vstack([top, mid, bot])
+
+
+def _dense(problem: LinearInverseProblem, block: np.ndarray) -> np.ndarray:
+    """The stacked operator kron(I, block) as a dense matrix."""
+    return np.kron(np.eye(problem.n_blocks), block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +113,8 @@ class SpectralCertificate:
 
 
 def certify(problem: LinearInverseProblem, tau: float, alpha: float, k: int,
-            margin: float = 1e-10, size_guard: int = SIZE_GUARD) -> SpectralCertificate:
-    """Dense eigensolve of the block matrix; convergent iff rho < 1 - margin.
+            size_guard: int = SIZE_GUARD) -> SpectralCertificate:
+    """Dense eigensolve of the block matrix; convergent iff rho < 1 - CONVERGENCE_MARGIN.
 
     Raises SizeGuardError when 2 n_u + n_sigma exceeds ``size_guard`` and
     EigensolverError if the QR iteration fails to converge (never silent).
@@ -123,7 +134,8 @@ def certify(problem: LinearInverseProblem, tau: float, alpha: float, k: int,
     dist_one = float(np.min(np.abs(eigenvalues - 1.0)))
     return SpectralCertificate(
         spectral_radius=rho, eigenvalues=eigenvalues, min_dist_to_one=dist_one,
-        convergent=bool(rho < 1.0 - margin), margin=margin, tau=tau, alpha=alpha, k=k)
+        convergent=bool(rho < 1.0 - CONVERGENCE_MARGIN), margin=CONVERGENCE_MARGIN,
+        tau=tau, alpha=alpha, k=k)
 
 
 #: Relative distance below which a shift is considered inside Spec(B^k).
@@ -153,7 +165,7 @@ def eigen_equation_residual(problem: LinearInverseProblem, lam: complex, y,
     if not np.isclose(nrm, 1.0, atol=1e-8):
         raise ValueError(f"y must be a unit vector, got norm {nrm}")
     lam = complex(lam)
-    Bk = np.linalg.matrix_power(problem.B, k)
+    Bk = _dense(problem, np.linalg.matrix_power(problem.B, k))
     exclusion = RESOLVENT_EXCLUSION * problem.norm_B ** k
     if exclusion > 0:
         dist = np.min(np.abs(np.linalg.eigvals(Bk) - lam))
@@ -162,7 +174,7 @@ def eigen_equation_residual(problem: LinearInverseProblem, lam: complex, y,
                 f"lambda = {lam} is within {exclusion:.3e} of Spec(B^k)")
     ops = k_step_operators(problem, k)
     eye = np.eye(problem.n_u)
-    core = (lam - 1.0) * ops.X + ops.T.T @ (problem.H.T @ problem.H) @ ops.T
+    core = _dense(problem, (lam - 1.0) * ops.X + ops.T.T @ (problem.H.T @ problem.H) @ ops.T)
     try:
         right = np.linalg.solve(lam * eye - Bk, problem.M @ y)
         inner_vec = np.linalg.solve(lam * eye - Bk.T.astype(complex), core @ right)

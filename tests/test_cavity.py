@@ -150,13 +150,12 @@ class TestMultiSourceObjective:
         alpha = 0.2
         stacked = multi_source_objective(small_cavity, alpha=alpha)
         n1 = small_cavity.mesh_summary.n_u_single
-        g1 = small_cavity.mesh_summary.n_g_single
         total = 0.0
         for i in range(2):
             problem_i = type(small_cavity.problem)(
-                B=small_cavity.problem.B[i * n1:(i + 1) * n1, i * n1:(i + 1) * n1],
+                B=small_cavity.problem.B,
                 M=small_cavity.problem.M[i * n1:(i + 1) * n1],
-                H=small_cavity.problem.H[i * g1:(i + 1) * g1, i * n1:(i + 1) * n1],
+                H=small_cavity.problem.H,
                 F=np.zeros(n1))
             obj_i = Objective(problem_i, small_cavity.data_clean[i], 0.0)
             total += cost(obj_i, sigma)
@@ -168,13 +167,12 @@ class TestMultiSourceObjective:
         sigma = rng.standard_normal(small_cavity.problem.n_sigma)
         stacked = multi_source_objective(small_cavity, alpha=0.0)
         n1 = small_cavity.mesh_summary.n_u_single
-        g1 = small_cavity.mesh_summary.n_g_single
         total = np.zeros_like(sigma)
         for i in range(2):
             problem_i = type(small_cavity.problem)(
-                B=small_cavity.problem.B[i * n1:(i + 1) * n1, i * n1:(i + 1) * n1],
+                B=small_cavity.problem.B,
                 M=small_cavity.problem.M[i * n1:(i + 1) * n1],
-                H=small_cavity.problem.H[i * g1:(i + 1) * g1, i * n1:(i + 1) * n1],
+                H=small_cavity.problem.H,
                 F=np.zeros(n1))
             total += gradient(Objective(problem_i, small_cavity.data_clean[i], 0.0), sigma)
         ours = gradient(stacked, sigma)

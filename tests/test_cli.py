@@ -1,6 +1,11 @@
+import math
+import shutil
+
+import numpy as np
 import pytest
 
-from oneshot.cavity import format_manifest
+from oneshot.cavity import format_manifest, load_problem
+from oneshot.matrixio import read_matrix, write_matrix
 from oneshot.cli import main
 from test_cavity import small_config
 
@@ -83,6 +88,18 @@ class TestRunAndSweep:
         assert code == 2
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
+    def test_failing_later_variant_leaves_no_output(self, tmp_path):
+        # at this seed the second mesh does not contract, so its generate
+        # fails after the first variant's cells have run
+        spec = tmp_path / "exp.cfg"
+        spec.write_text(TINY_SPEC.replace("rng_seed = 3", "rng_seed = 7").replace(
+            "ks = 1,2", "ks = 1,2\nmesh_hs = 0.2857142857142857,0.25").replace(
+            "max_outer = 20", "max_outer = 3"))
+        out = tmp_path / "out"
+        code = main(["run", "--spec", str(spec), "--out", str(out), "--quiet"])
+        assert code == 3
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestBoundsAndCertify:
     def test_bounds_to_file(self, problem_dir, tmp_path, capsys):
@@ -111,6 +128,39 @@ class TestBoundsAndCertify:
         spec_rows = spectrum.read_text().strip().split("\n")
         assert spec_rows[0] == "re,im"
 
+    def test_block_and_kron_containers_agree(self, problem_dir, tmp_path, capsys):
+        stacked = load_problem(problem_dir)[0]
+        assert stacked.n_blocks == 2
+        kron_dir = tmp_path / "kron"
+        shutil.copytree(problem_dir, kron_dir)
+        for name in ("B", "H"):
+            write_matrix(kron_dir / f"{name}.txt",
+                         np.kron(np.eye(2), getattr(stacked, name)))
+        assert load_problem(kron_dir)[0].n_blocks == 1
+
+        def csv_rows(directory, *args):
+            capsys.readouterr()
+            assert main([args[0], "--problem", str(directory), *args[1:]]) == 0
+            return [row.split(",") for row in capsys.readouterr().out.strip().split("\n")]
+
+        for args in (("bounds", "--alpha", "1e-3", "--k", "1"),
+                     ("bounds", "--alpha", "1e-3", "--k", "3"),
+                     ("certify", "--tau", "0.001", "--k", "2")):
+            ours, oracle = csv_rows(problem_dir, *args), csv_rows(kron_dir, *args)
+            assert ours[0] == oracle[0]
+            for a, b in zip(ours[1], oracle[1]):
+                try:
+                    assert math.isclose(float(a), float(b), rel_tol=1e-10)
+                except ValueError:
+                    assert a == b
+
+    def test_block_count_must_divide_m_rows(self, problem_dir, tmp_path):
+        bad_dir = tmp_path / "bad"
+        shutil.copytree(problem_dir, bad_dir)
+        M = read_matrix(bad_dir / "M.txt")
+        write_matrix(bad_dir / "M.txt", M[:-1])
+        assert main(["bounds", "--problem", str(bad_dir)]) == 3
+
     def test_missing_problem_dir_is_usage_error(self, tmp_path):
         code = main(["bounds", "--problem", str(tmp_path / "missing")])
         assert code == 1
@@ -133,7 +183,7 @@ class TestUsage:
         assert excinfo.value.code == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # a resonant mesh: generation must fail with exit code 3
+        # rho(B) >= 1 at this mesh and seed: generation must fail with exit code 3
         manifest = tmp_path / "bad.cfg"
         manifest.write_text(format_manifest(small_config(mesh_h=0.25, n_sources=6,
                                                          rng_seed=7)))

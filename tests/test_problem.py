@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from oneshot import (IterationState, LinearInverseProblem, Objective,
-                     ProblemAssumptionError, cost, fixed_point_sweep, gradient,
-                     regularized_solution, solve_adjoint_exact,
+                     ProblemAssumptionError, RunConfig, SchemeKind,
+                     bound_report_for, certify, cost, fixed_point_sweep,
+                     gradient, regularized_solution, run, solve_adjoint_exact,
                      solve_state_exact)
 from conftest import make_objective, make_problem
 
@@ -238,14 +239,97 @@ class TestConstruction:
         with pytest.raises(ProblemAssumptionError):
             LinearInverseProblem(np.zeros((2, 2)), np.eye(3), np.eye(2), np.zeros(2))
 
-    def test_spectral_radius_bound_shortcut(self):
-        p = make_problem(26, norm_b=0.7)
-        q = LinearInverseProblem(p.B, p.M, p.H, p.F, spectral_radius_bound=0.7)
-        assert q.rho_B == 0.7
-        with pytest.raises(ProblemAssumptionError):
-            LinearInverseProblem(p.B, p.M, p.H, p.F, spectral_radius_bound=1.0)
-
     def test_arrays_are_immutable(self):
         p = make_problem(27)
         with pytest.raises(ValueError):
             p.B[0, 0] = 1.0
+
+
+def stacked_and_kron_twin(seed, n_blocks=3, n=7, n_sigma=4, m=5):
+    """A problem storing one block, and the same problem with the dense
+    kron(I, B), kron(I, H) and n_blocks = 1."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    B = 0.6 * G / np.linalg.norm(G, 2)
+    M = rng.standard_normal((n_blocks * n, n_sigma))
+    H = rng.standard_normal((m, n))
+    F = rng.standard_normal(n_blocks * n)
+    eye = np.eye(n_blocks)
+    return (LinearInverseProblem(B, M, H, F, n_blocks=n_blocks),
+            LinearInverseProblem(np.kron(eye, B), M, np.kron(eye, H), F))
+
+
+def assert_rel(a, b, rel=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
+
+
+class TestBlockStorage:
+    """The stored-block problem against its dense kron twin as the oracle."""
+
+    @pytest.fixture(scope="class")
+    def twins(self):
+        block, dense = stacked_and_kron_twin(41)
+        rng = np.random.default_rng(42)
+        g = rng.standard_normal(dense.n_g)
+        return block, dense, g, rng.standard_normal(dense.n_sigma)
+
+    def test_dimensions(self, twins):
+        block, dense, _, _ = twins
+        assert block.B.shape == (7, 7) and block.H.shape == (5, 7)
+        assert (block.n_u, block.n_g, block.n_sigma) == (dense.n_u, dense.n_g, dense.n_sigma)
+
+    def test_exact_solves_and_sweep(self, twins):
+        block, dense, g, sigma = twins
+        u = solve_state_exact(dense, sigma)
+        assert_rel(solve_state_exact(block, sigma), u)
+        assert_rel(solve_adjoint_exact(block, u, g), solve_adjoint_exact(dense, u, g))
+        rng = np.random.default_rng(43)
+        state = IterationState(sigma, rng.standard_normal(dense.n_u),
+                               rng.standard_normal(dense.n_u))
+        for ours, oracle in zip(fixed_point_sweep(block, state, 0.5 * sigma, g, 3),
+                                fixed_point_sweep(dense, state, 0.5 * sigma, g, 3)):
+            assert_rel(ours, oracle)
+
+    def test_objective_and_reduced_operator(self, twins):
+        block, dense, g, sigma = twins
+        ours, oracle = Objective(block, g, 0.1), Objective(dense, g, 0.1)
+        assert_rel(cost(ours, sigma), cost(oracle, sigma))
+        assert_rel(gradient(ours, sigma), gradient(oracle, sigma))
+        assert_rel(block.reduced_operator(), dense.reduced_operator())
+        assert_rel(block.data_offset(), dense.data_offset())
+        assert_rel(regularized_solution(ours), regularized_solution(oracle))
+
+    def test_norms_and_spectral_radius(self, twins):
+        block, dense, _, _ = twins
+        for name in ("norm_B", "norm_M", "norm_H"):
+            assert_rel(getattr(block, name), getattr(dense, name))
+        assert_rel(block.rho_B, dense.rho_B, rel=1e-10)
+
+    def test_step_bounds_and_certificate(self, twins):
+        block, dense, _, _ = twins
+        for k in (1, 3):
+            ours = bound_report_for(block, alpha=0.01, k=k, use_s_path=True)
+            oracle = bound_report_for(dense, alpha=0.01, k=k, use_s_path=True)
+            assert_rel(ours.tau_max, oracle.tau_max)
+        tau = 1.4 / np.linalg.norm(dense.reduced_operator(), 2) ** 2
+        assert_rel(certify(block, tau, 0.01, 3).spectral_radius,
+                   certify(dense, tau, 0.01, 3).spectral_radius, rel=1e-10)
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_run_traces(self, twins, scheme):
+        block, dense, g, _ = twins
+        tau = 0.5 / np.linalg.norm(dense.reduced_operator(), 2) ** 2
+        config = RunConfig(scheme=scheme, tau=tau, k=2, max_outer=20)
+        ours, oracle = run(Objective(block, g, 0.01), config), run(Objective(dense, g, 0.01), config)
+        assert len(ours.records) == len(oracle.records) == 21
+        for field in ("cost", "grad_norm", "rel_err_sigma"):
+            assert_rel([getattr(r, field) for r in ours.records],
+                       [getattr(r, field) for r in oracle.records])
+
+    @pytest.mark.parametrize("n_blocks", [0, -1, 1.5])
+    def test_rejects_bad_block_count(self, n_blocks):
+        B, H = np.zeros((2, 2)), np.eye(2)
+        with pytest.raises(ProblemAssumptionError, match="n_blocks"):
+            LinearInverseProblem(B, np.eye(2), H, np.zeros(2), n_blocks=n_blocks)
