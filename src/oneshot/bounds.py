@@ -66,8 +66,8 @@ class CaseParameters:
     def __post_init__(self):
         if not 0.0 < self.theta0 <= math.pi / 4:
             raise ValueError(f"theta0 must lie in (0, pi/4], got {self.theta0}")
-        if not self.delta0 > 0.0:
-            raise ValueError(f"delta0 must be > 0, got {self.delta0}")
+        if not 0.0 < self.delta0 < math.inf:
+            raise ValueError(f"delta0 must be finite and > 0, got {self.delta0}")
 
     @property
     def c(self) -> float:
@@ -99,13 +99,16 @@ DEFAULT_PARAMETERS = CaseParameters()
 # the resolvent functional s(T)
 # ----------------------------------------------------------------------
 
-def s_of(T, rel_tol: float = 1e-6, start_points: int = 1024,
-         max_points: int = 1 << 17) -> float:
+#: s_of grid: first size, relative agreement that stops the doubling, largest size.
+S_OF_START_POINTS, S_OF_REL_TOL, S_OF_MAX_POINTS = 1024, 1e-6, 1 << 17
+
+
+def s_of(T) -> float:
     """Estimate s(T) = sup_{|z| >= 1} ||(I - T/z)^{-1}|| for rho(T) < 1.
 
-    Samples z = exp(i theta) on a uniform grid of the unit circle
-    (starting at ``start_points`` points) and doubles the grid until two
-    successive estimates agree to ``rel_tol`` relative; nested grids make
+    Samples z = exp(i theta) on a uniform grid of the unit circle and
+    doubles the grid (S_OF_START_POINTS up to S_OF_MAX_POINTS) until two
+    successive estimates agree to S_OF_REL_TOL relative; nested grids make
     the estimates monotone.  The result is floored at ||(I - T)^{-1}||,
     which is a proven lower bound for the supremum.
     """
@@ -134,12 +137,12 @@ def s_of(T, rel_tol: float = 1e-6, start_points: int = 1024,
             best = max(best, float(np.max(1.0 / smin)))
         return best
 
-    points = start_points
+    points = S_OF_START_POINTS
     est = grid_estimate(points)
-    while points < max_points:
+    while points < S_OF_MAX_POINTS:
         points *= 2
         refined = grid_estimate(points)
-        done = abs(refined - est) <= rel_tol * refined
+        done = abs(refined - est) <= S_OF_REL_TOL * refined
         est = refined
         if done:
             break
@@ -252,6 +255,11 @@ def _inv_or_inf(denominator: float) -> float:
     return 1.0 / denominator if denominator > 0.0 else math.inf
 
 
+def _check_alpha(alpha: float):
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class TauBoundReport:
     """The certified sufficient bounds and the final tau_max = min of them.
@@ -297,37 +305,32 @@ def _assemble(k, alpha, norm_B, norm_M, norm_H, s_Bk, bound_real, cases,
 
 def sufficient_tau_one_step(norm_B: float, norm_M: float, norm_H: float,
                             s_B: float | None = None, alpha: float = 0.0,
-                            params: CaseParameters | None = None,
-                            b_is_zero: bool = False,
-                            rho_B_only: bool = False) -> TauBoundReport:
+                            params: CaseParameters | None = None) -> TauBoundReport:
     """Certified step bound for the semi-implicit one-step scheme (k = 1).
 
     Real candidate eigenvalues impose no restriction at k = 1, so
-    bound_real is unbounded.  For B = 0 (``b_is_zero``) the three complex
+    bound_real is unbounded.  For B = 0 (norm_B == 0) the three complex
     cases are replaced by the exact quadratic criterion, giving
     tau_max = 1/(||H||^2 ||M||^2 - alpha) when that is positive and no
     restriction otherwise.  Otherwise each complex case uses the closed
     (1 - ||B||)-power form when ||B|| < 1 and the s(B)-based form when
-    ``s_B`` is supplied (``rho_B_only`` forces the latter); when both
-    apply, the larger (both are sufficient) is reported.
+    ``s_B`` is supplied; when both apply, the larger (both are
+    sufficient) is reported.
     """
     params = params or DEFAULT_PARAMETERS
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     hm2 = (norm_H * norm_M) ** 2
     bound_real = math.inf
 
-    if b_is_zero:
-        if norm_B != 0.0:
-            raise ValueError("b_is_zero requires norm_B == 0")
+    if norm_B == 0.0:
         bound_b_zero = _inv_or_inf(hm2 - alpha)
         return _assemble(1, alpha, norm_B, norm_M, norm_H, s_B, bound_real,
                          (None, None, None), bound_b_zero, params)
 
-    use_closed = (not rho_B_only) and norm_B < 1.0
+    use_closed = norm_B < 1.0
     use_s = s_B is not None
     if not use_closed and not use_s:
-        raise ValueError("norm_B >= 1 (or rho_B_only): the s(B)-based path needs s_B")
+        raise ValueError("norm_B >= 1: the s(B)-based path needs s_B")
 
     constants = (params.C1, params.C2, params.C3)
     candidates = ([], [], [])
@@ -367,8 +370,7 @@ def sufficient_tau_k_step(norm_B: float, norm_M: float, norm_H: float,
     params = params or DEFAULT_PARAMETERS
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     if not params.theta0 < math.pi / 4:
         raise ValueError("the multi-step bounds require theta0 < pi/4 strictly")
 
@@ -461,14 +463,12 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     """
     from .spectral import k_step_operators
 
+    _check_alpha(alpha)
     norm_B, norm_M, norm_H = problem.norm_B, problem.norm_M, problem.norm_H
     if use_s_path is None:
         use_s_path = norm_B >= 1.0 or problem.n_u <= 128
     if k == 1:
-        if norm_B == 0.0:
-            return sufficient_tau_one_step(norm_B, norm_M, norm_H, alpha=alpha,
-                                           params=params, b_is_zero=True)
-        s_B = s_of(problem.B) if use_s_path else None
+        s_B = s_of(problem.B) if use_s_path and norm_B > 0.0 else None
         return sufficient_tau_one_step(norm_B, norm_M, norm_H, s_B=s_B,
                                        alpha=alpha, params=params)
     extras = {}

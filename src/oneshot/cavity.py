@@ -24,7 +24,10 @@ contour at sup-norm radius source_radius (strictly outside the domain).
 The several sources share sigma and are stacked block-diagonally into one
 problem storing the single-source blocks B and H (n_blocks = n_sources),
 so certificates and step bounds apply unchanged; the stacked cost is the
-sum of the per-source costs, and the clean data is A sigma_exact.
+sum of the per-source costs, and the clean data is A sigma_exact (stored
+stacked only).  One scipy.sparse assembly routine builds the stiffness
+and mass matrices and, applied to the incident fields, each column c of A2
+(the stiffness matrix of sigma cell c's triangles).
 
 Lengths in the configuration (mesh size, domain half-width, inclusion
 geometry, source radius) are expressed in wavelengths lambda =
@@ -38,6 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.special
 
 from .errors import ProblemAssumptionError
@@ -146,19 +150,11 @@ class GeneratedCavity:
     problem: LinearInverseProblem
     exact_sigma: np.ndarray
     init_sigma: np.ndarray
-    data_clean: tuple
-    data_noisy: tuple
+    stacked_clean: np.ndarray
+    stacked_noisy: np.ndarray
     mesh_summary: MeshSummary
     config: CavityConfig
     sigma_cell_centers: np.ndarray
-
-    @property
-    def stacked_clean(self) -> np.ndarray:
-        return np.concatenate(self.data_clean)
-
-    @property
-    def stacked_noisy(self) -> np.ndarray:
-        return np.concatenate(self.data_noisy)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +193,7 @@ def _triangle_geometry(nodes, tris):
 
 
 def _assemble(nodes, tris, areas, grads, stiffness_coef=None, mass=False):
-    """Dense assembly of a stiffness (optionally coefficient-weighted) or mass matrix."""
+    """COO stiffness (optionally coefficient-weighted) or mass matrix of the triangles."""
     n = len(nodes)
     if mass:
         template = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -206,20 +202,19 @@ def _assemble(nodes, tris, areas, grads, stiffness_coef=None, mass=False):
         local = np.einsum("tad,tbd->tab", grads, grads) * areas[:, None, None]
         if stiffness_coef is not None:
             local = local * stiffness_coef[:, None, None]
-    out = np.zeros((n, n))
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    np.add.at(out, (rows, cols), local.ravel())
-    return out
+    return scipy.sparse.coo_array((local.ravel(), (rows, cols)), shape=(n, n))
 
 
 def _sigma_cells(config: CavityConfig, R: float, h: float, ncell: int):
-    """Snap inclusions to the grid and list the triangles of every sigma cell."""
+    """Snap inclusions to the grid; the triangle indices of every sigma cell."""
     lam = config.wavelength
     sx, sy = config.sigma_subdivision
+    owner = np.full((ncell, ncell), -1)  # inclusion index of every grid cell, -1 if free
+    cell_ids = np.arange(ncell * ncell).reshape(ncell, ncell)
     cells = []
     centers = []
-    owner = {}
     for idx, (cx, cy, edge) in enumerate(config.inclusion_layout):
         edge_cells = max(1, round(edge * lam / h))
         if edge_cells % sx or edge_cells % sy:
@@ -232,21 +227,16 @@ def _sigma_cells(config: CavityConfig, R: float, h: float, ncell: int):
             raise ProblemAssumptionError(
                 f"inclusion {idx} is not strictly inside the domain "
                 f"(needs one clear cell layer to the boundary)")
+        box = np.s_[i0:i0 + edge_cells, j0:j0 + edge_cells]
+        if (owner[box] >= 0).any():
+            raise ProblemAssumptionError(f"inclusions {owner[box].max()} and {idx} overlap")
+        owner[box] = idx
         px, py = edge_cells // sx, edge_cells // sy
-        for a in range(sx):
-            for b in range(sy):
-                tlist = []
-                for ii in range(i0 + a * px, i0 + (a + 1) * px):
-                    for jj in range(j0 + b * py, j0 + (b + 1) * py):
-                        if (ii, jj) in owner:
-                            raise ProblemAssumptionError(
-                                f"inclusions {owner[(ii, jj)]} and {idx} overlap")
-                        owner[(ii, jj)] = idx
-                        cell = ii * ncell + jj
-                        tlist += [2 * cell, 2 * cell + 1]
-                cells.append((idx, np.array(tlist)))
-                centers.append((-R + (i0 + (a + 0.5) * px) * h,
-                                -R + (j0 + (b + 0.5) * py) * h))
+        # sigma cell (a, b) holds its px * py grid cells c row-major, as triangles 2c, 2c + 1
+        grid = cell_ids[box].reshape(sx, px, sy, py).transpose(0, 2, 1, 3).reshape(sx * sy, -1)
+        cells += list(np.stack([2 * grid, 2 * grid + 1], -1).reshape(sx * sy, -1))
+        centers += [(-R + (i0 + (a + 0.5) * px) * h, -R + (j0 + (b + 0.5) * py) * h)
+                    for a in range(sx) for b in range(sy)]
     return cells, np.array(centers)
 
 
@@ -254,19 +244,12 @@ def _source_positions(config: CavityConfig):
     """Sources equally spaced along the square contour at sup-norm radius
     effective_source_radius (strictly outside the domain), half-step offset."""
     r = config.effective_source_radius * config.wavelength
-    per = 8.0 * r
-    pts = []
-    for j in range(config.n_sources):
-        s = ((j + 0.5) / config.n_sources) * per
-        if s < 2 * r:
-            pts.append((r, -r + s))
-        elif s < 4 * r:
-            pts.append((r - (s - 2 * r), r))
-        elif s < 6 * r:
-            pts.append((-r, r - (s - 4 * r)))
-        else:
-            pts.append((-r + (s - 6 * r), -r))
-    return np.array(pts)
+    # arc length s from (r, -r), counter-clockwise; each side starts at a corner
+    s = ((np.arange(config.n_sources) + 0.5) / config.n_sources) * (8.0 * r)
+    side = np.searchsorted([2 * r, 4 * r, 6 * r], s, side="right")
+    corners = np.array([(r, -r), (r, r), (-r, r), (-r, -r)])
+    directions = np.array([(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)])
+    return corners[side] + (s - 2 * r * side)[:, None] * directions[side]
 
 
 def generate(config: CavityConfig) -> GeneratedCavity:
@@ -286,9 +269,9 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     sigma_r = rng.uniform(0.0, 1.0, len(tris)) if config.random_background \
         else np.ones(len(tris))
 
-    K_unit = _assemble(nodes, tris, areas, grads)
-    K_rand = _assemble(nodes, tris, areas, grads, stiffness_coef=sigma_r)
-    mass = _assemble(nodes, tris, areas, grads, mass=True)
+    K_unit = _assemble(nodes, tris, areas, grads).toarray()
+    K_rand = _assemble(nodes, tris, areas, grads, stiffness_coef=sigma_r).toarray()
+    mass = _assemble(nodes, tris, areas, grads, mass=True).toarray()
     A11 = config.sigma0_bar * K_unit - config.omega ** 2 * mass
     II = np.ix_(interior, interior)
     IB = np.ix_(interior, boundary)
@@ -302,10 +285,9 @@ def generate(config: CavityConfig) -> GeneratedCavity:
 
     cells, centers = _sigma_cells(config, R, h, ncell)
     n_sigma = len(cells)
-    exact = np.concatenate([np.full(config.sigma_subdivision[0] * config.sigma_subdivision[1], v)
-                            for v in config.per_inclusion(config.sigma_exact)])
-    init = np.concatenate([np.full(config.sigma_subdivision[0] * config.sigma_subdivision[1], v)
-                           for v in config.per_inclusion(config.sigma_init)])
+    n_sub = config.sigma_subdivision[0] * config.sigma_subdivision[1]
+    exact = np.repeat(config.per_inclusion(config.sigma_exact), n_sub)
+    init = np.repeat(config.per_inclusion(config.sigma_init), n_sub)
 
     # single-source operator blocks
     lu = scipy.linalg.lu_factor(A11_II)
@@ -314,28 +296,21 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     # incident fields u0 (A1 u0 = 0 inside, Y0 traces on the boundary)
     A1 = A11 + config.delta * K_rand
     sources = _source_positions(config)
-    f_all = np.column_stack([
-        scipy.special.y0(config.omega * np.linalg.norm(nodes[boundary] - y, axis=1))
-        for y in sources])
+    f_all = scipy.special.y0(config.omega * np.linalg.norm(
+        nodes[boundary, None] - sources[None], axis=-1))
     U0 = np.zeros((len(nodes), len(sources)))
     U0[boundary] = f_all
     U0[interior] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1[II]), -A1[IB] @ f_all)
-    M_blocks = []
-    for u0 in U0.T:
-        # A2 column per sigma cell: integral of grad(u0).grad(phi) over the cell
-        A2 = np.zeros((len(nodes), n_sigma))
-        for col, (_, tlist) in enumerate(cells):
-            tri_nodes = tris[tlist]
-            gu0 = np.einsum("tad,ta->td", grads[tlist], u0[tri_nodes])
-            contrib = np.einsum("tad,td->ta", grads[tlist], gu0) * areas[tlist, None]
-            np.add.at(A2[:, col], tri_nodes.ravel(), contrib.ravel())
-        M_blocks.append(scipy.linalg.lu_solve(lu, A2[interior]))
+    # A2[:, i, c] = (stiffness of sigma cell c) u0_i; M stacks A11^{-1} A2[:, i] over i
+    A2 = np.stack([_assemble(nodes, tris[t], areas[t], grads[t]) @ U0 for t in cells], -1)
+    n1, m = len(interior), config.n_sources
+    M = scipy.linalg.lu_solve(lu, A2[interior].reshape(n1, -1))
+    M = M.reshape(n1, m, n_sigma).transpose(1, 0, 2).reshape(m * n1, n_sigma)
 
     sel = boundary[:: config.boundary_subsample]
     H_single = config.data_scale * A1[np.ix_(sel, interior)]
-    m = config.n_sources
-    problem = LinearInverseProblem(B=B_single, M=np.vstack(M_blocks), H=H_single,
-                                   F=np.zeros(m * len(interior)), n_blocks=m)
+    problem = LinearInverseProblem(B=B_single, M=M, H=H_single,
+                                   F=np.zeros(m * n1), n_blocks=m)
     if config.normalize_data:
         # rescale so that the stacked parameter-to-data map has norm data_scale
         scale = config.data_scale / np.linalg.norm(problem.reduced_operator(), 2)
@@ -346,11 +321,11 @@ def generate(config: CavityConfig) -> GeneratedCavity:
 
     summary = MeshSummary(
         cells_per_side=ncell, h=h, n_triangles=len(tris),
-        n_u_single=len(interior), n_g_single=len(sel),
+        n_u_single=n1, n_g_single=len(sel),
         n_u=problem.n_u, n_sigma=n_sigma, n_g=problem.n_g)
     return GeneratedCavity(
         problem=problem, exact_sigma=exact, init_sigma=init,
-        data_clean=tuple(np.split(g_clean, m)), data_noisy=tuple(np.split(g_noisy, m)),
+        stacked_clean=g_clean, stacked_noisy=g_noisy,
         mesh_summary=summary, config=config, sigma_cell_centers=centers)
 
 

@@ -24,6 +24,7 @@ sweeps can record both.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -83,14 +84,14 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", SchemeKind(self.scheme))
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
-        if self.tol_cost < 0 or self.tol_step < 0:
-            raise ValueError("tolerances must be >= 0")
+        if not (0 <= self.tol_cost < math.inf and 0 <= self.tol_step < math.inf):
+            raise ValueError("tolerances must be finite and >= 0")
 
 
 @dataclass(frozen=True)

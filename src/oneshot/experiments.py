@@ -119,6 +119,9 @@ class ExperimentSpec:
             raise SpecValidationError("ks must be >= 1")
         if any(a < 0 for a in self.alphas):
             raise SpecValidationError("alphas must be non-negative")
+        for name in ("tol_cost", "tol_step"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise SpecValidationError(f"{name} must be finite and non-negative")
         if self.max_outer < 1:
             raise SpecValidationError("max_outer must be >= 1")
         try:

@@ -130,7 +130,6 @@ class LinearInverseProblem:
                 raise ProblemAssumptionError(
                     "parameter-to-data map is rank deficient: "
                     f"smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e}")
-            object.__setattr__(self, "_singular_values_A", sv)
 
     # -- dimensions ----------------------------------------------------
     @property
@@ -338,11 +337,6 @@ def regularized_solution(objective: Objective) -> np.ndarray:
     A = problem.reduced_operator()
     g_tilde = objective.shifted_data()
     lhs = A.T @ A + objective.alpha * np.eye(problem.n_sigma)
-    if objective.alpha == 0.0:
-        sv = problem.__dict__.get("_singular_values_A")
-        if sv is not None and sv[-1] <= RANK_TOL * sv[0]:
-            raise SingularSystemError(
-                "alpha = 0 with a rank-deficient reduced operator")
     try:
         return scipy.linalg.solve(lhs, A.T @ g_tilde, assume_a="pos")
     except scipy.linalg.LinAlgError as exc:

@@ -24,6 +24,7 @@ only the block matrix and the eigenvalue-equation residual expand them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +77,7 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
 def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
                                    alpha: float, k: int) -> np.ndarray:
     """The (2 n_u + n_sigma)-square block matrix, rows ordered (p, u, sigma)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check_step(tau, alpha)
     ops = k_step_operators(problem, k)
     M = problem.M
     n_u, n_s = problem.n_u, problem.n_sigma
@@ -91,6 +89,13 @@ def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
     mid = np.hstack([-(tau / d) * problem.apply(ops.T, MMt), Bk, problem.apply(ops.T, M) / d])
     bot = np.hstack([-(tau / d) * M.T, np.zeros((n_s, n_u)), np.eye(n_s) / d])
     return np.vstack([top, mid, bot])
+
+
+def _check_step(tau: float, alpha: float):
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
 
 
 def _dense(problem: LinearInverseProblem, block: np.ndarray) -> np.ndarray:
@@ -116,9 +121,11 @@ def certify(problem: LinearInverseProblem, tau: float, alpha: float, k: int,
             size_guard: int = SIZE_GUARD) -> SpectralCertificate:
     """Dense eigensolve of the block matrix; convergent iff rho < 1 - CONVERGENCE_MARGIN.
 
-    Raises SizeGuardError when 2 n_u + n_sigma exceeds ``size_guard`` and
+    Raises ValueError for a non-finite or out-of-range tau or alpha,
+    SizeGuardError when 2 n_u + n_sigma exceeds ``size_guard`` and
     EigensolverError if the QR iteration fails to converge (never silent).
     """
+    _check_step(tau, alpha)
     dim = 2 * problem.n_u + problem.n_sigma
     if dim > size_guard:
         raise SizeGuardError(

@@ -59,6 +59,10 @@ class TestCaseParameters:
         with pytest.raises(ValueError):
             CaseParameters(delta0=0.0)
 
+    def test_rejects_infinite_delta0(self):
+        with pytest.raises(ValueError, match="delta0"):
+            CaseParameters(delta0=math.inf)
+
 
 class TestSOf:
     def test_zero_matrix(self):
@@ -259,14 +263,14 @@ class TestOneStepBounds:
         assert np.isclose(phi1, 1.0)
 
     def test_b_zero_exact_bound(self):
-        report = sufficient_tau_one_step(0.0, 2.0, 3.0, alpha=0.0, b_is_zero=True)
+        report = sufficient_tau_one_step(0.0, 2.0, 3.0, alpha=0.0)
         assert np.isclose(report.tau_max, 1.0 / 36.0)
         assert report.binding_case == "b_zero"
         assert math.isinf(report.bound_real)
         assert report.bound_case1 is None
 
     def test_b_zero_unbounded_when_alpha_dominates(self):
-        report = sufficient_tau_one_step(0.0, 1.0, 1.0, alpha=2.0, b_is_zero=True)
+        report = sufficient_tau_one_step(0.0, 1.0, 1.0, alpha=2.0)
         assert math.isinf(report.tau_max)
         assert "unbounded" in report_csv_row(report)
 
@@ -290,6 +294,26 @@ class TestOneStepBounds:
             report = bound_report_for(p, alpha=alpha, k=1)
             for tau in (report.tau_max, report.tau_max / 3):
                 assert certify(p, tau, alpha, 1).spectral_radius < 1.0
+
+
+class TestNonFiniteAlpha:
+    # a nan or inf alpha must not turn into an "unbounded" or zero tau_max
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_one_step_rejects(self, alpha):
+        for norm_B in (0.0, 0.5):
+            with pytest.raises(ValueError, match="alpha"):
+                sufficient_tau_one_step(norm_B, 1.0, 1.0, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_k_step_rejects(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            sufficient_tau_k_step(0.5, 1.0, 1.0, alpha, 3)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_problem_level_rejects(self, alpha, k):
+        with pytest.raises(ValueError, match="alpha"):
+            bound_report_for(make_problem(90), alpha=alpha, k=k)
 
 
 class TestKStepBounds:
@@ -362,8 +386,7 @@ class TestShearedSoundness:
             p = self.sheared_problem(1300 + seed)
             assert p.norm_B > 1.0 and p.rho_B < 1.0
             report = sufficient_tau_one_step(p.norm_B, p.norm_M, p.norm_H,
-                                             s_B=s_of(p.B), alpha=1e-3,
-                                             rho_B_only=True)
+                                             s_B=s_of(p.B), alpha=1e-3)
             assert 1e-12 < report.tau_max < math.inf
             for tau in (report.tau_max, report.tau_max / 5):
                 assert certify(p, tau, 1e-3, 1).spectral_radius < 1.0

@@ -24,13 +24,27 @@ def small_cavity():
     return generate(small_config())
 
 
+def per_source(cavity, stacked):
+    """Split stacked data into the per-source blocks."""
+    return np.split(stacked, cavity.problem.n_blocks)
+
+
+def dense_assembly(nodes, tris, local):
+    """Oracle: scatter-add the 3x3 element matrices into a dense matrix."""
+    out = np.zeros((len(nodes), len(nodes)))
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    np.add.at(out, (rows, cols), local.ravel())
+    return out
+
+
 class TestGenerate:
     def test_dimensions(self, small_cavity):
         ms = small_cavity.mesh_summary
         assert ms.n_u == 2 * ms.n_u_single
         assert ms.n_sigma == 4
         assert small_cavity.problem.n_sigma == 4
-        assert len(small_cavity.data_clean) == 2
+        assert len(per_source(small_cavity, small_cavity.stacked_clean)) == 2
         assert small_cavity.exact_sigma.shape == (4,)
         assert np.all(small_cavity.exact_sigma == 10.0)
         assert np.all(small_cavity.init_sigma == 12.0)
@@ -46,28 +60,48 @@ class TestGenerate:
         assert np.allclose(b2.B, 2.0 * b1.B, rtol=1e-12, atol=0.0)
 
     def test_no_noise_means_identical_data(self, small_cavity):
-        for clean, noisy in zip(small_cavity.data_clean, small_cavity.data_noisy):
+        for clean, noisy in zip(per_source(small_cavity, small_cavity.stacked_clean),
+                                per_source(small_cavity, small_cavity.stacked_noisy)):
             assert np.array_equal(clean, noisy)
 
     def test_noise_reproducible_and_bounded(self):
         a = generate(small_config(noise_level=0.05))
         b = generate(small_config(noise_level=0.05))
-        for ga, gb in zip(a.data_noisy, b.data_noisy):
+        for ga, gb in zip(per_source(a, a.stacked_noisy), per_source(b, b.stacked_noisy)):
             assert np.array_equal(ga, gb)
-        for clean, noisy in zip(a.data_clean, a.data_noisy):
+        for clean, noisy in zip(per_source(a, a.stacked_clean), per_source(a, a.stacked_noisy)):
             assert np.all(np.abs(noisy - clean) <= 0.05 * np.abs(clean) + 1e-300)
         c = generate(small_config(noise_level=0.05, rng_seed=4))
-        assert not np.array_equal(a.data_noisy[0], c.data_noisy[0])
+        assert not np.array_equal(per_source(a, a.stacked_noisy)[0],
+                                  per_source(c, c.stacked_noisy)[0])
 
     def test_assembly_matrices_symmetric(self):
         nodes, tris, interior, boundary = _build_mesh(2.0, 10)
         areas, grads = _triangle_geometry(nodes, tris)
         rng = np.random.default_rng(0)
         K = _assemble(nodes, tris, areas, grads,
-                      stiffness_coef=rng.uniform(0, 1, len(tris)))
-        mass = _assemble(nodes, tris, areas, grads, mass=True)
+                      stiffness_coef=rng.uniform(0, 1, len(tris))).toarray()
+        mass = _assemble(nodes, tris, areas, grads, mass=True).toarray()
         assert np.linalg.norm(K - K.T) <= 1e-12 * np.linalg.norm(K)
         assert np.linalg.norm(mass - mass.T) <= 1e-12 * np.linalg.norm(mass)
+
+    def test_sparse_assembly_matches_dense_scatter_add(self):
+        # duplicates must sum in the same order as np.add.at, so the
+        # generated B stays bit-for-bit what the dense assembly gave
+        nodes, tris, interior, boundary = _build_mesh(2.0, 10)
+        areas, grads = _triangle_geometry(nodes, tris)
+        coef = np.random.default_rng(1).uniform(0, 1, len(tris))
+        stiffness = np.einsum("tad,tbd->tab", grads, grads) * areas[:, None, None]
+        mass = areas[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+        cases = [(dict(), stiffness),
+                 (dict(stiffness_coef=coef), stiffness * coef[:, None, None]),
+                 (dict(mass=True), mass)]
+        for kwargs, local in cases:
+            sparse = _assemble(nodes, tris, areas, grads, **kwargs)
+            assert np.array_equal(sparse.toarray(), dense_assembly(nodes, tris, local))
+        some = np.arange(0, len(tris), 7)  # a subset of triangles, as for one sigma cell
+        sparse = _assemble(nodes, tris[some], areas[some], grads[some])
+        assert np.array_equal(sparse.toarray(), dense_assembly(nodes, tris[some], stiffness[some]))
 
     def test_sources_strictly_outside(self):
         config = small_config()
@@ -90,6 +124,21 @@ class TestGenerate:
         g = small_cavity.stacked_clean
         for index, value in pinned.items():
             assert abs(g[index] - value) <= 1e-9 * abs(value)
+
+    def test_subdivided_reduced_operator_pinned(self):
+        # 3 x 3 sigma cells per inclusion: the column order of A follows the
+        # sub-cell order (a, b) row-major; sigma_exact is constant per
+        # inclusion, so only the operator itself pins that order
+        cavity = generate(small_config(
+            inclusion_layout=((-1.0, -1.0, 0.857), (1.0, 0.5, 0.857)),
+            sigma_subdivision=(3, 3)))
+        A = cavity.problem.reduced_operator()
+        assert A.shape == (56, 18)
+        pinned = {(5, 1): -0.019926465948105414, (12, 3): -0.055312064068136095,
+                  (30, 5): -0.010714659465568682, (41, 11): 0.028640937317592638,
+                  (50, 15): 0.027481101616920623}
+        for index, value in pinned.items():
+            assert abs(A[index] - value) <= 1e-9 * abs(value)
 
     def test_inclusion_outside_domain_rejected(self):
         with pytest.raises(ProblemAssumptionError, match="inside"):
@@ -142,7 +191,7 @@ class TestMultiSourceObjective:
         cavity = generate(small_config(n_sources=1))
         objective = multi_source_objective(cavity, alpha=0.3)
         assert objective.problem.n_u == cavity.mesh_summary.n_u_single
-        assert np.array_equal(objective.g, cavity.data_clean[0])
+        assert np.array_equal(objective.g, per_source(cavity, cavity.stacked_clean)[0])
 
     def test_cost_is_sum_of_per_source_costs(self, small_cavity):
         rng = np.random.default_rng(5)
@@ -157,7 +206,7 @@ class TestMultiSourceObjective:
                 M=small_cavity.problem.M[i * n1:(i + 1) * n1],
                 H=small_cavity.problem.H,
                 F=np.zeros(n1))
-            obj_i = Objective(problem_i, small_cavity.data_clean[i], 0.0)
+            obj_i = Objective(problem_i, per_source(small_cavity, small_cavity.stacked_clean)[i], 0.0)
             total += cost(obj_i, sigma)
         total += 0.5 * alpha * float(sigma @ sigma)
         assert np.isclose(cost(stacked, sigma), total, rtol=1e-12)
@@ -174,7 +223,8 @@ class TestMultiSourceObjective:
                 M=small_cavity.problem.M[i * n1:(i + 1) * n1],
                 H=small_cavity.problem.H,
                 F=np.zeros(n1))
-            total += gradient(Objective(problem_i, small_cavity.data_clean[i], 0.0), sigma)
+            g_i = per_source(small_cavity, small_cavity.stacked_clean)[i]
+            total += gradient(Objective(problem_i, g_i, 0.0), sigma)
         ours = gradient(stacked, sigma)
         assert np.linalg.norm(ours - total) <= 1e-12 * (1 + np.linalg.norm(total))
 

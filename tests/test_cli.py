@@ -88,6 +88,14 @@ class TestRunAndSweep:
         assert code == 2
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("line", ["tol_cost = nan", "tol_step = nan"])
+    def test_non_finite_tolerance_is_validation_error(self, tmp_path, line):
+        spec = tmp_path / "exp.cfg"
+        spec.write_text(TINY_SPEC + line + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+
     def test_failing_later_variant_leaves_no_output(self, tmp_path):
         # at this seed the second mesh does not contract, so its generate
         # fails after the first variant's cells have run
@@ -160,6 +168,21 @@ class TestBoundsAndCertify:
         M = read_matrix(bad_dir / "M.txt")
         write_matrix(bad_dir / "M.txt", M[:-1])
         assert main(["bounds", "--problem", str(bad_dir)]) == 3
+
+    @pytest.mark.parametrize("args", [
+        ("bounds", "--alpha", "nan", "--k", "3"),
+        ("bounds", "--alpha", "nan", "--k", "1"),
+        ("bounds", "--alpha", "inf", "--k", "3"),
+        ("bounds", "--delta0", "inf", "--k", "3"),
+        ("certify", "--alpha", "inf", "--tau", "0.01"),
+        ("certify", "--tau", "nan"),
+        ("certify", "--tau", "nan", "--size-guard", "10"),
+        ("certify", "--tau", "inf"),
+    ])
+    def test_non_finite_input_is_validation_error(self, problem_dir, args, capsys):
+        # such values used to print an "unbounded" or convergent certificate
+        assert main([args[0], "--problem", str(problem_dir), *args[1:]]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_problem_dir_is_usage_error(self, tmp_path):
         code = main(["bounds", "--problem", str(tmp_path / "missing")])

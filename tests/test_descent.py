@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,9 @@ class TestRun:
             RunConfig(scheme=SchemeKind.UsualGD, tau=0.1, k=0)
         with pytest.raises(ValueError):
             RunConfig(scheme="NoSuchScheme", tau=0.1)
+
+    @pytest.mark.parametrize("field", ["tau", "tol_cost", "tol_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(**{"scheme": SchemeKind.UsualGD, "tau": 0.1, field: value})

@@ -70,6 +70,12 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError, match="ks"):
             parse_spec(bad_k)
 
+    @pytest.mark.parametrize("line", ["tol_cost = nan", "tol_cost = inf", "tol_cost = -1",
+                                      "tol_step = nan", "tol_step = inf", "tol_step = -1"])
+    def test_tolerances_must_be_finite_and_non_negative(self, line):
+        with pytest.raises(SpecValidationError, match=line.split()[0]):
+            parse_spec(MINIMAL + "\n[run]\n" + line + "\n")
+
     def test_round_trip(self):
         spec = parse_spec(MINIMAL)
         again = parse_spec(serialize_spec(spec))

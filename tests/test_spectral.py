@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,15 @@ class TestKStepOperators:
                 assert s_of(np.linalg.matrix_power(p.B, k)) <= 1 / (1 - bk) + 1e-6
 
 
+NON_FINITE_STEPS = [(math.nan, 0.0), (math.inf, 0.0), (0.01, math.nan), (0.01, math.inf)]
+
+
 class TestIterationMatrix:
+    @pytest.mark.parametrize("tau, alpha", NON_FINITE_STEPS)
+    def test_rejects_non_finite_step(self, tau, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            iteration_matrix_semi_implicit(make_problem(57), tau, alpha, 2)
+
     def test_k1_block_layout(self):
         p = make_problem(56)
         tau, alpha = 0.07, 0.2
@@ -168,6 +178,13 @@ class TestCertify:
         p = make_problem(62)
         with pytest.raises(SizeGuardError):
             certify(p, 0.1, 0.0, 1, size_guard=10)
+
+    @pytest.mark.parametrize("tau, alpha", NON_FINITE_STEPS)
+    def test_rejects_non_finite_step_before_size_guard(self, tau, alpha):
+        p = make_problem(62)
+        for size_guard in (10, 4000):
+            with pytest.raises(ValueError, match="finite"):
+                certify(p, tau, alpha, 1, size_guard=size_guard)
 
     def test_certificate_consistency_with_runs(self, rng):
         # convergent certificate => the run converges from a random start;
