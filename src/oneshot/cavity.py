@@ -37,7 +37,7 @@ geometry, source radius) are expressed in wavelengths lambda =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -89,6 +89,14 @@ class CavityConfig:
     normalize_data: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "inclusion_layout",
+                           tuple(tuple(float(v) for v in inc) for inc in self.inclusion_layout))
+        numbers = [(name, getattr(self, name)) for name in (
+            "omega", "sigma0_bar", "delta", "mesh_h", "domain_radius", "noise_level",
+            "data_scale", "source_radius", "sigma_exact", "sigma_init")]
+        for name, value in numbers + [("inclusion_layout", sum(self.inclusion_layout, ()))]:
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("omega", "sigma0_bar", "mesh_h", "domain_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -110,8 +118,6 @@ class CavityConfig:
             raise ValueError("sigma_subdivision entries must be >= 1")
         if not self.inclusion_layout:
             raise ValueError("inclusion_layout must not be empty")
-        object.__setattr__(self, "inclusion_layout",
-                           tuple(tuple(float(v) for v in inc) for inc in self.inclusion_layout))
         object.__setattr__(self, "sigma_subdivision", (int(sx), int(sy)))
 
     @property
@@ -300,7 +306,8 @@ def generate(config: CavityConfig) -> GeneratedCavity:
         nodes[boundary, None] - sources[None], axis=-1))
     U0 = np.zeros((len(nodes), len(sources)))
     U0[boundary] = f_all
-    U0[interior] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A1[II]), -A1[IB] @ f_all)
+    lu1 = scipy.linalg.lu_factor(A1[II])
+    U0[interior] = scipy.linalg.lu_solve(lu1, -A1[IB] @ f_all)
     # A2[:, i, c] = (stiffness of sigma cell c) u0_i; M stacks A11^{-1} A2[:, i] over i
     A2 = np.stack([_assemble(nodes, tris[t], areas[t], grads[t]) @ U0 for t in cells], -1)
     n1, m = len(interior), config.n_sources
@@ -309,12 +316,14 @@ def generate(config: CavityConfig) -> GeneratedCavity:
 
     sel = boundary[:: config.boundary_subsample]
     H_single = config.data_scale * A1[np.ix_(sel, interior)]
+    if config.normalize_data:
+        # rescale so that the stacked parameter-to-data map has norm data_scale,
+        # using (I - B)^{-1} M = A1_II^{-1} A2_I
+        A = H_single @ scipy.linalg.lu_solve(lu1, A2[interior].reshape(n1, -1))
+        A = A.reshape(len(sel), m, n_sigma).transpose(1, 0, 2).reshape(-1, n_sigma)
+        H_single *= config.data_scale / np.linalg.norm(A, 2)
     problem = LinearInverseProblem(B=B_single, M=M, H=H_single,
                                    F=np.zeros(m * n1), n_blocks=m)
-    if config.normalize_data:
-        # rescale so that the stacked parameter-to-data map has norm data_scale
-        scale = config.data_scale / np.linalg.norm(problem.reduced_operator(), 2)
-        problem = replace(problem, H=scale * problem.H)
     g_clean = problem.reduced_operator() @ exact
     eps = config.noise_level
     g_noisy = g_clean + rng.uniform(-eps, eps, g_clean.shape) * g_clean

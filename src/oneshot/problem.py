@@ -17,8 +17,14 @@ The regularized output least-squares functional is
     J(sigma) = 1/2 ||H u(sigma) - g||^2 + alpha/2 ||sigma||^2
 
 with gradient M* p(sigma) + alpha sigma, where the adjoint state p solves
+p = B* p + H* (H u - g).  As H u(sigma) = A sigma + H (I - B)^{-1} F,
+``cost`` and ``gradient`` evaluate the equal forms
 
-    p = B* p + H* (H u - g).
+    J = 1/2 ||A sigma - g_tilde||^2 + alpha/2 ||sigma||^2,
+    grad J = A* (A sigma - g_tilde) + alpha sigma,
+
+with the cached A and g_tilde = g - H (I - B)^{-1} F, so they solve
+nothing; the exact-solve forms above are their test oracle.
 
 A problem stacking n_blocks copies of one state model with a shared
 sigma (the cavity's sources) stores the single blocks B and H; the full
@@ -227,8 +233,8 @@ class Objective:
                 f"g has shape {g.shape}, expected ({self.problem.n_g},)")
         if not np.isfinite(g).all():
             raise ProblemAssumptionError("g contains non-finite entries")
-        if not self.alpha >= 0.0:
-            raise ProblemAssumptionError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ProblemAssumptionError(f"alpha must be finite and >= 0, got {self.alpha}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -264,12 +270,17 @@ class IterationState:
 # operations
 # ----------------------------------------------------------------------
 
-def solve_state_exact(problem: LinearInverseProblem, sigma) -> np.ndarray:
-    """Exact state solve: u with (I - B) u = M sigma + F."""
+def _checked_sigma(problem: LinearInverseProblem, sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (problem.n_sigma,):
         raise ProblemAssumptionError(
             f"sigma has shape {sigma.shape}, expected ({problem.n_sigma},)")
+    return sigma
+
+
+def solve_state_exact(problem: LinearInverseProblem, sigma) -> np.ndarray:
+    """Exact state solve: u with (I - B) u = M sigma + F."""
+    sigma = _checked_sigma(problem, sigma)
     return problem.solve_I_minus_B(problem.M @ sigma + problem.F)
 
 
@@ -297,11 +308,8 @@ def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    sigma_new = np.asarray(sigma_new, dtype=float)
+    sigma_new = _checked_sigma(problem, sigma_new)
     g = np.asarray(g, dtype=float)
-    if sigma_new.shape != (problem.n_sigma,):
-        raise ProblemAssumptionError(
-            f"sigma has shape {sigma_new.shape}, expected ({problem.n_sigma},)")
     if g.shape != (problem.n_g,):
         raise ProblemAssumptionError(f"g has shape {g.shape}, expected ({problem.n_g},)")
     B, H, apply = problem.B, problem.H, problem.apply
@@ -315,20 +323,17 @@ def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
 
 
 def cost(objective: Objective, sigma) -> float:
-    """J(sigma) = 1/2 ||H u(sigma) - g||^2 + alpha/2 ||sigma||^2."""
-    sigma = np.asarray(sigma, dtype=float)
-    u = solve_state_exact(objective.problem, sigma)
-    residual = objective.problem.apply(objective.problem.H, u) - objective.g
+    """J(sigma) = 1/2 ||A sigma - g_tilde||^2 + alpha/2 ||sigma||^2, no state solve."""
+    sigma = _checked_sigma(objective.problem, sigma)
+    residual = objective.problem.reduced_operator() @ sigma - objective.shifted_data()
     return 0.5 * float(residual @ residual) + 0.5 * objective.alpha * float(sigma @ sigma)
 
 
 def gradient(objective: Objective, sigma) -> np.ndarray:
-    """grad J(sigma) = M* p(sigma) + alpha sigma, with exact solves."""
-    sigma = np.asarray(sigma, dtype=float)
-    problem = objective.problem
-    u = solve_state_exact(problem, sigma)
-    p = solve_adjoint_exact(problem, u, objective.g)
-    return problem.M.T @ p + objective.alpha * sigma
+    """grad J(sigma) = A* (A sigma - g_tilde) + alpha sigma, no state or adjoint solve."""
+    sigma = _checked_sigma(objective.problem, sigma)
+    A = objective.problem.reduced_operator()
+    return A.T @ (A @ sigma - objective.shifted_data()) + objective.alpha * sigma
 
 
 def regularized_solution(objective: Objective) -> np.ndarray:

@@ -7,7 +7,7 @@ from oneshot import (CavityConfig, ProblemAssumptionError, RunConfig,
 from oneshot.cavity import (_assemble, _build_mesh, _source_positions,
                             _triangle_geometry, export_cavity, format_manifest,
                             parse_manifest)
-from oneshot.problem import Objective
+from oneshot.problem import LinearInverseProblem, Objective
 
 
 def small_config(**overrides):
@@ -186,6 +186,31 @@ class TestGenerate:
         assert change <= 0.05 * np.linalg.norm(recovered[0])
 
 
+class TestNormalizeData:
+    @pytest.fixture(scope="class")
+    def raw_and_normalized(self):
+        return generate(small_config()), generate(small_config(normalize_data=True,
+                                                               data_scale=2.5))
+
+    def test_builds_the_problem_once(self, monkeypatch):
+        builds = []
+        post_init = LinearInverseProblem.__post_init__
+        monkeypatch.setattr(LinearInverseProblem, "__post_init__",
+                            lambda self: builds.append(1) or post_init(self))
+        generate(small_config(normalize_data=True))
+        assert len(builds) == 1
+
+    def test_reduced_operator_has_norm_data_scale(self, raw_and_normalized):
+        _, cavity = raw_and_normalized
+        assert np.isclose(np.linalg.norm(cavity.problem.reduced_operator(), 2), 2.5,
+                          rtol=1e-12, atol=0)
+
+    def test_measurement_block_matches_rescaled_raw(self, raw_and_normalized):
+        raw, cavity = raw_and_normalized
+        expected = 2.5 * raw.problem.H / np.linalg.norm(raw.problem.reduced_operator(), 2)
+        assert np.linalg.norm(cavity.problem.H - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestMultiSourceObjective:
     def test_single_source_reduction(self):
         cavity = generate(small_config(n_sources=1))
@@ -227,6 +252,19 @@ class TestMultiSourceObjective:
             total += gradient(Objective(problem_i, g_i, 0.0), sigma)
         ours = gradient(stacked, sigma)
         assert np.linalg.norm(ours - total) <= 1e-12 * (1 + np.linalg.norm(total))
+
+    def test_one_shot_trace_pinned(self, small_cavity):
+        # values of the trace recorded with exact state and adjoint solves
+        objective = multi_source_objective(small_cavity, alpha=1e-2)
+        tau = 0.5 / np.linalg.norm(small_cavity.problem.reduced_operator(), 2) ** 2
+        trace = run(objective, RunConfig(scheme=SchemeKind.KStepOneShot, tau=tau, k=2,
+                                         max_outer=50, sigma0=small_cavity.init_sigma))
+        pinned = {0: (18.19006269414502, 7.915696951939886),
+                  10: (1.9921895112100592, 0.03407325456181587),
+                  50: (1.9891826199918607, 0.006742234035778606)}
+        for n, (j, gnorm) in pinned.items():
+            assert np.isclose(trace.records[n].cost, j, rtol=1e-9, atol=0)
+            assert np.isclose(trace.records[n].grad_norm, gnorm, rtol=1e-9, atol=0)
 
     def test_noisy_selects_noisy_data(self):
         cavity = generate(small_config(noise_level=0.03))

@@ -1,4 +1,5 @@
 import math
+import re
 import shutil
 
 import numpy as np
@@ -107,6 +108,43 @@ class TestRunAndSweep:
         code = main(["run", "--spec", str(spec), "--out", str(out), "--quiet"])
         assert code == 3
         assert not out.exists() or not any(out.iterdir())
+
+
+NON_FINITE_CAVITY = [
+    ("omega", "inf"), ("sigma0_bar", "inf"), ("delta", "nan"), ("delta", "inf"),
+    ("mesh_h", "inf"), ("domain_radius", "inf"), ("noise_level", "nan"),
+    ("noise_level", "inf"), ("data_scale", "inf"), ("source_radius", "inf"),
+    ("inclusion_layout", "-1,-1,nan;1,0.5,0.5"), ("sigma_exact", "nan"),
+    ("sigma_init", "inf"),
+]
+
+
+def with_cavity_value(text, key, value):
+    """Set ``key = value`` in a manifest or in the [cavity] section of a spec."""
+    line = f"{key} = {value}"
+    if re.search(rf"^{key} = ", text, flags=re.M):
+        return re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+    return text.replace("[cavity]\n", f"[cavity]\n{line}\n")
+
+
+class TestNonFiniteCavityValues:
+    @pytest.mark.parametrize("key,value", NON_FINITE_CAVITY)
+    def test_generate(self, tmp_path, capsys, key, value):
+        manifest = tmp_path / "cavity.cfg"
+        manifest.write_text(with_cavity_value(format_manifest(small_config()), key, value))
+        out = tmp_path / "out"
+        assert main(["generate", "--spec", str(manifest), "--out", str(out), "--quiet"]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", NON_FINITE_CAVITY)
+    def test_run(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "exp.cfg"
+        spec.write_text(with_cavity_value(TINY_SPEC, key, value))
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBoundsAndCertify:

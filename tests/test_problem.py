@@ -127,13 +127,29 @@ class TestCostAndGradient:
         assert np.isclose(cost(obj, np.zeros(obj.problem.n_sigma)),
                           0.5 * float(obj.g @ obj.g), rtol=1e-13)
 
+    @staticmethod
+    def exact_forms(obj, sigma):
+        """Oracle: 1/2 ||H u(sigma) - g||^2 + alpha/2 ||sigma||^2 and M* p + alpha sigma
+        from exact state and adjoint solves."""
+        problem = obj.problem
+        u = solve_state_exact(problem, sigma)
+        residual = problem.apply(problem.H, u) - obj.g
+        J = 0.5 * float(residual @ residual) + 0.5 * obj.alpha * float(sigma @ sigma)
+        p = solve_adjoint_exact(problem, u, obj.g)
+        return J, problem.M.T @ p + obj.alpha * sigma
+
+    @staticmethod
+    def objectives():
+        block, _ = stacked_and_kron_twin(51)
+        g = np.random.default_rng(52).standard_normal(block.n_g)
+        return [make_objective(12, alpha=0.37),
+                make_objective(13, alpha=0.37, with_source=False),
+                Objective(block, g, 0.37)]
+
     def test_reduced_operator_form(self, rng):
-        obj = make_objective(12, alpha=0.37)
-        A = obj.problem.reduced_operator()
-        sigma = rng.standard_normal(obj.problem.n_sigma)
-        expected = 0.5 * np.linalg.norm(A @ sigma - obj.shifted_data()) ** 2 \
-            + 0.5 * obj.alpha * np.linalg.norm(sigma) ** 2
-        assert np.isclose(cost(obj, sigma), expected, rtol=1e-12)
+        for obj in self.objectives():
+            sigma = rng.standard_normal(obj.problem.n_sigma)
+            assert np.isclose(cost(obj, sigma), self.exact_forms(obj, sigma)[0], rtol=1e-12)
 
     def test_gradient_vanishes_at_minimizer(self):
         obj = make_objective(13, alpha=1e-3)
@@ -155,14 +171,37 @@ class TestCostAndGradient:
         assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd)
 
     def test_gradient_reduced_form(self, rng):
-        # grad J = A*(A sigma - g_tilde) + alpha sigma, up to n_u = 32
         for n_u in (8, 16, 32):
-            obj = make_objective(16 + n_u, alpha=0.01, n_u=n_u, n_sigma=4, n_g=6)
-            A = obj.problem.reduced_operator()
-            sigma = rng.standard_normal(4)
-            expected = A.T @ (A @ sigma - obj.shifted_data()) + obj.alpha * sigma
-            assert np.linalg.norm(gradient(obj, sigma) - expected) <= 1e-10 * (
-                1 + np.linalg.norm(expected))
+            objs = [make_objective(16 + n_u, alpha=0.01, n_u=n_u, n_sigma=4, n_g=6),
+                    make_objective(16 + n_u, alpha=0.01, n_u=n_u, n_sigma=4, n_g=6,
+                                   with_source=False)]
+            for obj in objs + self.objectives()[2:]:
+                sigma = rng.standard_normal(obj.problem.n_sigma)
+                expected = self.exact_forms(obj, sigma)[1]
+                assert np.linalg.norm(gradient(obj, sigma) - expected) <= 1e-10 * (
+                    1 + np.linalg.norm(expected))
+
+    def test_no_solves_once_reduced_operator_is_cached(self, monkeypatch):
+        objectives = self.objectives()
+        for obj in objectives:
+            obj.shifted_data()  # A is cached by the constructor, this caches the offset
+        calls = []
+        solve = LinearInverseProblem.solve_I_minus_B
+        monkeypatch.setattr(LinearInverseProblem, "solve_I_minus_B",
+                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+        for obj in objectives:
+            sigma = np.ones(obj.problem.n_sigma)
+            cost(obj, sigma), gradient(obj, sigma)
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", ["long", "column"])
+    def test_rejects_wrong_sigma_shape(self, shape):
+        obj = make_objective(18, alpha=0.1)
+        n = obj.problem.n_sigma
+        sigma = np.ones(n + 1) if shape == "long" else np.ones((n, 1))
+        for fn in (cost, gradient):
+            with pytest.raises(ProblemAssumptionError, match="sigma has shape"):
+                fn(obj, sigma)
 
     def test_cost_is_quadratic(self, rng):
         obj = make_objective(17, alpha=0.2)
@@ -238,6 +277,12 @@ class TestConstruction:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ProblemAssumptionError):
             LinearInverseProblem(np.zeros((2, 2)), np.eye(3), np.eye(2), np.zeros(2))
+
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_objective_rejects_bad_alpha(self, alpha):
+        p = make_problem(28)
+        with pytest.raises(ProblemAssumptionError, match="alpha must be finite"):
+            Objective(p, np.zeros(p.n_g), alpha)
 
     def test_arrays_are_immutable(self):
         p = make_problem(27)
