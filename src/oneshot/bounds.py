@@ -8,7 +8,8 @@ analysis it implements:
 * ``s_of`` evaluates s(T) = sup_{|z| >= 1} ||(I - T/z)^{-1}||, the
   resolvent functional controlling all bounds when only rho(T) < 1 is
   known.  The supremum is attained on |z| = 1 (the norm is subharmonic in
-  1/z on the closed unit disk), so a refined boundary grid suffices.
+  1/z on the closed unit disk), so a refined boundary grid suffices; each
+  grid angle is evaluated once across the refinements.
 * ``pq_decompose`` splits (I - T/lambda)^{-1} = P + iQ with real-matrix
   formulas, separating real and imaginary parts of the eigenvalue
   equation.
@@ -19,13 +20,13 @@ analysis it implements:
   of z^2 + a1 z + a0 to lie strictly inside the unit circle.
 * ``sufficient_tau_one_step`` / ``sufficient_tau_k_step`` assemble the
   case bounds into a TauBoundReport whose tau_max is the final certified
-  step bound.
+  step bound; ``bound_report_for`` feeds them the norms of a problem.
 
 Where a bound comes in two flavours (a closed form in ||B|| valid for
 ||B|| < 1, and an s(B^k)-based form valid whenever rho(B) < 1), both are
-sufficient, so the report uses the larger of the two.  Bounds that impose
-no restriction are represented as math.inf in memory and serialized as
-the explicit marker ``unbounded``.
+sufficient, so ``_best_cases`` reports the larger of the two, case by
+case.  Bounds that impose no restriction are represented as math.inf in
+memory and serialized as the explicit marker ``unbounded``.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ def s_of(T) -> float:
 
     Samples z = exp(i theta) on a uniform grid of the unit circle and
     doubles the grid (S_OF_START_POINTS up to S_OF_MAX_POINTS) until two
-    successive estimates agree to S_OF_REL_TOL relative; nested grids make
-    the estimates monotone.  The result is floored at ||(I - T)^{-1}||,
+    successive estimates agree to S_OF_REL_TOL relative.  The grids are
+    nested, so each doubling evaluates only the new angles and the
+    estimates are monotone.  The result is floored at ||(I - T)^{-1}||,
     which is a proven lower bound for the supremum.
     """
     T = np.asarray(T, dtype=float)
@@ -124,11 +126,9 @@ def s_of(T) -> float:
     # cap the batched-SVD workspace at ~32 MB regardless of matrix size
     chunk = max(1, (32 << 20) // (16 * n * n))
 
-    def grid_estimate(points: int) -> float:
-        # T is real, so the norm at theta and 2 pi - theta coincide;
-        # evaluating theta in [0, pi] covers the full circle.
-        theta = 2.0 * np.pi * np.arange(points) / points
-        theta = theta[theta <= np.pi + 1e-15]
+    def grid_max(points: int, j) -> float:
+        # the largest norm over the angles 2 pi j / points
+        theta = 2.0 * np.pi * j / points
         best = 0.0
         for lo in range(0, len(theta), chunk):
             phase = np.exp(-1j * theta[lo:lo + chunk])  # T / z with z on the circle
@@ -137,11 +137,14 @@ def s_of(T) -> float:
             best = max(best, float(np.max(1.0 / smin)))
         return best
 
+    # T is real, so the norm at theta and 2 pi - theta coincide: the
+    # angles with 0 <= j <= points/2 cover the full circle.  A doubled
+    # grid keeps every old angle at an even j and adds the odd j.
     points = S_OF_START_POINTS
-    est = grid_estimate(points)
+    est = grid_max(points, np.arange(points // 2 + 1))
     while points < S_OF_MAX_POINTS:
         points *= 2
-        refined = grid_estimate(points)
+        refined = max(est, grid_max(points, np.arange(1, points // 2, 2)))
         done = abs(refined - est) <= S_OF_REL_TOL * refined
         est = refined
         if done:
@@ -255,6 +258,17 @@ def _inv_or_inf(denominator: float) -> float:
     return 1.0 / denominator if denominator > 0.0 else math.inf
 
 
+def _best_cases(forms, alpha: float, constants):
+    """Per case, the largest bound 1/(term + C alpha) over the forms given.
+
+    ``forms`` holds one tuple of alpha-free case terms per applicable
+    form, in the order of ``constants``.  Every form is sufficient, so the
+    largest of their bounds holds.
+    """
+    return tuple(max(_inv_or_inf(term + C * alpha) for term in terms)
+                 for C, terms in zip(constants, zip(*forms)))
+
+
 def _check_alpha(alpha: float):
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -332,21 +346,17 @@ def sufficient_tau_one_step(norm_B: float, norm_M: float, norm_H: float,
     if not use_closed and not use_s:
         raise ValueError("norm_B >= 1: the s(B)-based path needs s_B")
 
-    constants = (params.C1, params.C2, params.C3)
-    candidates = ([], [], [])
+    forms = []
     if use_closed:
         prefactor = hm2 / (1.0 - norm_B) ** 4
-        for slot, phi_i, C_i in zip(candidates, _phi(params, norm_B), constants):
-            slot.append(_inv_or_inf(prefactor * phi_i + C_i * alpha))
+        forms.append([prefactor * phi_i for phi_i in _phi(params, norm_B)])
     if use_s:
         base = hm2 * s_B ** 4
         sin_half = math.sin(0.5 * params.theta0)
-        s_terms = (base * 4.0 * norm_B ** 2,
-                   base * (1.0 + 2.0 * norm_B) ** 2 / (2.0 * sin_half),
-                   base * (2.0 * params.c / params.delta0) * norm_B ** 2)
-        for slot, term, C_i in zip(candidates, s_terms, constants):
-            slot.append(_inv_or_inf(term + C_i * alpha))
-    cases = tuple(max(slot) for slot in candidates)
+        forms.append((base * 4.0 * norm_B ** 2,
+                      base * (1.0 + 2.0 * norm_B) ** 2 / (2.0 * sin_half),
+                      base * (2.0 * params.c / params.delta0) * norm_B ** 2))
+    cases = _best_cases(forms, alpha, (params.C1, params.C2, params.C3))
     return _assemble(1, alpha, norm_B, norm_M, norm_H, s_B, bound_real,
                      cases, None, params)
 
@@ -382,22 +392,17 @@ def sufficient_tau_k_step(norm_B: float, norm_M: float, norm_H: float,
         raise ValueError(
             "norm_B >= 1: supply norm_Bk, norm_Tk, norm_Xk and s_Bk for the s-based path")
 
-    constants = (params.C1, params.C2, params.C3)
-    real_candidates = []
-    candidates = ([], [], [])
-
+    # one tuple (real, case1, case2, case3) of alpha-free terms per form
+    forms = []
     if use_closed:
         b = norm_B
         bk = b ** k
         w = 1.0 - k * b ** (k - 1) + (k - 1) * bk
         prefactor = hm2 / ((1.0 - b) ** 2 * (1.0 - bk) ** 2)
-        real_candidates.append(_inv_or_inf(prefactor * w - 0.5 * alpha))
-        for slot, psi_i, C_i in zip(candidates, _psi(params, b, k), constants):
-            slot.append(_inv_or_inf(prefactor * psi_i + C_i * alpha))
+        forms.append([prefactor * term for term in (w, *_psi(params, b, k))])
     if use_s:
         beta, Tn, Xn, s = norm_Bk, norm_Tk, norm_Xk, s_Bk
         m2 = norm_M ** 2
-        real_candidates.append(_inv_or_inf(m2 * Xn * s * s - 0.5 * alpha))
         sin_half = math.sin(0.5 * params.theta0)
         sqrt_c = math.sqrt(params.c)
         big = max(sqrt_c / params.delta0, sqrt_c / math.cos(2.0 * params.theta0))
@@ -409,40 +414,13 @@ def sufficient_tau_k_step(norm_B: float, norm_M: float, norm_H: float,
         term3 = (2.0 * params.c * sin_half / params.delta0) * hm2 * Tn ** 2 * beta ** 2 * s4 \
             + (sqrt_c / params.delta0) * m2 * Xn * (1.0 + 2.0 * beta + 2.0 * beta ** 2) * s4 \
             + 2.0 * big * m2 * Xn * (beta + beta ** 2) * s4
-        for slot, term, C_i in zip(candidates, (term1, term2, term3), constants):
-            slot.append(_inv_or_inf(term + C_i * alpha))
+        forms.append((m2 * Xn * s * s, term1, term2, term3))
 
-    bound_real = max(real_candidates)
-    cases = tuple(max(slot) for slot in candidates)
+    bound_real, *cases = _best_cases(forms, alpha,
+                                     (-0.5, params.C1, params.C2, params.C3))
     return _assemble(k, alpha, norm_B, norm_M, norm_H, s_Bk, bound_real,
                      cases, None, params,
                      norm_Bk=norm_Bk, norm_Tk=norm_Tk, norm_Xk=norm_Xk)
-
-
-def optimize_case_parameters(norm_B: float, norm_M: float, norm_H: float,
-                             alpha: float, k: int) -> CaseParameters:
-    """Pick (theta0, delta0) maximizing tau_max over a fixed 64 x 64 grid.
-
-    The grid is logarithmic, theta0 in (0, pi/4) and delta0 in [1e-3, 10],
-    with the default pair (pi/8, 1) always included as a candidate.  Uses
-    the closed-form multi-step path, so ||B|| < 1 is required.  Ties are
-    broken deterministically: smallest theta0, then smallest delta0.
-    """
-    if not 0.0 <= norm_B < 1.0:
-        raise ValueError("optimize_case_parameters requires ||B|| < 1")
-    thetas = np.geomspace(1e-3, (math.pi / 4) * (1.0 - 1e-9), 64)
-    deltas = np.geomspace(1e-3, 10.0, 64)
-    pairs = [(float(t), float(d)) for t in thetas for d in deltas]
-    pairs.append((math.pi / 8, 1.0))
-    pairs.sort()
-    best_pair, best_tau = None, -math.inf
-    for theta0, delta0 in pairs:
-        report = sufficient_tau_k_step(norm_B, norm_M, norm_H, alpha, k,
-                                       CaseParameters(theta0, delta0))
-        if report.tau_max > best_tau:
-            best_tau = report.tau_max
-            best_pair = (theta0, delta0)
-    return CaseParameters(*best_pair)
 
 
 # ----------------------------------------------------------------------
@@ -458,15 +436,16 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     one-step bounds (with the exact B = 0 criterion when B vanishes),
     k >= 2 to the multi-step bounds.  ``use_s_path`` additionally feeds
     the s(B^k)-based forms (dense boundary sampling plus the norms of
-    B^k, T_k and X_k).  The default (None) enables that path when it is
-    required (||B|| >= 1) or cheap (n_u <= 128); pass True/False to force.
+    B^k, T_k and X_k, all on the stored block).  The default (None)
+    enables that path when it is required (||B|| >= 1) or cheap (a block
+    of at most 128 rows, whatever n_blocks is); pass True/False to force.
     """
     from .spectral import k_step_operators
 
     _check_alpha(alpha)
     norm_B, norm_M, norm_H = problem.norm_B, problem.norm_M, problem.norm_H
     if use_s_path is None:
-        use_s_path = norm_B >= 1.0 or problem.n_u <= 128
+        use_s_path = norm_B >= 1.0 or problem.B.shape[0] <= 128
     if k == 1:
         s_B = s_of(problem.B) if use_s_path and norm_B > 0.0 else None
         return sufficient_tau_one_step(norm_B, norm_M, norm_H, s_B=s_B,
@@ -474,9 +453,8 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     extras = {}
     if use_s_path:
         ops = k_step_operators(problem, k)
-        Bk = np.linalg.matrix_power(problem.B, k)
-        extras = dict(norm_Bk=operator_norm(Bk), norm_Tk=operator_norm(ops.T),
-                      norm_Xk=operator_norm(ops.X), s_Bk=s_of(Bk))
+        extras = dict(norm_Bk=operator_norm(ops.Bk), norm_Tk=operator_norm(ops.T),
+                      norm_Xk=operator_norm(ops.X), s_Bk=s_of(ops.Bk))
     return sufficient_tau_k_step(norm_B, norm_M, norm_H, alpha, k,
                                  params=params, **extras)
 

@@ -160,7 +160,6 @@ class GeneratedCavity:
     stacked_noisy: np.ndarray
     mesh_summary: MeshSummary
     config: CavityConfig
-    sigma_cell_centers: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +219,6 @@ def _sigma_cells(config: CavityConfig, R: float, h: float, ncell: int):
     owner = np.full((ncell, ncell), -1)  # inclusion index of every grid cell, -1 if free
     cell_ids = np.arange(ncell * ncell).reshape(ncell, ncell)
     cells = []
-    centers = []
     for idx, (cx, cy, edge) in enumerate(config.inclusion_layout):
         edge_cells = max(1, round(edge * lam / h))
         if edge_cells % sx or edge_cells % sy:
@@ -241,9 +239,7 @@ def _sigma_cells(config: CavityConfig, R: float, h: float, ncell: int):
         # sigma cell (a, b) holds its px * py grid cells c row-major, as triangles 2c, 2c + 1
         grid = cell_ids[box].reshape(sx, px, sy, py).transpose(0, 2, 1, 3).reshape(sx * sy, -1)
         cells += list(np.stack([2 * grid, 2 * grid + 1], -1).reshape(sx * sy, -1))
-        centers += [(-R + (i0 + (a + 0.5) * px) * h, -R + (j0 + (b + 0.5) * py) * h)
-                    for a in range(sx) for b in range(sy)]
-    return cells, np.array(centers)
+    return cells
 
 
 def _source_positions(config: CavityConfig):
@@ -289,7 +285,7 @@ def generate(config: CavityConfig) -> GeneratedCavity:
             "omega^2 is numerically resonant for this discretization "
             f"(smallest/largest singular value of A11 = {sv[-1]:.3e}/{sv[0]:.3e})")
 
-    cells, centers = _sigma_cells(config, R, h, ncell)
+    cells = _sigma_cells(config, R, h, ncell)
     n_sigma = len(cells)
     n_sub = config.sigma_subdivision[0] * config.sigma_subdivision[1]
     exact = np.repeat(config.per_inclusion(config.sigma_exact), n_sub)
@@ -335,7 +331,7 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     return GeneratedCavity(
         problem=problem, exact_sigma=exact, init_sigma=init,
         stacked_clean=g_clean, stacked_noisy=g_noisy,
-        mesh_summary=summary, config=config, sigma_cell_centers=centers)
+        mesh_summary=summary, config=config)
 
 
 def multi_source_objective(cavity: GeneratedCavity, alpha: float,

@@ -17,7 +17,8 @@ order, of whichever of noise_levels, mesh_hs and deltas are non-empty
 NoiseStudy, MeshRobustness and DeltaDependence label the study; the last
 three also require their axis (noise_levels, mesh_hs, deltas) to be
 listed.  BoundReport and CertifySweep tabulate step bounds and spectral
-certificates on the [cavity] itself instead of running iterations.
+certificates on the [cavity] itself instead of running iterations, so
+they reject the three cavity axes.
 
 Outputs per invocation: one trace CSV per run cell (``cell0000.csv``,
 ...), a ``summary.csv`` with one row per cell, and a reproduction
@@ -95,13 +96,22 @@ class ExperimentSpec:
                 raise SpecValidationError(
                     f"experiment kind {self.kind.value} requires a non-empty {name!r}")
 
+        def forbid_cavity_axes():
+            for name, _ in _CAVITY_AXES:
+                if getattr(self, name):
+                    raise SpecValidationError(
+                        f"experiment kind {self.kind.value} uses the [cavity] "
+                        f"itself and takes no {name!r}")
+
         if self.kind is ExperimentKind.BoundReport:
             require("ks")
             require("alphas")
+            forbid_cavity_axes()
         elif self.kind is ExperimentKind.CertifySweep:
             require("taus")
             require("ks")
             require("alphas")
+            forbid_cavity_axes()
         else:
             require("schemes")
             require("taus")

@@ -41,11 +41,16 @@ CONVERGENCE_MARGIN = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class KStepOperators:
-    """The triple (T_k, U_k, X_k) of the block, for one value of k."""
+    """The triple (T_k, U_k, X_k) of the block and the power B^k, for one k.
+
+    Every caller that needs B^k reads ``Bk`` rather than forming the power
+    again, so all of them see the same floats.
+    """
 
     T: np.ndarray
     U: np.ndarray
     X: np.ndarray
+    Bk: np.ndarray
     k: int
 
 
@@ -54,7 +59,9 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
 
         T_{j+1} = I + B T_j,   U_{j+1} = B* U_j + H*H B^j,   X_{j+1} = X_j + U_j
 
-    starting from T_1 = I, U_1 = H*H, X_1 = 0.
+    starting from T_1 = I, U_1 = H*H, X_1 = 0.  B^k comes from
+    ``np.linalg.matrix_power``, not from the recurrence's B^j, which
+    associates the products differently.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -71,7 +78,7 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
         B_pow = B_pow @ B
         U = B.T @ U + HtH @ B_pow
         T = eye + B @ T
-    return KStepOperators(T=T, U=U, X=X, k=k)
+    return KStepOperators(T=T, U=U, X=X, Bk=np.linalg.matrix_power(B, k), k=k)
 
 
 def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
@@ -82,7 +89,7 @@ def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
     M = problem.M
     n_u, n_s = problem.n_u, problem.n_sigma
     d = 1.0 + tau * alpha
-    Bk = _dense(problem, np.linalg.matrix_power(problem.B, k))
+    Bk = _dense(problem, ops.Bk)
     MMt = M @ M.T
     top = np.hstack([Bk.T - (tau / d) * problem.apply(ops.X, MMt), _dense(problem, ops.U),
                      problem.apply(ops.X, M) / d])
@@ -111,7 +118,6 @@ class SpectralCertificate:
     eigenvalues: np.ndarray
     min_dist_to_one: float
     convergent: bool
-    margin: float
     tau: float
     alpha: float
     k: int
@@ -141,8 +147,7 @@ def certify(problem: LinearInverseProblem, tau: float, alpha: float, k: int,
     dist_one = float(np.min(np.abs(eigenvalues - 1.0)))
     return SpectralCertificate(
         spectral_radius=rho, eigenvalues=eigenvalues, min_dist_to_one=dist_one,
-        convergent=bool(rho < 1.0 - CONVERGENCE_MARGIN), margin=CONVERGENCE_MARGIN,
-        tau=tau, alpha=alpha, k=k)
+        convergent=bool(rho < 1.0 - CONVERGENCE_MARGIN), tau=tau, alpha=alpha, k=k)
 
 
 #: Relative distance below which a shift is considered inside Spec(B^k).
@@ -172,14 +177,14 @@ def eigen_equation_residual(problem: LinearInverseProblem, lam: complex, y,
     if not np.isclose(nrm, 1.0, atol=1e-8):
         raise ValueError(f"y must be a unit vector, got norm {nrm}")
     lam = complex(lam)
-    Bk = _dense(problem, np.linalg.matrix_power(problem.B, k))
+    ops = k_step_operators(problem, k)
+    Bk = _dense(problem, ops.Bk)
     exclusion = RESOLVENT_EXCLUSION * problem.norm_B ** k
     if exclusion > 0:
         dist = np.min(np.abs(np.linalg.eigvals(Bk) - lam))
         if dist < exclusion:
             raise SingularSystemError(
                 f"lambda = {lam} is within {exclusion:.3e} of Spec(B^k)")
-    ops = k_step_operators(problem, k)
     eye = np.eye(problem.n_u)
     core = _dense(problem, (lam - 1.0) * ops.X + ops.T.T @ (problem.H.T @ problem.H) @ ops.T)
     try:

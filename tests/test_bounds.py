@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneshot import (CaseParameters, ProblemAssumptionError, certify,
-                     gamma_select, marden_quadratic_inside,
-                     optimize_case_parameters, pq_decompose, s_of,
-                     sufficient_tau_k_step, sufficient_tau_one_step)
+from oneshot import (CaseParameters, LinearInverseProblem,
+                     ProblemAssumptionError, certify, gamma_select,
+                     marden_quadratic_inside, pq_decompose, random_problem,
+                     s_of, sufficient_tau_k_step, sufficient_tau_one_step)
 from oneshot.bounds import (_psi, bound_report_for, report_csv_header,
                             report_csv_row)
 from oneshot.problem import operator_norm
@@ -64,6 +64,23 @@ class TestCaseParameters:
             CaseParameters(delta0=math.inf)
 
 
+@pytest.fixture(scope="module")
+def bench_s_call():
+    """s_of on B^3 of the benchmark's s-path problem, and the number of
+    matrices it hands to np.linalg.svd."""
+    T = np.linalg.matrix_power(random_problem(n_u=128, n_sigma=6, n_g=32, rng=0).B, 3)
+    svd, counted = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        counted.append(1 if a.ndim == 2 else a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counting_svd)
+        value = s_of(T)
+    return value, sum(counted)
+
+
 class TestSOf:
     def test_zero_matrix(self):
         assert np.isclose(s_of(np.zeros((4, 4))), 1.0)
@@ -92,6 +109,23 @@ class TestSOf:
     def test_rejects_non_contractive(self):
         with pytest.raises(ProblemAssumptionError):
             s_of(np.eye(3))
+
+    def test_each_angle_sampled_once(self, bench_s_call):
+        # the floor, the 513 angles of the 1024-point half circle, then the
+        # 512 angles the 2048-point grid adds (the doubling that stops here)
+        assert bench_s_call[1] == 1 + 513 + 512
+
+    # exact floats: how the grid angles are scheduled must not move s
+    @pytest.mark.parametrize("make_T, expected", [
+        (lambda: contraction(74, n=6, norm=0.7), "0x1.44591466ae49dp+1"),
+        (lambda: contraction(75, n=12, norm=0.9), "0x1.3b9f3be53a134p+1"),
+        (lambda: contraction(76, n=3, norm=0.5), "0x1.a1a121354b457p+0"),
+        (lambda: TestShearedSoundness.sheared_problem(1300).B, "0x1.a7727d65e7fc7p+1"),
+        (None, "0x1.07e1ed82df8dep+0"),
+    ], ids=["n6", "n12", "n3", "sheared", "bench"])
+    def test_pinned_values(self, make_T, expected, bench_s_call):
+        value = bench_s_call[0] if make_T is None else s_of(make_T())
+        assert value == float.fromhex(expected)
 
 
 class TestPQDecompose:
@@ -401,42 +435,6 @@ class TestShearedSoundness:
                 assert certify(p, report.tau_max, 1e-4, k).spectral_radius < 1.0
 
 
-class TestOptimizeCaseParameters:
-    def test_beats_default(self):
-        for alpha in (0.0, 1e-2):
-            best = optimize_case_parameters(0.5, 1.0, 2.0, alpha, k=2)
-            tau_best = sufficient_tau_k_step(0.5, 1.0, 2.0, alpha, 2, best).tau_max
-            tau_default = sufficient_tau_k_step(0.5, 1.0, 2.0, alpha, 2).tau_max
-            assert tau_best >= tau_default
-
-    def test_monotone_in_alpha(self):
-        taus = []
-        for alpha in (0.0, 1e-4, 1e-2, 1e-1, 1.0):
-            params = optimize_case_parameters(0.4, 1.0, 1.0, alpha, k=2)
-            taus.append(sufficient_tau_k_step(0.4, 1.0, 1.0, alpha, 2, params).tau_max)
-        assert all(b <= a + 1e-15 for a, b in zip(taus, taus[1:]))
-
-    def test_matches_exhaustive_grid_oracle(self):
-        norm_b, norm_m, norm_h, alpha, k = 0.3, 1.1, 0.9, 1e-3, 3
-        result = optimize_case_parameters(norm_b, norm_m, norm_h, alpha, k)
-        thetas = np.geomspace(1e-3, (math.pi / 4) * (1 - 1e-9), 64)
-        deltas = np.geomspace(1e-3, 10.0, 64)
-        pairs = [(float(t), float(d)) for t in thetas for d in deltas]
-        pairs.append((math.pi / 8, 1.0))
-        pairs.sort()
-        best, best_tau = None, -math.inf
-        for theta0, delta0 in pairs:
-            tau = sufficient_tau_k_step(norm_b, norm_m, norm_h, alpha, k,
-                                        CaseParameters(theta0, delta0)).tau_max
-            if tau > best_tau:
-                best, best_tau = (theta0, delta0), tau
-        assert (result.theta0, result.delta0) == best
-
-    def test_requires_contractive_norm(self):
-        with pytest.raises(ValueError):
-            optimize_case_parameters(1.2, 1.0, 1.0, 0.0, 1)
-
-
 class TestReportCsv:
     def test_header_and_row_shape(self):
         report = sufficient_tau_one_step(0.5, 1.0, 1.0, s_B=2.0, alpha=1e-3)
@@ -452,3 +450,46 @@ class TestReportCsv:
         assert report.norm_B == pytest.approx(0.6)
         assert report.s_Bk is not None and report.norm_Xk is not None
         assert report.tau_max > 0
+
+    # exact rows over both forms, the s form alone, the closed form alone,
+    # B = 0, k = 1 and k >= 2: how the cases are assembled must not move a bound
+    @pytest.mark.parametrize("problem, alpha, k, params, use_s_path, expected", [
+        ("zero", 0.0, 1, None, None,
+         "1,0.0,0.0,2.8911881441104885,4.757371062774742,,unbounded,,,,"
+         "0.005285830568437273,0.005285830568437273,b_zero,0.39269908169872414,1.0"),
+        ("zero", 0.1, 3, None, None,
+         "3,0.1,0.0,2.8911881441104885,4.757371062774742,1.0,0.00528722793799012,"
+         "0.003737068072271922,0.001328531183846354,0.002491027261634039,,"
+         "0.001328531183846354,case2,0.39269908169872414,1.0"),
+        ("both", 1e-3, 1, None, None,
+         "1,0.001,0.6,3.3561657681188377,4.749008307579365,1.5121641473902752,unbounded,"
+         "0.0005228161571657272,9.599595843915328e-05,0.00023235505268027787,,"
+         "9.599595843915328e-05,case2,0.39269908169872414,1.0"),
+        ("both", 1e-3, 4, (0.3, 0.2), None,
+         "4,0.001,0.6,3.3561657681188377,4.749008307579365,1.0085437612360775,"
+         "0.004567145395318225,0.00299618245630827,0.00042443112429343727,"
+         "0.0006934198262518476,,0.00042443112429343727,case2,0.3,0.2"),
+        ("both", 0.0, 3, None, False,
+         "3,0.0,0.6,3.3561657681188377,4.749008307579365,,0.0010998077586672566,"
+         "0.000488832667448559,0.00012629000978736456,0.00029335376988030084,,"
+         "0.00012629000978736456,case2,0.39269908169872414,1.0"),
+        ("sheared", 1e-3, 1, (0.3, 0.2), None,
+         "1,0.001,1.7387031652502947,3.280357653450909,3.271142548555653,3.308181452521214,"
+         "unbounded,5.9963986058127084e-06,1.0810350718230585e-06,1.6019654239967235e-06,,"
+         "1.0810350718230585e-06,case2,0.3,0.2"),
+        ("sheared", 1e-4, 3, None, None,
+         "3,0.0001,1.7387031652502947,3.280357653450909,3.271142548555653,1.2204167966164043,"
+         "0.004430049774093044,0.0005337224172343551,9.066590822575026e-05,"
+         "0.0004095353450037748,,9.066590822575026e-05,case2,0.39269908169872414,1.0"),
+    ])
+    def test_pinned_rows(self, problem, alpha, k, params, use_s_path, expected):
+        if problem == "zero":
+            p = make_problem(81, n_u=6)
+            p = LinearInverseProblem(np.zeros((6, 6)), p.M, p.H, p.F)
+        elif problem == "both":
+            p = make_problem(80, norm_b=0.6)
+        else:
+            p = TestShearedSoundness.sheared_problem(1300)
+        params = None if params is None else CaseParameters(*params)
+        report = bound_report_for(p, alpha, k, params=params, use_s_path=use_s_path)
+        assert report_csv_row(report) == expected

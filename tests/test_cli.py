@@ -97,6 +97,14 @@ class TestRunAndSweep:
         assert main(["run", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
         assert not out.exists()
 
+    def test_cavity_axes_on_bound_report_fail_before_any_output(self, tmp_path):
+        spec = tmp_path / "exp.cfg"
+        spec.write_text(TINY_SPEC.replace("KComparison", "BoundReport").replace(
+            "ks = 1,2", "ks = 1,2\nmesh_hs = 0.2857142857142857,0.2\ndeltas = 0.01,0.05"))
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+
     def test_failing_later_variant_leaves_no_output(self, tmp_path):
         # at this seed the second mesh does not contract, so its generate
         # fails after the first variant's cells have run

@@ -63,6 +63,17 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError, match="mesh_hs"):
             parse_spec(MINIMAL.replace("TauSweep", "MeshRobustness"))
 
+    # the table kinds run on the [cavity] alone, so a listed axis would be
+    # recorded in the manifest without being swept
+    @pytest.mark.parametrize("kind", ["BoundReport", "CertifySweep"])
+    @pytest.mark.parametrize("axis", ["noise_levels = 0.0,0.01",
+                                      "mesh_hs = 0.2857142857142857,0.2",
+                                      "deltas = 0.01,0.05"])
+    def test_table_kinds_reject_cavity_axes(self, kind, axis):
+        text = MINIMAL.replace("kind = TauSweep", f"kind = {kind}") + axis + "\n"
+        with pytest.raises(SpecValidationError, match=axis.split()[0]):
+            parse_spec(text)
+
     def test_validation_rules(self):
         with pytest.raises(SpecValidationError, match="positive"):
             parse_spec(MINIMAL.replace("taus = 0.01", "taus = -1.0"))

@@ -362,6 +362,17 @@ class TestBlockStorage:
         assert_rel(certify(block, tau, 0.01, 3).spectral_radius,
                    certify(dense, tau, 0.01, 3).spectral_radius, rel=1e-10)
 
+    def test_s_path_gate_reads_the_block(self):
+        # n_u = 160 is past the 128 gate, but the s-path runs on the
+        # 20-wide block, so the default takes it
+        block, dense = stacked_and_kron_twin(44, n_blocks=8, n=20)
+        ours = bound_report_for(block, alpha=0.01, k=2)
+        assert ours.s_Bk is not None
+        oracle = bound_report_for(dense, alpha=0.01, k=2, use_s_path=True)
+        for name in ("s_Bk", "norm_Bk", "norm_Tk", "norm_Xk", "bound_real",
+                     "bound_case1", "bound_case2", "bound_case3", "tau_max"):
+            assert_rel(getattr(ours, name), getattr(oracle, name))
+
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     def test_run_traces(self, twins, scheme):
         block, dense, g, _ = twins

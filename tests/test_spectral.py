@@ -56,6 +56,7 @@ class TestKStepOperators:
         for ours, direct in ((ops.T, T), (ops.U, U), (ops.X, X)):
             scale = max(np.linalg.norm(direct), 1.0)
             assert np.linalg.norm(ours - direct) <= 1e-12 * scale
+        assert np.array_equal(ops.Bk, np.linalg.matrix_power(p.B, k))
 
     @pytest.mark.parametrize("n_u,seed", [(8, 53), (16, 54), (24, 55)])
     def test_invariants_up_to_k12(self, n_u, seed):
