@@ -17,7 +17,7 @@ from .problem import (IterationState, LinearInverseProblem, Objective, cost,
                       solve_state_exact)
 from .spectral import (KStepOperators, SpectralCertificate, certify,
                        eigen_equation_residual, iteration_matrix_semi_implicit,
-                       k_step_operators)
+                       k_step_operators, spectrum)
 
 __version__ = "0.1.0"
 

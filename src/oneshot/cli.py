@@ -26,7 +26,7 @@ from .errors import (EigensolverError, OneShotError, ProblemAssumptionError,
 from .experiments import load_spec, run_experiment
 from .matrixio import MatrixFormatError
 from .spectral import (SIZE_GUARD, certificate_csv_header,
-                       certificate_csv_row, certify, spectrum_csv)
+                       certificate_csv_row, certify, spectrum, spectrum_csv)
 
 USAGE_ERROR, VALIDATION_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
@@ -69,8 +69,8 @@ def _build_parser() -> _Parser:
     cert.add_argument("--alpha", type=float, default=0.0)
     cert.add_argument("--k", type=int, default=1)
     cert.add_argument("--size-guard", type=int, default=SIZE_GUARD,
-                      help="largest dense block dimension to eigensolve "
-                           f"(default {SIZE_GUARD})")
+                      help="largest block dimension 2 n_u + n_sigma for which "
+                           f"--spectrum computes the dense spectrum (default {SIZE_GUARD})")
     cert.add_argument("--out", help="write CSV here instead of stdout")
     cert.add_argument("--spectrum", help="also dump the full spectrum as re,im CSV")
     return parser
@@ -124,13 +124,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_certify(args) -> int:
     problem, _, _ = load_problem(args.problem)
-    certificate = certify(problem, args.tau, args.alpha, args.k,
-                          size_guard=args.size_guard)
+    if args.spectrum:
+        eigenvalues = spectrum(problem, args.tau, args.alpha, args.k,
+                               size_guard=args.size_guard)
+    certificate = certify(problem, args.tau, args.alpha, args.k)
     _emit(certificate_csv_header() + "\n" + certificate_csv_row(certificate) + "\n",
           args.out)
     if args.spectrum:
         with open(args.spectrum, "w", encoding="utf-8") as fh:
-            fh.write(spectrum_csv(certificate))
+            fh.write(spectrum_csv(eigenvalues))
     return 0
 
 

@@ -19,11 +19,11 @@ class SingularSystemError(OneShotError):
 
 
 class SizeGuardError(OneShotError):
-    """A dense spectral computation was requested above the size guard."""
+    """A dense spectrum was requested above the size guard."""
 
 
 class EigensolverError(OneShotError):
-    """The dense nonsymmetric eigensolver failed to converge."""
+    """A nonsymmetric eigensolver (dense QR or ARPACK Arnoldi) failed."""
 
 
 class SpecParseError(OneShotError):

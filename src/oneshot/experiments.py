@@ -18,7 +18,9 @@ NoiseStudy, MeshRobustness and DeltaDependence label the study; the last
 three also require their axis (noise_levels, mesh_hs, deltas) to be
 listed.  BoundReport and CertifySweep tabulate step bounds and spectral
 certificates on the [cavity] itself instead of running iterations, so
-they reject the three cavity axes.
+they reject the keys they never read: the three cavity axes, schemes and
+the [run] keys, and for BoundReport also taus.  Their manifest omits
+those keys.
 
 Outputs per invocation: one trace CSV per run cell (``cell0000.csv``,
 ...), a ``summary.csv`` with one row per cell, and a reproduction
@@ -65,6 +67,19 @@ _REQUIRED_AXIS = {ExperimentKind.NoiseStudy: "noise_levels",
                   ExperimentKind.MeshRobustness: "mesh_hs",
                   ExperimentKind.DeltaDependence: "deltas"}
 
+_RUN_KEYS = ("max_outer", "tol_cost", "tol_step")
+
+#: The keys each table kind never reads: it tabulates the [cavity] itself
+#: and runs no iterations, and BoundReport takes no step either.
+_TABLE_UNREAD = ("schemes", *(key for key, _ in _CAVITY_AXES), *_RUN_KEYS)
+_UNREAD_KEYS = {ExperimentKind.BoundReport: ("taus", *_TABLE_UNREAD),
+                ExperimentKind.CertifySweep: _TABLE_UNREAD}
+
+
+def _unread_key_error(kind, name) -> SpecValidationError:
+    return SpecValidationError(
+        f"experiment kind {kind.value} tabulates the [cavity] itself and never reads {name!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -96,22 +111,16 @@ class ExperimentSpec:
                 raise SpecValidationError(
                     f"experiment kind {self.kind.value} requires a non-empty {name!r}")
 
-        def forbid_cavity_axes():
-            for name, _ in _CAVITY_AXES:
-                if getattr(self, name):
-                    raise SpecValidationError(
-                        f"experiment kind {self.kind.value} uses the [cavity] "
-                        f"itself and takes no {name!r}")
-
+        for name in _UNREAD_KEYS.get(self.kind, ()):
+            if getattr(self, name) != ExperimentSpec.__dataclass_fields__[name].default:
+                raise _unread_key_error(self.kind, name)
         if self.kind is ExperimentKind.BoundReport:
             require("ks")
             require("alphas")
-            forbid_cavity_axes()
         elif self.kind is ExperimentKind.CertifySweep:
             require("taus")
             require("ks")
             require("alphas")
-            forbid_cavity_axes()
         else:
             require("schemes")
             require("taus")
@@ -154,7 +163,6 @@ class ExperimentSpec:
 
 _EXPERIMENT_KEYS = ("kind", "output_dir")
 _SWEEP_KEYS = ("schemes", "taus", "ks", "alphas", "noise_levels", "mesh_hs", "deltas")
-_RUN_KEYS = ("max_outer", "tol_cost", "tol_step")
 
 
 def _split_list(value):
@@ -215,6 +223,9 @@ def parse_spec(text: str) -> ExperimentSpec:
     except ValueError:
         raise SpecValidationError(
             f"unknown experiment kind {experiment['kind']!r}") from None
+    for name in _UNREAD_KEYS.get(kind, ()):
+        if name in sweep or name in runcfg:
+            raise _unread_key_error(kind, name)
     try:
         cavity = CavityConfig(**cavity_kwargs)
         schemes = sweep.pop("schemes", ())
@@ -236,20 +247,21 @@ def serialize_spec(spec: ExperimentSpec) -> str:
              "",
              "[cavity]"]
     lines += cavity_config_lines(spec.cavity)
-    lines += ["",
-              "[sweep]",
-              "schemes = " + ",".join(s.value for s in spec.schemes),
-              f"taus = {numbers(spec.taus)}",
-              "ks = " + ",".join(str(k) for k in spec.ks),
-              f"alphas = {numbers(spec.alphas)}",
-              f"noise_levels = {numbers(spec.noise_levels)}",
-              f"mesh_hs = {numbers(spec.mesh_hs)}",
-              f"deltas = {numbers(spec.deltas)}",
-              "",
-              "[run]",
-              f"max_outer = {spec.max_outer}",
-              f"tol_cost = {spec.tol_cost!r}",
-              f"tol_step = {spec.tol_step!r}"]
+    sweep = [("schemes", ",".join(s.value for s in spec.schemes)),
+             ("taus", numbers(spec.taus)),
+             ("ks", ",".join(str(k) for k in spec.ks)),
+             ("alphas", numbers(spec.alphas)),
+             ("noise_levels", numbers(spec.noise_levels)),
+             ("mesh_hs", numbers(spec.mesh_hs)),
+             ("deltas", numbers(spec.deltas))]
+    run = [("max_outer", str(spec.max_outer)),
+           ("tol_cost", repr(spec.tol_cost)),
+           ("tol_step", repr(spec.tol_step))]
+    unread = _UNREAD_KEYS.get(spec.kind, ())
+    for header, entries in (("[sweep]", sweep), ("[run]", run)):
+        entries = [f"{key} = {value}" for key, value in entries if key not in unread]
+        if entries:
+            lines += ["", header, *entries]
     return "\n".join(lines) + "\n"
 
 

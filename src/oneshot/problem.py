@@ -176,7 +176,7 @@ class LinearInverseProblem:
     def norm_H(self) -> float:
         return operator_norm(self.H)
 
-    def _blockwise(self, fn, x):
+    def blockwise(self, fn, x):
         """kron(I, T) x for a stacked vector or matrix x; fn(c) computes T c."""
         x = np.asarray(x)
         if self.n_blocks == 1:
@@ -188,12 +188,12 @@ class LinearInverseProblem:
 
     def apply(self, op, x):
         """kron(I, op) @ x for a block matrix op (e.g. B, B.T, H, H.T)."""
-        return self._blockwise(op.__matmul__, x)
+        return self.blockwise(op.__matmul__, x)
 
     def solve_I_minus_B(self, rhs, adjoint=False):
         """Solve (I - B) x = rhs, or (I - B*) x = rhs when ``adjoint``."""
         try:
-            return self._blockwise(
+            return self.blockwise(
                 lambda cols: scipy.linalg.lu_solve(self._lu_state, cols,
                                                    trans=1 if adjoint else 0), rhs)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -312,9 +312,17 @@ def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
     g = np.asarray(g, dtype=float)
     if g.shape != (problem.n_g,):
         raise ProblemAssumptionError(f"g has shape {g.shape}, expected ({problem.n_g},)")
+    return sweeps(problem, state.u, state.p, problem.M @ sigma_new + problem.F, g, k)
+
+
+def sweeps(problem: LinearInverseProblem, u, p, drive, g, k: int):
+    """The k coupled sweeps of ``fixed_point_sweep`` with a given drive.
+
+    u_{l+1} = B u_l + drive and p_{l+1} = B* p_l + H* (H u_l - g); with
+    drive = M sigma and g = 0 they are the linear part of the inner
+    iteration, which the spectral certificate applies.  No input checks.
+    """
     B, H, apply = problem.B, problem.H, problem.apply
-    drive = problem.M @ sigma_new + problem.F
-    u, p = state.u, state.p
     for _ in range(k):
         p_next = apply(B.T, p) + apply(H.T, apply(H, u) - g)
         u = apply(B, u) + drive

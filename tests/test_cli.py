@@ -1,14 +1,21 @@
 import math
+import os
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from oneshot import spectral
 from oneshot.cavity import format_manifest, load_problem
+from oneshot.experiments import load_spec
 from oneshot.matrixio import read_matrix, write_matrix
 from oneshot.cli import main
 from test_cavity import small_config
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 TINY_SPEC = """
 [experiment]
@@ -29,6 +36,9 @@ ks = 1,2
 [run]
 max_outer = 20
 """
+
+BOUND_REPORT_SPEC = TINY_SPEC.replace("KComparison", "BoundReport").split("schemes")[0] \
+    + "ks = 1,2\n"
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +109,19 @@ class TestRunAndSweep:
 
     def test_cavity_axes_on_bound_report_fail_before_any_output(self, tmp_path):
         spec = tmp_path / "exp.cfg"
-        spec.write_text(TINY_SPEC.replace("KComparison", "BoundReport").replace(
-            "ks = 1,2", "ks = 1,2\nmesh_hs = 0.2857142857142857,0.2\ndeltas = 0.01,0.05"))
+        spec.write_text(BOUND_REPORT_SPEC + "mesh_hs = 0.2857142857142857,0.2\n"
+                        "deltas = 0.01,0.05\n")
         out = tmp_path / "out"
         assert main(["run", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+
+    def test_unread_keys_on_bound_report_fail_before_any_output(self, tmp_path, capsys):
+        spec = tmp_path / "exp.cfg"
+        spec.write_text(BOUND_REPORT_SPEC + "schemes = UsualGD\ntaus = 0.01,0.02\n"
+                        "\n[run]\nmax_outer = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
+        assert "never reads" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failing_later_variant_leaves_no_output(self, tmp_path):
@@ -233,6 +252,52 @@ class TestBoundsAndCertify:
     def test_missing_problem_dir_is_usage_error(self, tmp_path):
         code = main(["bounds", "--problem", str(tmp_path / "missing")])
         assert code == 1
+
+    def test_arnoldi_failure_is_numerical_failure(self, problem_dir, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(spectral, "eigs", no_convergence)
+        assert main(["certify", "--problem", str(problem_dir), "--tau", "0.001"]) == 3
+        captured = capsys.readouterr()
+        assert "Arnoldi" in captured.err and captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def fine_mesh_dir(tmp_path_factory):
+    """The exp_mesh cavity at mesh_h = 0.2 (block dimension 4335)."""
+    directory = tmp_path_factory.mktemp("fine")
+    config = replace(load_spec(os.path.join(CONFIG_DIR, "exp_mesh.cfg")).cavity, mesh_h=0.2)
+    (directory / "cavity.cfg").write_text(format_manifest(config))
+    assert main(["generate", "--spec", str(directory / "cavity.cfg"), "--out",
+                 str(directory / "out"), "--quiet"]) == 0
+    return directory / "out"
+
+
+class TestCertifyAboveSizeGuard:
+    def tau_max(self, problem_dir, capsys):
+        capsys.readouterr()
+        assert main(["bounds", "--problem", str(problem_dir), "--k", "2"]) == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        return dict(zip(header.split(","), row.split(",")))["tau_max"]
+
+    def test_certifies_beyond_the_dense_guard(self, fine_mesh_dir, capsys):
+        problem = load_problem(fine_mesh_dir)[0]
+        assert 2 * problem.n_u + problem.n_sigma == 4335 > spectral.SIZE_GUARD
+        tau = self.tau_max(fine_mesh_dir, capsys)
+        assert main(["certify", "--problem", str(fine_mesh_dir), "--tau", tau,
+                     "--k", "2"]) == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        assert dict(zip(header.split(","), row.split(",")))["convergent"] == "true"
+
+    def test_spectrum_stays_guarded(self, fine_mesh_dir, tmp_path, capsys):
+        tau = self.tau_max(fine_mesh_dir, capsys)
+        spectrum = tmp_path / "spectrum.csv"
+        assert main(["certify", "--problem", str(fine_mesh_dir), "--tau", tau, "--k", "2",
+                     "--spectrum", str(spectrum)]) == 3
+        captured = capsys.readouterr()
+        assert "size guard" in captured.err and captured.out == ""
+        assert not spectrum.exists()
 
 
 class TestUsage:

@@ -21,6 +21,13 @@ taus = 0.01
 """
 
 
+def table_spec(kind):
+    """MINIMAL as a table kind, without the keys that kind never reads."""
+    text = MINIMAL.replace("kind = TauSweep", f"kind = {kind}") \
+                  .replace("schemes = UsualGD\n", "")
+    return text.replace("taus = 0.01\n", "") if kind == "BoundReport" else text
+
+
 class TestParseSpec:
     def test_minimal_with_defaults(self):
         spec = parse_spec(MINIMAL)
@@ -70,9 +77,27 @@ class TestParseSpec:
                                       "mesh_hs = 0.2857142857142857,0.2",
                                       "deltas = 0.01,0.05"])
     def test_table_kinds_reject_cavity_axes(self, kind, axis):
-        text = MINIMAL.replace("kind = TauSweep", f"kind = {kind}") + axis + "\n"
+        text = table_spec(kind) + axis + "\n"
         with pytest.raises(SpecValidationError, match=axis.split()[0]):
             parse_spec(text)
+
+    # likewise the keys of the iteration runs, and BoundReport's taus
+    @pytest.mark.parametrize("kind, lines", [
+        ("BoundReport", "schemes = UsualGD"), ("BoundReport", "taus = 0.01,0.02"),
+        ("BoundReport", "\n[run]\nmax_outer = 5"), ("BoundReport", "\n[run]\ntol_cost = 0.0"),
+        ("CertifySweep", "schemes = UsualGD"), ("CertifySweep", "\n[run]\nmax_outer = 200"),
+        ("CertifySweep", "\n[run]\ntol_step = 1e-9"),
+    ])
+    def test_table_kinds_reject_unread_keys(self, kind, lines):
+        key = lines.split()[-3]
+        with pytest.raises(SpecValidationError, match=key):
+            parse_spec(table_spec(kind) + lines + "\n")
+
+    @pytest.mark.parametrize("kind, taus", [("BoundReport", ()), ("CertifySweep", (0.01,))])
+    def test_table_kinds_reject_run_values(self, kind, taus):
+        # a spec built in code must serialize to a document that parses back
+        with pytest.raises(SpecValidationError, match="max_outer"):
+            ExperimentSpec(kind=kind, taus=taus, max_outer=5)
 
     def test_validation_rules(self):
         with pytest.raises(SpecValidationError, match="positive"):
@@ -99,6 +124,9 @@ class TestParseSpec:
             noise_levels=(0.01, 0.03), max_outer=17, tol_cost=1e-9,
             tol_step=1e-7, output_dir="somewhere")
         assert parse_spec(serialize_spec(full)) == full
+        for kind in ("BoundReport", "CertifySweep"):
+            table = parse_spec(table_spec(kind) + "ks = 1,3\nalphas = 0.0,0.1\n")
+            assert parse_spec(serialize_spec(table)) == table
 
     def test_comments_ignored(self):
         spec = parse_spec(MINIMAL.replace("taus = 0.01", "taus = 0.01  # step"))
@@ -158,9 +186,7 @@ class TestRunExperiment:
             (tmp_path / "clean" / "cell0000.csv").read_bytes()
 
     def test_bound_report_kind(self, tmp_path):
-        text = MINIMAL.replace("kind = TauSweep", "kind = BoundReport") \
-                      .replace("schemes = UsualGD\n", "") \
-            + "ks = 1,2\nalphas = 0.0,0.001\n"
+        text = table_spec("BoundReport") + "ks = 1,2\nalphas = 0.0,0.001\n"
         spec = parse_spec(text)
         run_experiment(spec, output_dir=str(tmp_path))
         rows = (tmp_path / "bounds.csv").read_text().strip().split("\n")
@@ -168,9 +194,7 @@ class TestRunExperiment:
         assert rows[0].startswith("k,alpha")
 
     def test_certify_sweep_kind(self, tmp_path):
-        text = MINIMAL.replace("kind = TauSweep", "kind = CertifySweep") \
-                      .replace("schemes = UsualGD\n", "") \
-            + "ks = 1\nalphas = 0.0\n"
+        text = table_spec("CertifySweep") + "ks = 1\nalphas = 0.0\n"
         spec = parse_spec(text)
         run_experiment(spec, output_dir=str(tmp_path))
         rows = (tmp_path / "certify.csv").read_text().strip().split("\n")

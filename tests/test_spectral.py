@@ -6,9 +6,10 @@ import pytest
 from oneshot import (IterationState, RunConfig, SchemeKind,
                      SingularSystemError, SizeGuardError, certify,
                      eigen_equation_residual, iteration_matrix_semi_implicit,
-                     k_step_operators, run, s_of)
+                     k_step_operators, run, s_of, spectrum)
 from oneshot.bounds import bound_report_for
-from oneshot.problem import operator_norm
+from oneshot.problem import LinearInverseProblem, operator_norm
+from oneshot.spectral import ARNOLDI_MIN_DIM, CONVERGENCE_MARGIN
 from conftest import make_objective, make_problem
 
 
@@ -166,7 +167,7 @@ class TestCertify:
             alpha = float(rng.choice([0.0, 1e-4, 1e-1]))
             k = int(rng.choice([1, 2, 3, 5]))
             cert = certify(p, tau, alpha, k)
-            assert len(cert.eigenvalues) == 2 * n_u + n_s
+            assert len(spectrum(p, tau, alpha, k)) == 2 * n_u + n_s
             assert cert.min_dist_to_one > 1e-8
 
     def test_tiny_tau_not_convergent(self):
@@ -178,14 +179,16 @@ class TestCertify:
     def test_size_guard(self):
         p = make_problem(62)
         with pytest.raises(SizeGuardError):
-            certify(p, 0.1, 0.0, 1, size_guard=10)
+            spectrum(p, 0.1, 0.0, 1, size_guard=10)
 
     @pytest.mark.parametrize("tau, alpha", NON_FINITE_STEPS)
     def test_rejects_non_finite_step_before_size_guard(self, tau, alpha):
         p = make_problem(62)
         for size_guard in (10, 4000):
             with pytest.raises(ValueError, match="finite"):
-                certify(p, tau, alpha, 1, size_guard=size_guard)
+                spectrum(p, tau, alpha, 1, size_guard=size_guard)
+        with pytest.raises(ValueError, match="finite"):
+            certify(p, tau, alpha, 1)
 
     def test_certificate_consistency_with_runs(self, rng):
         # convergent certificate => the run converges from a random start;
@@ -214,6 +217,72 @@ class TestCertify:
                             tau=tau_big, k=2, max_outer=3000,
                             sigma0=rng.standard_normal(p.n_sigma))
             assert run(obj, cfg).diverged
+
+
+def stacked_problem(seed, n_blocks, n, n_sigma, m, norm_b):
+    """Random problem storing one n x n block B with ||B|| = norm_b."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    return LinearInverseProblem(norm_b * G / np.linalg.norm(G, 2),
+                                rng.standard_normal((n_blocks * n, n_sigma)),
+                                rng.standard_normal((m, n)),
+                                rng.standard_normal(n_blocks * n), n_blocks=n_blocks)
+
+
+class TestArnoldiCertificate:
+    """The matrix-free path above ARNOLDI_MIN_DIM against the dense spectrum."""
+
+    # fixed before the first run; the verdicts must agree exactly
+    RHO_REL, DIST_REL = 1e-8, 1e-6
+
+    @staticmethod
+    def oracle_cases():
+        rng = np.random.default_rng(2024)
+        for norm_b in (0.0, 0.5, 0.9):
+            for k in (1, 3, 5):
+                for alpha in (0.0, 1e-1):
+                    n_u = int(rng.integers(150, 201))
+                    n_s = int(rng.integers(1, 6))
+                    yield (stacked_problem(int(rng.integers(2**31)), 1, n_u, n_s,
+                                           n_s + int(rng.integers(0, 9)), norm_b),
+                           k, alpha, rng)
+        for k in (1, 3, 5):
+            for alpha in (0.0, 1e-1):
+                yield (stacked_problem(int(rng.integers(2**31)), 3, 60, 4, 5, 0.6),
+                       k, alpha, rng)
+
+    def test_matches_dense_oracle(self):
+        verdicts = set()
+        for p, k, alpha, rng in self.oracle_cases():
+            assert 2 * p.n_u + p.n_sigma >= ARNOLDI_MIN_DIM
+            tau = float(10.0 ** rng.uniform(-1, 0.5)) \
+                / np.linalg.norm(p.reduced_operator(), 2) ** 2
+            cert = certify(p, tau, alpha, k)
+            eigenvalues = spectrum(p, tau, alpha, k)
+            rho = float(np.max(np.abs(eigenvalues)))
+            dist = float(np.min(np.abs(eigenvalues - 1.0)))
+            assert cert.method == "arnoldi" and cert.matvecs > 0
+            assert cert.ritz_residual <= 1e-10
+            assert cert.convergent == (rho < 1.0 - CONVERGENCE_MARGIN)
+            assert cert.spectral_radius == pytest.approx(rho, rel=self.RHO_REL)
+            assert cert.min_dist_to_one == pytest.approx(dist, rel=self.DIST_REL)
+            verdicts.add(cert.convergent)
+        assert verdicts == {True, False}
+
+    def test_crossover(self):
+        below = make_problem(70, n_u=(ARNOLDI_MIN_DIM - 2) // 2, n_sigma=1, n_g=3)
+        above = make_problem(70, n_u=(ARNOLDI_MIN_DIM - 2) // 2, n_sigma=2, n_g=3)
+        assert 2 * below.n_u + below.n_sigma == ARNOLDI_MIN_DIM - 1
+        dense = certify(below, 0.01, 0.0, 2)
+        assert (dense.method, dense.matvecs, dense.ritz_residual) == ("dense", 0, None)
+        assert certify(above, 0.01, 0.0, 2).method == "arnoldi"
+
+    @pytest.mark.parametrize("n_blocks, norm_b", [(1, 0.0), (3, 0.6)])
+    def test_repeat_calls_are_identical(self, n_blocks, norm_b):
+        p = stacked_problem(71, n_blocks, 180 // n_blocks, 3, 4, norm_b)
+        first, second = certify(p, 0.02, 1e-3, 3), certify(p, 0.02, 1e-3, 3)
+        assert first.method == "arnoldi"
+        assert vars(first) == vars(second)
 
 
 class TestEigenEquationResidual:
