@@ -23,7 +23,9 @@ class SizeGuardError(OneShotError):
 
 
 class EigensolverError(OneShotError):
-    """A nonsymmetric eigensolver (dense QR or ARPACK Arnoldi) failed."""
+    """A nonsymmetric eigensolver (dense QR, ARPACK Arnoldi, or the QZ
+    solve of the s(T) level-set pencil) failed, or the level set found no
+    certificate."""
 
 
 class SpecParseError(OneShotError):

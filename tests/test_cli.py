@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from oneshot import spectral
+from oneshot import EigensolverError, bounds, spectral
+from oneshot.bounds import bound_report_for
 from oneshot.cavity import format_manifest, load_problem
 from oneshot.experiments import load_spec
 from oneshot.matrixio import read_matrix, write_matrix
@@ -261,6 +262,25 @@ class TestBoundsAndCertify:
         assert main(["certify", "--problem", str(problem_dir), "--tau", "0.001"]) == 3
         captured = capsys.readouterr()
         assert "Arnoldi" in captured.err and captured.out == ""
+
+    def test_s_of_failure_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # an 81-wide block takes the s(B^k) path by default
+        manifest = tmp_path / "coarse.cfg"
+        manifest.write_text(format_manifest(small_config(mesh_h=0.4,
+                                                         sigma_subdivision=(1, 1))))
+        assert main(["generate", "--spec", str(manifest), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("QZ iteration failed")
+
+        monkeypatch.setattr(bounds, "eigvals", failing)
+        with pytest.raises(EigensolverError):
+            bound_report_for(load_problem(tmp_path / "out")[0], alpha=1e-3, k=3)
+        capsys.readouterr()
+        assert main(["bounds", "--problem", str(tmp_path / "out"), "--k", "3"]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err and captured.out == ""
 
 
 @pytest.fixture(scope="module")
