@@ -179,7 +179,7 @@ def step(objective: Objective, state: IterationState, scheme: SchemeKind,
         sigma_new = state.sigma - tau * (problem.M.T @ p) - tau * objective.alpha * state.sigma
     if scheme.is_one_shot:
         u, p = fixed_point_sweep(problem, state, sigma_new, objective.g, k)
-    return IterationState(sigma_new, u, p)
+    return IterationState(sigma_new, u, p, fresh=True)
 
 
 def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:

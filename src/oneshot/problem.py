@@ -27,18 +27,20 @@ with the cached A and g_tilde = g - H (I - B)^{-1} F, so they solve
 nothing; the exact-solve forms above are their test oracle.
 
 A problem stacking n_blocks copies of one state model with a shared
-sigma (the cavity's sources) stores the single blocks B and H; the full
-operators kron(I, B) and kron(I, H) are applied blockwise, while M and F
-stay stacked (a dense problem has n_blocks = 1).  All exact solves use
-one dense LU factorization of the block I - B with partial pivoting,
-shared by the state and the (transposed) adjoint equation.  Problems and
+sigma (the cavity's sources) stores the single blocks B and H, while M
+and F stay stacked (a dense problem has n_blocks = 1).  Block j of a
+stacked vector x is row j of its (n_blocks, n) view, so kron(I, T) x is
+that view times T^T, and no block is copied in or out.  All exact solves
+use one dense LU factorization of the block I - B with partial pivoting,
+shared by the state and the (transposed) adjoint equation; LAPACK's
+getrs takes the blocks as the columns of the transposed view.  Problems and
 objectives are immutable and safe to share across threads; every
 operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,9 +51,11 @@ from .errors import ProblemAssumptionError, SingularSystemError
 #: Relative singular-value cutoff for the full-column-rank check of A.
 RANK_TOL = 1e-10
 
+_getrs = scipy.linalg.get_lapack_funcs("getrs", dtype=np.float64)
 
-def _readonly(a, dtype=float, ndim=None, name="array"):
-    arr = np.array(a, dtype=dtype)
+
+def _readonly(a, dtype=float, ndim=None, name="array", copy=True):
+    arr = np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ProblemAssumptionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -176,28 +180,54 @@ class LinearInverseProblem:
     def norm_H(self) -> float:
         return operator_norm(self.H)
 
-    def blockwise(self, fn, x):
-        """kron(I, T) x for a stacked vector or matrix x; fn(c) computes T c."""
-        x = np.asarray(x)
-        if self.n_blocks == 1:
-            return fn(x)
-        blocks = x.reshape(self.n_blocks, -1, *x.shape[1:]).swapaxes(0, 1)
+    def _by_columns(self, fn, x):
+        """kron(I, T) x for a stacked matrix x; fn(c) computes T c.
+
+        The blocks of every column of x become the columns of one matrix,
+        so fn runs once; only set-up (A and the certificate) passes matrices.
+        """
+        blocks = x.reshape(self.n_blocks, -1, x.shape[1]).swapaxes(0, 1)
         out = fn(blocks.reshape(blocks.shape[0], -1))
         return out.reshape(out.shape[0], self.n_blocks, -1).swapaxes(0, 1).reshape(
-            -1, *x.shape[1:])
+            -1, x.shape[1])
 
     def apply(self, op, x):
         """kron(I, op) @ x for a block matrix op (e.g. B, B.T, H, H.T)."""
-        return self.blockwise(op.__matmul__, x)
+        if self.n_blocks == 1:
+            return op @ x
+        if x.ndim == 1:
+            return (x.reshape(self.n_blocks, -1) @ op.T).reshape(-1)
+        return self._by_columns(op.__matmul__, x)
+
+    def solve_factored(self, factor, rhs, adjoint=False):
+        """kron(I, T)^{-1} rhs, or kron(I, T*)^{-1} rhs when ``adjoint``.
+
+        ``factor`` is the ``scipy.linalg.lu_factor`` output of the block T.
+        A non-finite rhs or a failed LAPACK solve raises SingularSystemError.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            raise SingularSystemError("exact solve failed: non-finite right-hand side")
+
+        def getrs(cols):
+            x, info = _getrs(*factor, cols, trans=int(adjoint))
+            if info != 0:
+                raise SingularSystemError(f"exact solve failed: getrs info = {info}")
+            return x
+
+        try:
+            if self.n_blocks == 1:
+                return getrs(rhs)
+            if rhs.ndim == 1:
+                # the blocks are the columns of the F-contiguous transposed view
+                return getrs(rhs.reshape(self.n_blocks, -1).T).T.reshape(-1)
+            return self._by_columns(getrs, rhs)
+        except ValueError as exc:
+            raise SingularSystemError("exact solve failed") from exc
 
     def solve_I_minus_B(self, rhs, adjoint=False):
         """Solve (I - B) x = rhs, or (I - B*) x = rhs when ``adjoint``."""
-        try:
-            return self.blockwise(
-                lambda cols: scipy.linalg.lu_solve(self._lu_state, cols,
-                                                   trans=1 if adjoint else 0), rhs)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularSystemError("exact solve failed") from exc
+        return self.solve_factored(self._lu_state, rhs, adjoint)
 
     def reduced_operator(self) -> np.ndarray:
         """The end-to-end map A = H (I - B)^{-1} M (n_g x n_sigma)."""
@@ -240,20 +270,32 @@ class Objective:
 
     def shifted_data(self) -> np.ndarray:
         """g with the source contribution removed: g - H (I-B)^{-1} F."""
-        return self.g - self.problem.data_offset()
+        cached = self.__dict__.get("_g_tilde")
+        if cached is None:
+            cached = self.g - self.problem.data_offset()
+            cached.setflags(write=False)
+            self.__dict__["_g_tilde"] = cached
+        return cached
 
 
 @dataclass(frozen=True, eq=False)
 class IterationState:
-    """The triple (sigma, u, p) carried by all coupled iterations."""
+    """The triple (sigma, u, p) carried by all coupled iterations.
+
+    ``fresh=True`` adopts float arrays that nothing else refers to (a step
+    has just allocated them) without the defensive copy; they become
+    read-only in place.
+    """
 
     sigma: np.ndarray
     u: np.ndarray
     p: np.ndarray
+    fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, fresh):
         for name in ("sigma", "u", "p"):
-            object.__setattr__(self, name, _readonly(getattr(self, name), ndim=1, name=name))
+            object.__setattr__(self, name, _readonly(getattr(self, name), ndim=1, name=name,
+                                                     copy=not fresh))
         if self.u.shape != self.p.shape:
             raise ProblemAssumptionError("u and p must have equal length")
 
@@ -322,12 +364,18 @@ def sweeps(problem: LinearInverseProblem, u, p, drive, g, k: int):
     drive = M sigma and g = 0 they are the linear part of the inner
     iteration, which the spectral certificate applies.  No input checks.
     """
-    B, H, apply = problem.B, problem.H, problem.apply
+    B, H, n_blocks = problem.B, problem.H, problem.n_blocks
+    if n_blocks > 1:
+        # the (n_blocks, n) row views, reshaped once per call
+        u, p, drive = (x.reshape(n_blocks, -1) for x in (u, p, drive))
+        if np.ndim(g):
+            g = g.reshape(n_blocks, -1)
+    # x @ T.T is kron(I, T) x on a row view, and T @ x on a plain vector
     for _ in range(k):
-        p_next = apply(B.T, p) + apply(H.T, apply(H, u) - g)
-        u = apply(B, u) + drive
+        p_next = p @ B + (u @ H.T - g) @ H
+        u = u @ B.T + drive
         p = p_next
-    return u, p
+    return u.reshape(-1), p.reshape(-1)
 
 
 def cost(objective: Objective, sigma) -> float:

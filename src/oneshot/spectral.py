@@ -231,16 +231,12 @@ def _arnoldi_extremes(problem: LinearInverseProblem, tau: float, alpha: float, k
         u, p = sweeps(problem, u, p, M @ s, 0.0, k)
         return np.concatenate([p, u, s])
 
-    def solve_k(rhs, trans):
-        return problem.blockwise(
-            lambda cols: scipy.linalg.lu_solve(lu_k, cols, trans=trans), rhs)
-
     def resolvent(b):
         nonlocal matvecs
         matvecs += 1
         b_p, b_u, b_s = np.split(b, (n_u, 2 * n_u))
-        y = solve_k(b_u, 0)
-        c = solve_k(apply(ops.U, y) + b_p, 1)
+        y = problem.solve_factored(lu_k, b_u)
+        c = problem.solve_factored(lu_k, apply(ops.U, y) + b_p, adjoint=True)
         s = scipy.linalg.cho_solve(normal, M.T @ c - b_s / tau)
         return np.concatenate([Z @ s - c, W @ s - y, s - b_s])
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oneshot import (IterationState, LinearInverseProblem, Objective,
-                     RunConfig, RunStatus, SchemeKind,
+                     RunConfig, RunStatus, SchemeKind, cost, gradient,
                      iteration_matrix_semi_implicit, regularized_solution,
                      run, solve_adjoint_exact, solve_state_exact, step)
 from oneshot.bounds import bound_report_for
 from oneshot.descent import format_trace_csv
-from conftest import make_objective
+from conftest import make_objective, make_problem, stacked_and_kron_twin
 
 
 def reference_state(objective):
@@ -268,6 +268,21 @@ class TestRun:
         assert all(line.split(",")[5] == "0" for line in lines[1:])
         timed = format_trace_csv(trace, deterministic_wall=False)
         assert timed != text
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("scheme", [SchemeKind.KStepOneShot, SchemeKind.SemiImplicitGD])
+    def test_trace_columns_are_cost_and_gradient_norm(self, stacked, scheme):
+        problem = stacked_and_kron_twin(50)[0] if stacked else make_problem(50)
+        obj = Objective(problem, np.random.default_rng(51).standard_normal(problem.n_g), 0.01)
+        tau = 0.5 / np.linalg.norm(problem.reduced_operator(), 2) ** 2
+        trace = run(obj, RunConfig(scheme=scheme, tau=tau, k=2, max_outer=15))
+        assert trace.records[-1].n == 15
+        state = IterationState.zero(problem)
+        for rec in trace.records:
+            if rec.n:
+                state = step(obj, state, scheme, tau, 2)
+            assert rec.cost == cost(obj, state.sigma)
+            assert rec.grad_norm == np.linalg.norm(gradient(obj, state.sigma))
 
     def test_gd_trace_counts_outer_iterations(self):
         obj = make_objective(48)

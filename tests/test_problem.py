@@ -3,10 +3,11 @@ import pytest
 
 from oneshot import (IterationState, LinearInverseProblem, Objective,
                      ProblemAssumptionError, RunConfig, SchemeKind,
-                     bound_report_for, certify, cost, fixed_point_sweep,
-                     gradient, regularized_solution, run, solve_adjoint_exact,
-                     solve_state_exact)
-from conftest import make_objective, make_problem
+                     SingularSystemError, bound_report_for, certify, cost,
+                     fixed_point_sweep, gradient, regularized_solution, run,
+                     solve_adjoint_exact, solve_state_exact)
+from oneshot.problem import sweeps
+from conftest import make_objective, make_problem, stacked_and_kron_twin
 
 
 def fixed_point_oracle(problem, rhs_op, start, steps):
@@ -63,6 +64,25 @@ class TestSolveAdjointExact:
         rhs = p.H.T @ (p.H @ u - g)
         p_fp = fixed_point_oracle(p, lambda q: p.B.T @ q + rhs, np.zeros(8), 10_000)
         assert np.linalg.norm(solve_adjoint_exact(p, u, g) - p_fp) <= 1e-8
+
+
+class TestSolveErrors:
+    """Exact solves map a non-finite right-hand side to SingularSystemError."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_input(self, bad, stacked):
+        problem = stacked_and_kron_twin(49)[0] if stacked else make_problem(7)
+        sigma = np.ones(problem.n_sigma)
+        sigma[1] = bad
+        u = np.ones(problem.n_u)
+        u[2] = bad
+        g = np.zeros(problem.n_g)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(SingularSystemError):
+                solve_state_exact(problem, sigma)
+            with pytest.raises(SingularSystemError):
+                solve_adjoint_exact(problem, u, g)
 
 
 class TestFixedPointSweep:
@@ -289,19 +309,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             p.B[0, 0] = 1.0
 
-
-def stacked_and_kron_twin(seed, n_blocks=3, n=7, n_sigma=4, m=5):
-    """A problem storing one block, and the same problem with the dense
-    kron(I, B), kron(I, H) and n_blocks = 1."""
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n))
-    B = 0.6 * G / np.linalg.norm(G, 2)
-    M = rng.standard_normal((n_blocks * n, n_sigma))
-    H = rng.standard_normal((m, n))
-    F = rng.standard_normal(n_blocks * n)
-    eye = np.eye(n_blocks)
-    return (LinearInverseProblem(B, M, H, F, n_blocks=n_blocks),
-            LinearInverseProblem(np.kron(eye, B), M, np.kron(eye, H), F))
+    def test_iteration_state_copies_caller_arrays(self):
+        sigma, u, p = np.ones(3), np.zeros(4), np.zeros(4)
+        state = IterationState(sigma, u, p)
+        sigma[0] = u[0] = 5.0
+        assert state.sigma[0] == 1.0 and state.u[0] == 0.0
+        assert not state.p.flags.writeable and p.flags.writeable
 
 
 def assert_rel(a, b, rel=1e-12):
@@ -333,8 +346,38 @@ class TestBlockStorage:
         rng = np.random.default_rng(43)
         state = IterationState(sigma, rng.standard_normal(dense.n_u),
                                rng.standard_normal(dense.n_u))
-        for ours, oracle in zip(fixed_point_sweep(block, state, 0.5 * sigma, g, 3),
-                                fixed_point_sweep(dense, state, 0.5 * sigma, g, 3)):
+        for k in (1, 2, 3, 10):
+            for ours, oracle in zip(fixed_point_sweep(block, state, 0.5 * sigma, g, k),
+                                    fixed_point_sweep(dense, state, 0.5 * sigma, g, k)):
+                assert_rel(ours, oracle)
+
+    @pytest.mark.parametrize("op", [lambda p: p.B, lambda p: p.B.T,
+                                    lambda p: p.H, lambda p: p.H.T],
+                             ids=["B", "B.T", "H", "H.T"])
+    def test_block_products(self, twins, op):
+        block, dense, _, _ = twins
+        oracle = op(dense)
+        rng = np.random.default_rng(45)
+        for x in (rng.standard_normal(oracle.shape[1]),
+                  rng.standard_normal((oracle.shape[1], 3))):
+            assert_rel(block.apply(op(block), x), oracle @ x)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_block_solves(self, twins, adjoint):
+        block, dense, _, _ = twins
+        rng = np.random.default_rng(46)
+        for rhs in (rng.standard_normal(dense.n_u), rng.standard_normal((dense.n_u, 3))):
+            assert_rel(block.solve_I_minus_B(rhs, adjoint),
+                       dense.solve_I_minus_B(rhs, adjoint))
+
+    def test_sweeps_with_scalar_zero_data(self, twins):
+        # the zero-data step of the matrix-free certificate passes g = 0.0
+        block, dense, _, sigma = twins
+        rng = np.random.default_rng(48)
+        u, p = rng.standard_normal(dense.n_u), rng.standard_normal(dense.n_u)
+        drive = dense.M @ sigma
+        for ours, oracle in zip(sweeps(block, u, p, drive, 0.0, 3),
+                                sweeps(dense, u, p, drive, 0.0, 3)):
             assert_rel(ours, oracle)
 
     def test_objective_and_reduced_operator(self, twins):
