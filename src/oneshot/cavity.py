@@ -56,8 +56,8 @@ RESONANCE_TOL = 1e-8
 class CavityConfig:
     """Geometry, physics and data parameters of one generated cavity.
 
-    inclusion_layout entries are (center_x, center_y, edge) squares in
-    wavelength units; sigma_subdivision = (sx, sy) splits every inclusion
+    inclusion_layout entries are (center_x, center_y, edge > 0) squares
+    in wavelength units; sigma_subdivision = (sx, sy) splits every inclusion
     into sx * sy piecewise-constant parameter cells (after snapping to
     the mesh grid), so n_sigma = len(inclusion_layout) * sx * sy.
     sigma_exact / sigma_init are scalars or per-inclusion sequences.
@@ -116,8 +116,10 @@ class CavityConfig:
         sx, sy = self.sigma_subdivision
         if sx < 1 or sy < 1:
             raise ValueError("sigma_subdivision entries must be >= 1")
-        if not self.inclusion_layout:
-            raise ValueError("inclusion_layout must not be empty")
+        if not self.inclusion_layout or any(len(inc) != 3 or not inc[2] > 0
+                                            for inc in self.inclusion_layout):
+            raise ValueError("inclusion_layout must list (center_x, center_y, edge) "
+                             "squares with edge > 0")
         object.__setattr__(self, "sigma_subdivision", (int(sx), int(sy)))
 
     @property
@@ -349,28 +351,51 @@ def multi_source_objective(cavity: GeneratedCavity, alpha: float,
 _MANIFEST_MAGIC = "oneshot-cavity v1"
 
 
+def _floats(text):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _scalar_or_floats(text):
+    values = _floats(text)
+    return values[0] if len(values) == 1 else values
+
+
+def _int_pair(text):
+    sx, sy = text.split(",")
+    return (int(sx), int(sy))
+
+
+_FLOAT = (float, repr)
+_INT = (int, str)
+_BOOL = (_bool, lambda v: str(v).lower())
+_PER_INCLUSION = (_scalar_or_floats, lambda v: ",".join(repr(float(x)) for x in np.atleast_1d(v)))
+
+#: (parse, format) of the manifest value of every CavityConfig field, in
+#: field order; the order is that of the canonical manifest lines.
+_CAVITY_CODECS = {
+    "omega": _FLOAT, "sigma0_bar": _FLOAT, "delta": _FLOAT, "mesh_h": _FLOAT,
+    "domain_radius": _FLOAT,
+    "inclusion_layout": (lambda text: tuple(map(_floats, filter(str.strip, text.split(";")))),
+                         lambda layout: ";".join(",".join(map(repr, inc)) for inc in layout)),
+    "sigma_subdivision": (_int_pair, lambda sub: ",".join(map(str, sub))),
+    "n_sources": _INT,
+    "source_radius": (lambda text: float(text) if text else None,
+                      lambda r: "" if r is None else repr(r)),
+    "sigma_exact": _PER_INCLUSION, "sigma_init": _PER_INCLUSION,
+    "noise_level": _FLOAT, "rng_seed": _INT, "random_background": _BOOL,
+    "boundary_subsample": _INT, "data_scale": _FLOAT, "normalize_data": _BOOL,
+}
+
+
 def cavity_config_lines(config: CavityConfig) -> list:
     """The canonical ``key = value`` lines describing a configuration."""
-    return [
-        f"omega = {config.omega!r}",
-        f"sigma0_bar = {config.sigma0_bar!r}",
-        f"delta = {config.delta!r}",
-        f"mesh_h = {config.mesh_h!r}",
-        f"domain_radius = {config.domain_radius!r}",
-        "inclusion_layout = " + ";".join(
-            ",".join(repr(v) for v in inc) for inc in config.inclusion_layout),
-        f"sigma_subdivision = {config.sigma_subdivision[0]},{config.sigma_subdivision[1]}",
-        f"n_sources = {config.n_sources}",
-        f"source_radius = {'' if config.source_radius is None else repr(config.source_radius)}",
-        "sigma_exact = " + ",".join(repr(float(v)) for v in np.atleast_1d(config.sigma_exact)),
-        "sigma_init = " + ",".join(repr(float(v)) for v in np.atleast_1d(config.sigma_init)),
-        f"noise_level = {config.noise_level!r}",
-        f"rng_seed = {config.rng_seed}",
-        f"random_background = {str(config.random_background).lower()}",
-        f"boundary_subsample = {config.boundary_subsample}",
-        f"data_scale = {config.data_scale!r}",
-        f"normalize_data = {str(config.normalize_data).lower()}",
-    ]
+    return [f"{key} = {fmt(getattr(config, key))}" for key, (_, fmt) in _CAVITY_CODECS.items()]
 
 
 def format_manifest(config: CavityConfig, mesh: MeshSummary | None = None) -> str:
@@ -387,29 +412,7 @@ def parse_cavity_value(key: str, value: str):
 
     Raises KeyError for an unknown key and ValueError for a bad value.
     """
-    def parse_values(s):
-        return tuple(float(v) for v in s.split(",") if v.strip())
-
-    if key in ("omega", "sigma0_bar", "delta", "mesh_h", "domain_radius",
-               "noise_level", "data_scale"):
-        return float(value)
-    if key in ("n_sources", "rng_seed", "boundary_subsample"):
-        return int(value)
-    if key in ("random_background", "normalize_data"):
-        if value.lower() not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {value!r}")
-        return value.lower() == "true"
-    if key == "source_radius":
-        return float(value) if value else None
-    if key == "inclusion_layout":
-        return tuple(parse_values(part) for part in value.split(";") if part.strip())
-    if key == "sigma_subdivision":
-        sx, sy = value.split(",")
-        return (int(sx), int(sy))
-    if key in ("sigma_exact", "sigma_init"):
-        vals = parse_values(value)
-        return vals[0] if len(vals) == 1 else vals
-    raise KeyError(key)
+    return _CAVITY_CODECS[key][0](value)
 
 
 def parse_manifest(text: str) -> CavityConfig:

@@ -17,7 +17,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .bounds import CaseParameters, bound_report_for, report_csv_header, report_csv_row
+from .bounds import (DEFAULT_PARAMETERS, CaseParameters, bound_report_for,
+                     report_csv_header, report_csv_row)
 from .cavity import (CavityConfig, export_cavity, generate, load_problem,
                      parse_manifest)
 from .errors import (EigensolverError, OneShotError, ProblemAssumptionError,
@@ -48,20 +49,23 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--seed", type=int, help="override the manifest rng seed")
     gen.add_argument("--quiet", action="store_true")
+    gen.set_defaults(handler=_cmd_generate)
 
     run = sub.add_parser("run", help="run an experiment spec")
     run.add_argument("--spec", required=True, help="experiment document")
     run.add_argument("--out", help="override the spec output_dir")
     run.add_argument("--seed", type=int, help="override the cavity rng seed")
     run.add_argument("--quiet", action="store_true")
+    run.set_defaults(handler=_cmd_run)
 
     bounds = sub.add_parser("bounds", help="sufficient descent-step bounds for a problem")
     bounds.add_argument("--problem", required=True, help="problem directory (from generate)")
     bounds.add_argument("--alpha", type=float, default=0.0)
     bounds.add_argument("--k", type=int, default=1)
-    bounds.add_argument("--theta0", type=float)
-    bounds.add_argument("--delta0", type=float)
+    bounds.add_argument("--theta0", type=float, default=DEFAULT_PARAMETERS.theta0)
+    bounds.add_argument("--delta0", type=float, default=DEFAULT_PARAMETERS.delta0)
     bounds.add_argument("--out", help="write CSV here instead of stdout")
+    bounds.set_defaults(handler=_cmd_bounds)
 
     cert = sub.add_parser("certify", help="spectral certificate for (tau, alpha, k)")
     cert.add_argument("--problem", required=True)
@@ -73,6 +77,7 @@ def _build_parser() -> _Parser:
                            f"--spectrum computes the dense spectrum (default {SIZE_GUARD})")
     cert.add_argument("--out", help="write CSV here instead of stdout")
     cert.add_argument("--spectrum", help="also dump the full spectrum as re,im CSV")
+    cert.set_defaults(handler=_cmd_certify)
     return parser
 
 
@@ -113,11 +118,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     problem, _, _ = load_problem(args.problem)
-    params = None
-    if args.theta0 is not None or args.delta0 is not None:
-        params = CaseParameters(theta0=args.theta0 if args.theta0 is not None else CaseParameters().theta0,
-                                delta0=args.delta0 if args.delta0 is not None else CaseParameters().delta0)
-    report = bound_report_for(problem, alpha=args.alpha, k=args.k, params=params)
+    report = bound_report_for(problem, alpha=args.alpha, k=args.k,
+                              params=CaseParameters(args.theta0, args.delta0))
     _emit(report_csv_header() + "\n" + report_csv_row(report) + "\n", args.out)
     return 0
 
@@ -139,15 +141,7 @@ def _cmd_certify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args)
     except FileNotFoundError as exc:
         print(f"oneshot: file not found: {exc.filename or exc}", file=sys.stderr)
         return USAGE_ERROR

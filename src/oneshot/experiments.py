@@ -1,26 +1,24 @@
 """Experiment harness: parse sweep documents, run them, emit CSV.
 
 An experiment document is plain text with ``[section]`` headers and
-``key = value`` pairs (``#`` starts a comment).  Sections:
-
-    [experiment]   kind, output_dir
-    [cavity]       any CavityConfig key (see the cavity manifest format)
-    [sweep]        schemes, taus, ks, alphas, noise_levels, mesh_hs, deltas
-                   (comma-separated lists)
-    [run]          max_outer, tol_cost, tol_step
-
-Unknown sections or keys are hard errors carrying the line number.  Every
-run kind is one sweep: the cavity variants are the product, in that
-order, of whichever of noise_levels, mesh_hs and deltas are non-empty
-(an empty list keeps the [cavity] value), and every variant runs every
-(scheme, tau, k, alpha) cell.  The kind names TauSweep, KComparison,
-NoiseStudy, MeshRobustness and DeltaDependence label the study; the last
-three also require their axis (noise_levels, mesh_hs, deltas) to be
-listed.  BoundReport and CertifySweep tabulate step bounds and spectral
-certificates on the [cavity] itself instead of running iterations, so
-they reject the keys they never read: the three cavity axes, schemes and
-the [run] keys, and for BoundReport also taus.  Their manifest omits
-those keys.
+``key = value`` pairs (``#`` starts a comment).  The sections are
+[experiment], [cavity] (any CavityConfig key, as in the cavity manifest),
+[sweep] (comma-separated lists) and [run].  One table (``_SPEC_KEYS``)
+maps every [experiment], [sweep] and [run] key to the parser of its value
+and its canonical formatter, as the cavity codec table does for [cavity];
+parsing, the manifest and the per-kind key rules all read it.  Unknown
+sections or keys are hard errors carrying the line number.  Every run
+kind is one sweep: the cavity variants are the product, in that order, of
+whichever of noise_levels, mesh_hs and deltas are non-empty (an empty
+list keeps the [cavity] value), and every variant runs every (scheme,
+tau, k, alpha) cell.  The kind names TauSweep, KComparison, NoiseStudy,
+MeshRobustness and DeltaDependence label the study; the last three also
+require their axis (noise_levels, mesh_hs, deltas) to be listed.
+BoundReport and CertifySweep tabulate step bounds and spectral
+certificates on the [cavity] itself instead of running iterations.
+BoundReport reads ks and alphas, CertifySweep taus, ks and alphas; each
+requires the keys it reads and rejects, and leaves out of its manifest,
+every other [sweep] and [run] key.
 
 Outputs per invocation: one trace CSV per run cell (``cell0000.csv``,
 ...), a ``summary.csv`` with one row per cell, and a reproduction
@@ -67,13 +65,45 @@ _REQUIRED_AXIS = {ExperimentKind.NoiseStudy: "noise_levels",
                   ExperimentKind.MeshRobustness: "mesh_hs",
                   ExperimentKind.DeltaDependence: "deltas"}
 
-_RUN_KEYS = ("max_outer", "tol_cost", "tol_step")
 
-#: The keys each table kind never reads: it tabulates the [cavity] itself
-#: and runs no iterations, and BoundReport takes no step either.
-_TABLE_UNREAD = ("schemes", *(key for key, _ in _CAVITY_AXES), *_RUN_KEYS)
-_UNREAD_KEYS = {ExperimentKind.BoundReport: ("taus", *_TABLE_UNREAD),
-                ExperimentKind.CertifySweep: _TABLE_UNREAD}
+def _split_list(value):
+    return [v.strip() for v in value.split(",") if v.strip()]
+
+
+#: (parse, format) of a comma-separated list of floats.
+_FLOATS = (lambda text: tuple(float(v) for v in _split_list(text)),
+           lambda values: ",".join(repr(float(v)) for v in values))
+
+#: Every key of the [experiment], [sweep] and [run] sections, in canonical
+#: order, with the parser of its document value and the formatter of its
+#: ExperimentSpec field ([cavity] keys use the cavity manifest codecs).
+_SPEC_KEYS = {
+    "experiment": {"kind": (str, lambda kind: kind.value), "output_dir": (str, str)},
+    "sweep": {"schemes": (lambda text: tuple(_split_list(text)),
+                          lambda schemes: ",".join(s.value for s in schemes)),
+              "taus": _FLOATS,
+              "ks": (lambda text: tuple(int(v) for v in _split_list(text)),
+                     lambda ks: ",".join(map(str, ks))),
+              "alphas": _FLOATS, "noise_levels": _FLOATS, "mesh_hs": _FLOATS,
+              "deltas": _FLOATS},
+    "run": {"max_outer": (int, str), "tol_cost": (float, repr), "tol_step": (float, repr)},
+}
+
+#: The [sweep] keys each table kind reads, all of them required.  A table
+#: kind tabulates the [cavity] itself and runs no iterations, so it rejects
+#: every other [sweep] and [run] key.
+_TABLE_READS = {ExperimentKind.BoundReport: ("ks", "alphas"),
+                ExperimentKind.CertifySweep: ("taus", "ks", "alphas")}
+
+
+def _kind_keys(kind):
+    """The keys an experiment kind requires and the keys it rejects."""
+    if kind in _TABLE_READS:
+        reads = _TABLE_READS[kind]
+        return reads, [key for key in (*_SPEC_KEYS["sweep"], *_SPEC_KEYS["run"])
+                       if key not in reads]
+    axis = (_REQUIRED_AXIS[kind],) if kind in _REQUIRED_AXIS else ()
+    return ("schemes", "taus", "ks", "alphas", *axis), []
 
 
 def _unread_key_error(kind, name) -> SpecValidationError:
@@ -99,38 +129,22 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ExperimentKind(self.kind))
-        object.__setattr__(self, "schemes",
-                           tuple(SchemeKind(s) for s in self.schemes))
-        for name in ("taus", "ks", "alphas", "noise_levels", "mesh_hs", "deltas"):
+        for name in _SPEC_KEYS["sweep"]:
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "schemes", tuple(map(SchemeKind, self.schemes)))
         self._validate()
 
     def _validate(self):
-        def require(name):
+        required, rejected = _kind_keys(self.kind)
+        for name in rejected:
+            if getattr(self, name) != ExperimentSpec.__dataclass_fields__[name].default:
+                raise _unread_key_error(self.kind, name)
+        for name in required:
             if not getattr(self, name):
                 raise SpecValidationError(
                     f"experiment kind {self.kind.value} requires a non-empty {name!r}")
-
-        for name in _UNREAD_KEYS.get(self.kind, ()):
-            if getattr(self, name) != ExperimentSpec.__dataclass_fields__[name].default:
-                raise _unread_key_error(self.kind, name)
-        if self.kind is ExperimentKind.BoundReport:
-            require("ks")
-            require("alphas")
-        elif self.kind is ExperimentKind.CertifySweep:
-            require("taus")
-            require("ks")
-            require("alphas")
-        else:
-            require("schemes")
-            require("taus")
-            require("ks")
-            require("alphas")
-            if self.kind in _REQUIRED_AXIS:
-                require(_REQUIRED_AXIS[self.kind])
-        for name in ("taus", "alphas", "noise_levels", "mesh_hs", "deltas"):
-            values = getattr(self, name)
-            if any(not math.isfinite(v) for v in values):
+        for name, codec in _SPEC_KEYS["sweep"].items():
+            if codec is _FLOATS and not all(math.isfinite(v) for v in getattr(self, name)):
                 raise SpecValidationError(f"{name} contains a non-finite value")
         if any(t <= 0 for t in self.taus):
             raise SpecValidationError("taus must be positive")
@@ -161,25 +175,17 @@ class ExperimentSpec:
 # document parsing / serialization
 # ----------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = ("kind", "output_dir")
-_SWEEP_KEYS = ("schemes", "taus", "ks", "alphas", "noise_levels", "mesh_hs", "deltas")
-
-
-def _split_list(value):
-    return [v.strip() for v in value.split(",") if v.strip()]
-
-
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse an experiment document; unknown keys and sections are errors."""
     section = None
-    experiment, cavity_kwargs, sweep, runcfg = {}, {}, {}, {}
+    fields, cavity = {}, {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("experiment", "cavity", "sweep", "run"):
+            if section != "cavity" and section not in _SPEC_KEYS:
                 raise SpecParseError(f"unknown section [{section}]", line=lineno)
             continue
         if "=" not in line:
@@ -189,80 +195,43 @@ def parse_spec(text: str) -> ExperimentSpec:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         try:
-            if section == "experiment":
-                if key not in _EXPERIMENT_KEYS:
-                    raise SpecParseError(f"unknown key {key!r} in [experiment]", line=lineno)
-                experiment[key] = value
-            elif section == "cavity":
-                try:
-                    cavity_kwargs[key] = parse_cavity_value(key, value)
-                except KeyError:
-                    raise SpecParseError(f"unknown key {key!r} in [cavity]",
-                                         line=lineno) from None
-            elif section == "sweep":
-                if key not in _SWEEP_KEYS:
-                    raise SpecParseError(f"unknown key {key!r} in [sweep]", line=lineno)
-                if key == "schemes":
-                    sweep[key] = tuple(_split_list(value))
-                elif key == "ks":
-                    sweep[key] = tuple(int(v) for v in _split_list(value))
-                else:
-                    sweep[key] = tuple(float(v) for v in _split_list(value))
-            elif section == "run":
-                if key not in _RUN_KEYS:
-                    raise SpecParseError(f"unknown key {key!r} in [run]", line=lineno)
-                runcfg[key] = int(value) if key == "max_outer" else float(value)
-        except SpecParseError:
-            raise
+            if section == "cavity":
+                cavity[key] = parse_cavity_value(key, value)
+            else:
+                fields[key] = _SPEC_KEYS[section][key][0](value)
+        except KeyError:
+            raise SpecParseError(f"unknown key {key!r} in [{section}]", line=lineno) from None
         except ValueError as exc:
             raise SpecParseError(f"bad value for {key!r}: {exc}", line=lineno) from exc
-    if "kind" not in experiment:
+    if "kind" not in fields:
         raise SpecValidationError("missing required key 'kind' in [experiment]")
     try:
-        kind = ExperimentKind(experiment["kind"])
+        kind = ExperimentKind(fields["kind"])
     except ValueError:
-        raise SpecValidationError(
-            f"unknown experiment kind {experiment['kind']!r}") from None
-    for name in _UNREAD_KEYS.get(kind, ()):
-        if name in sweep or name in runcfg:
+        raise SpecValidationError(f"unknown experiment kind {fields['kind']!r}") from None
+    for name in _kind_keys(kind)[1]:
+        if name in fields:
             raise _unread_key_error(kind, name)
     try:
-        cavity = CavityConfig(**cavity_kwargs)
-        schemes = sweep.pop("schemes", ())
-        return ExperimentSpec(kind=kind, cavity=cavity, schemes=schemes,
-                              output_dir=experiment.get("output_dir", "out"),
-                              **sweep, **runcfg)
+        return ExperimentSpec(cavity=CavityConfig(**cavity), **fields)
     except (ValueError, TypeError) as exc:
         raise SpecValidationError(str(exc)) from exc
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
-    """Canonical document form; parse(serialize(spec)) == spec."""
-    def numbers(values):
-        return ",".join(repr(float(v)) for v in values)
+    """Canonical document form; parse(serialize(spec)) == spec.
 
-    lines = ["[experiment]",
-             f"kind = {spec.kind.value}",
-             f"output_dir = {spec.output_dir}",
-             "",
-             "[cavity]"]
-    lines += cavity_config_lines(spec.cavity)
-    sweep = [("schemes", ",".join(s.value for s in spec.schemes)),
-             ("taus", numbers(spec.taus)),
-             ("ks", ",".join(str(k) for k in spec.ks)),
-             ("alphas", numbers(spec.alphas)),
-             ("noise_levels", numbers(spec.noise_levels)),
-             ("mesh_hs", numbers(spec.mesh_hs)),
-             ("deltas", numbers(spec.deltas))]
-    run = [("max_outer", str(spec.max_outer)),
-           ("tol_cost", repr(spec.tol_cost)),
-           ("tol_step", repr(spec.tol_step))]
-    unread = _UNREAD_KEYS.get(spec.kind, ())
-    for header, entries in (("[sweep]", sweep), ("[run]", run)):
-        entries = [f"{key} = {value}" for key, value in entries if key not in unread]
-        if entries:
-            lines += ["", header, *entries]
-    return "\n".join(lines) + "\n"
+    A table kind's manifest omits the keys it rejects.
+    """
+    rejected = _kind_keys(spec.kind)[1]
+
+    def lines(section):
+        return [f"{key} = {fmt(getattr(spec, key))}"
+                for key, (_, fmt) in _SPEC_KEYS[section].items() if key not in rejected]
+
+    sections = [("experiment", lines("experiment")), ("cavity", cavity_config_lines(spec.cavity)),
+                ("sweep", lines("sweep")), ("run", lines("run"))]
+    return "\n\n".join(f"[{name}]\n" + "\n".join(body) for name, body in sections if body) + "\n"
 
 
 def load_spec(path) -> ExperimentSpec:

@@ -186,10 +186,11 @@ class LinearInverseProblem:
         The blocks of every column of x become the columns of one matrix,
         so fn runs once; only set-up (A and the certificate) passes matrices.
         """
-        blocks = x.reshape(self.n_blocks, -1, x.shape[1]).swapaxes(0, 1)
-        out = fn(blocks.reshape(blocks.shape[0], -1))
-        return out.reshape(out.shape[0], self.n_blocks, -1).swapaxes(0, 1).reshape(
-            -1, x.shape[1])
+        n, c = x.shape[0] // self.n_blocks, x.shape[1]
+        blocks = x.reshape(self.n_blocks, n, c).swapaxes(0, 1)
+        out = fn(blocks.reshape(n, self.n_blocks * c))
+        return out.reshape(out.shape[0], self.n_blocks, c).swapaxes(0, 1).reshape(
+            self.n_blocks * out.shape[0], c)
 
     def apply(self, op, x):
         """kron(I, op) @ x for a block matrix op (e.g. B, B.T, H, H.T)."""

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oneshot import (CavityConfig, ProblemAssumptionError, RunConfig,
                      SchemeKind, cost, generate, gradient, load_problem,
                      multi_source_objective, run)
-from oneshot.cavity import (_assemble, _build_mesh, _source_positions,
+from oneshot.cavity import (_CAVITY_CODECS, _assemble, _build_mesh, _source_positions,
                             _triangle_geometry, export_cavity, format_manifest,
                             parse_manifest)
 from oneshot.problem import LinearInverseProblem, Objective
@@ -17,6 +19,38 @@ def small_config(**overrides):
                 sigma_subdivision=(1, 2))
     base.update(overrides)
     return CavityConfig(**base)
+
+
+def every_field_config():
+    """A configuration with every field away from its default."""
+    return CavityConfig(
+        omega=5.0, sigma0_bar=1.5, delta=0.02, mesh_h=0.25, domain_radius=1.75,
+        inclusion_layout=((-0.75, -0.5, 0.25), (0.5, 0.5, 0.375)),
+        sigma_subdivision=(2, 3), n_sources=4, source_radius=2.5,
+        sigma_exact=(9.0, 11.0), sigma_init=13.5, noise_level=0.02, rng_seed=11,
+        random_background=False, boundary_subsample=3, data_scale=0.5,
+        normalize_data=True)
+
+
+EVERY_FIELD_LINES = """\
+omega = 5.0
+sigma0_bar = 1.5
+delta = 0.02
+mesh_h = 0.25
+domain_radius = 1.75
+inclusion_layout = -0.75,-0.5,0.25;0.5,0.5,0.375
+sigma_subdivision = 2,3
+n_sources = 4
+source_radius = 2.5
+sigma_exact = 9.0,11.0
+sigma_init = 13.5
+noise_level = 0.02
+rng_seed = 11
+random_background = false
+boundary_subsample = 3
+data_scale = 0.5
+normalize_data = true
+"""
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +189,13 @@ class TestGenerate:
         with pytest.raises(ProblemAssumptionError):
             generate(CavityConfig(mesh_h=0.25, rng_seed=7))
 
+    # generate would snap an edge <= 0 to a one-cell inclusion
+    @pytest.mark.parametrize("inclusion", [(1.0, 0.5, -0.5), (1.0, 0.5, 0.0), (1.0, 0.5),
+                                           (1.0, 0.5, 0.5, 0.5)])
+    def test_inclusion_must_be_a_square_with_positive_edge(self, inclusion):
+        with pytest.raises(ValueError, match="inclusion_layout"):
+            small_config(inclusion_layout=((-1.0, -1.0, 0.5), inclusion))
+
     def test_subdivision_must_divide(self):
         with pytest.raises(ValueError, match="divisible"):
             generate(small_config(sigma_subdivision=(3, 1)))
@@ -279,6 +320,14 @@ class TestManifestAndExport:
                               sigma_exact=(9.0, 11.0), source_radius=2.5)
         text = format_manifest(config)
         assert parse_manifest(text) == config
+
+    def test_codec_table_lists_every_field_in_order(self):
+        assert list(_CAVITY_CODECS) == [f.name for f in dataclasses.fields(CavityConfig)]
+
+    def test_canonical_manifest_text(self):
+        # every field's canonical value, byte for byte
+        assert format_manifest(every_field_config()) == "oneshot-cavity v1\n" + EVERY_FIELD_LINES
+        assert parse_manifest(format_manifest(every_field_config())) == every_field_config()
 
     def test_manifest_rejects_unknown_key(self):
         text = format_manifest(small_config()) + "nonsense = 1\n"

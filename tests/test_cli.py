@@ -175,6 +175,18 @@ class TestNonFiniteCavityValues:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("layout", ["-1,-1,0.5;1,0.5,-0.5", "-1,-1,0.5;1,0.5,0",
+                                    "-1,-1,0.5;1,0.5"])
+def test_bad_inclusion_geometry_fails_before_any_output(tmp_path, capsys, layout):
+    for command, text in (("generate", format_manifest(small_config())), ("run", TINY_SPEC)):
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(with_cavity_value(text, "inclusion_layout", layout))
+        out = tmp_path / f"{command}_out"
+        assert main([command, "--spec", str(path), "--out", str(out), "--quiet"]) == 2
+        assert "inclusion_layout" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBoundsAndCertify:
     def test_bounds_to_file(self, problem_dir, tmp_path, capsys):
         out = tmp_path / "bounds.csv"

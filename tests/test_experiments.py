@@ -1,8 +1,9 @@
 import pytest
 
 from oneshot import SpecParseError, SpecValidationError
-from oneshot.experiments import (ExperimentKind, ExperimentSpec,
+from oneshot.experiments import (ExperimentKind, ExperimentSpec, _kind_keys,
                                  parse_spec, run_experiment, serialize_spec)
+from test_cavity import EVERY_FIELD_LINES, every_field_config
 
 MINIMAL = """
 [experiment]
@@ -127,6 +128,30 @@ class TestParseSpec:
         for kind in ("BoundReport", "CertifySweep"):
             table = parse_spec(table_spec(kind) + "ks = 1,3\nalphas = 0.0,0.1\n")
             assert parse_spec(serialize_spec(table)) == table
+
+    def test_table_kinds_reject_what_they_never_read(self):
+        iteration_keys = ("schemes", "noise_levels", "mesh_hs", "deltas",
+                          "max_outer", "tol_cost", "tol_step")
+        assert set(_kind_keys(ExperimentKind.BoundReport)[1]) == {"taus", *iteration_keys}
+        assert set(_kind_keys(ExperimentKind.CertifySweep)[1]) == set(iteration_keys)
+        assert _kind_keys(ExperimentKind.NoiseStudy)[1] == []
+
+    def test_canonical_text(self):
+        # every key's canonical value, byte for byte
+        spec = ExperimentSpec(
+            kind=ExperimentKind.NoiseStudy, cavity=every_field_config(),
+            schemes=("SemiImplicitGD", "KStepOneShot"), taus=(0.5, 1.25), ks=(2, 5),
+            alphas=(0.0, 0.0001), noise_levels=(0.01, 0.05), mesh_hs=(0.25, 0.2),
+            deltas=(0.02, 0.04), max_outer=123, tol_cost=1e-10, tol_step=1e-8,
+            output_dir="out/full")
+        assert serialize_spec(spec) == (
+            "[experiment]\nkind = NoiseStudy\noutput_dir = out/full\n\n"
+            "[cavity]\n" + EVERY_FIELD_LINES + "\n"
+            "[sweep]\nschemes = SemiImplicitGD,KStepOneShot\ntaus = 0.5,1.25\nks = 2,5\n"
+            "alphas = 0.0,0.0001\nnoise_levels = 0.01,0.05\nmesh_hs = 0.25,0.2\n"
+            "deltas = 0.02,0.04\n\n"
+            "[run]\nmax_outer = 123\ntol_cost = 1e-10\ntol_step = 1e-08\n")
+        assert parse_spec(serialize_spec(spec)) == spec
 
     def test_comments_ignored(self):
         spec = parse_spec(MINIMAL.replace("taus = 0.01", "taus = 0.01  # step"))

@@ -389,6 +389,16 @@ class TestBlockStorage:
         assert_rel(block.data_offset(), dense.data_offset())
         assert_rel(regularized_solution(ours), regularized_solution(oracle))
 
+    def test_no_parameters(self):
+        # n_sigma = 0: the block products and solves see (n, 0) matrices
+        block, dense = stacked_and_kron_twin(49, n_sigma=0)
+        g = np.random.default_rng(50).standard_normal(dense.n_g)
+        ours, oracle = Objective(block, g, 0.1), Objective(dense, g, 0.1)
+        sigma = np.zeros(0)
+        assert_rel(block.reduced_operator(), dense.reduced_operator())
+        assert_rel(cost(ours, sigma), cost(oracle, sigma))
+        assert_rel(gradient(ours, sigma), gradient(oracle, sigma))
+
     def test_norms_and_spectral_radius(self, twins):
         block, dense, _, _ = twins
         for name in ("norm_B", "norm_M", "norm_H"):
