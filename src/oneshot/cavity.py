@@ -416,20 +416,23 @@ def parse_cavity_value(key: str, value: str):
 
 
 def parse_manifest(text: str) -> CavityConfig:
-    lines = text.strip().split("\n")
-    if not lines or lines[0].strip() != _MANIFEST_MAGIC:
+    """Parse a cavity manifest; a bad line raises ValueError naming its key and line."""
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.split("\n"), start=1)
+             if line.strip()]
+    if not lines or lines[0][1] != _MANIFEST_MAGIC:
         raise ValueError(f"not a cavity manifest (expected header {_MANIFEST_MAGIC!r})")
     kwargs = {}
-    for line in lines[1:]:
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in lines[1:]:
+        if line.startswith("#"):
             continue
         key, _, value = line.partition("=")
         key = key.strip()
         try:
             kwargs[key] = parse_cavity_value(key, value.strip())
         except KeyError:
-            raise ValueError(f"unknown manifest key {key!r}") from None
+            raise ValueError(f"line {lineno}: unknown manifest key {key!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return CavityConfig(**kwargs)
 
 

@@ -1,18 +1,24 @@
 """One step rule for the four coupled iteration schemes, and their run loop.
 
 The four schemes are the corners of two choices, made by one function
-``step``.  The adjoint p that drives the sigma update comes either from
-exact state/adjoint solves at the incoming sigma (gradient descent) or
-from the carried iterate, followed by exactly k warm-started fixed-point
-sweeps with the new sigma (one-shot).  The Tikhonov term is treated
-explicitly or implicitly:
+``step``.  The adjoint term M* p that drives the sigma update is either
+exact at the incoming sigma (gradient descent) or M* applied to the
+carried adjoint iterate, followed by exactly k warm-started fixed-point
+sweeps with the new sigma (one-shot).  Gradient descent is the k = infinity
+limit of the sweeps, where M* p(sigma) = A* (A sigma - g_tilde) with the
+cached reduced operator A, so its step solves nothing.  The Tikhonov term
+is treated explicitly or implicitly:
 
     explicit        sigma' = sigma - tau M* p - tau alpha sigma
     implicit        sigma' = (sigma - tau M* p) / (1 + tau alpha)
 
-                    exact solves       k sweeps
-    explicit        UsualGD            KStepOneShot
-    implicit        SemiImplicitGD     SemiImplicitKStepOneShot
+                    M* p = A* (A sigma - g_tilde)   k sweeps
+    explicit        UsualGD                         KStepOneShot
+    implicit        SemiImplicitGD                  SemiImplicitKStepOneShot
+
+Gradient descent carries u and p through its steps unchanged; ``run``
+fills the final state's u and p with one exact state and adjoint solve at
+the final sigma (the k = infinity state).
 
 At alpha = 0 the explicit and implicit updates coincide exactly.
 The run loop records one trace row per outer iteration and stops on an
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OneShotError
+from .errors import OneShotError, SingularSystemError
 from .problem import (IterationState, Objective, cost, fixed_point_sweep,
                       gradient, regularized_solution, solve_adjoint_exact,
                       solve_state_exact)
@@ -164,21 +170,23 @@ def step(objective: Objective, state: IterationState, scheme: SchemeKind,
          tau: float, k: int = 1) -> IterationState:
     """One outer iteration of ``scheme`` (the table in the module docstring).
 
-    ``k`` is ignored by gradient descent, whose returned u, p are the
-    exact solves at the incoming sigma.
+    ``k`` is ignored by gradient descent, which returns the incoming u and p
+    unchanged: its M* p comes from the reduced operator, not from them.
     """
     problem = objective.problem
     if scheme.is_one_shot:
-        p = state.p
+        Mp = problem.M.T @ state.p
     else:
-        u = solve_state_exact(problem, state.sigma)
-        p = solve_adjoint_exact(problem, u, objective.g)
+        A = problem.reduced_operator()
+        Mp = A.T @ (A @ state.sigma - objective.shifted_data())
     if scheme.is_implicit:
-        sigma_new = (state.sigma - tau * (problem.M.T @ p)) / (1.0 + tau * objective.alpha)
+        sigma_new = (state.sigma - tau * Mp) / (1.0 + tau * objective.alpha)
     else:
-        sigma_new = state.sigma - tau * (problem.M.T @ p) - tau * objective.alpha * state.sigma
+        sigma_new = state.sigma - tau * Mp - tau * objective.alpha * state.sigma
     if scheme.is_one_shot:
         u, p = fixed_point_sweep(problem, state, sigma_new, objective.g, k)
+    else:
+        u, p = state.u, state.p
     return IterationState(sigma_new, u, p, fresh=True)
 
 
@@ -188,7 +196,9 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
     Stop conditions, checked in this order after every step: divergence
     guard (non-finite iterates or cost above 1e12), cost tolerance,
     relative step tolerance, iteration cap.  The trace always contains a
-    record for n = 0 (the starting point).
+    record for n = 0 (the starting point).  A gradient-descent run's final
+    state holds the exact u and p at its final sigma, unless that sigma is
+    non-finite or too large for the state solve.
     """
     problem = objective.problem
     state = IterationState.zero(problem, config.sigma0, config.u0, config.p0)
@@ -244,6 +254,13 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
             status = RunStatus.TOL_STEP
             break
 
+    if not config.scheme.is_one_shot and np.isfinite(state.sigma).all():
+        try:
+            u = solve_state_exact(problem, state.sigma)
+            state = IterationState(state.sigma, u, solve_adjoint_exact(problem, u, objective.g),
+                                   fresh=True)
+        except SingularSystemError:
+            pass  # a diverged sigma overflowed the solve: keep the carried u, p
     trace.status = status
     trace.final_state = state
     return trace

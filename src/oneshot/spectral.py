@@ -36,7 +36,11 @@ operators that are never formed:
 
 The k-step operators of a stacked problem are those of its stored block;
 only the dense block matrix and the eigenvalue-equation residual expand
-them.
+them.  ``KStepOperators`` and ``k_step_operators`` are defined in
+``problem``, which caches one read-only object per (problem, k), and are
+re-exported here.  The dense G, both Arnoldi operators and the
+eigenvalue-equation residual read that object, and so do the inner
+sweeps from the cost cutover in k on (see ``problem.sweeps``).
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import EigensolverError, SingularSystemError, SizeGuardError
-from .problem import LinearInverseProblem, sweeps
+# KStepOperators is re-exported; bounds imports k_step_operators from here
+from .problem import KStepOperators, LinearInverseProblem, k_step_operators, sweeps  # noqa: F401
 
 #: Largest block dimension (2 n_u + n_sigma) whose full spectrum
 #: ``spectrum`` computes densely.
@@ -67,48 +72,6 @@ _ARNOLDI_NEV, _ARNOLDI_NCV, _ARNOLDI_SEED = 6, 40, 0
 
 #: certify calls the scheme convergent iff rho < 1 - CONVERGENCE_MARGIN.
 CONVERGENCE_MARGIN = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class KStepOperators:
-    """The triple (T_k, U_k, X_k) of the block and the power B^k, for one k.
-
-    Every caller that needs B^k reads ``Bk`` rather than forming the power
-    again, so all of them see the same floats.
-    """
-
-    T: np.ndarray
-    U: np.ndarray
-    X: np.ndarray
-    Bk: np.ndarray
-    k: int
-
-
-def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
-    """Build T_k, U_k, X_k by the recurrences
-
-        T_{j+1} = I + B T_j,   U_{j+1} = B* U_j + H*H B^j,   X_{j+1} = X_j + U_j
-
-    starting from T_1 = I, U_1 = H*H, X_1 = 0.  B^k comes from
-    ``np.linalg.matrix_power``, not from the recurrence's B^j, which
-    associates the products differently.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    B, H = problem.B, problem.H
-    n = B.shape[0]
-    eye = np.eye(n)
-    HtH = H.T @ H
-    T = eye.copy()
-    U = HtH.copy()
-    X = np.zeros((n, n))
-    B_pow = eye  # B^j for the U recurrence
-    for _ in range(k - 1):
-        X = X + U
-        B_pow = B_pow @ B
-        U = B.T @ U + HtH @ B_pow
-        T = eye + B @ T
-    return KStepOperators(T=T, U=U, X=X, Bk=np.linalg.matrix_power(B, k), k=k)
 
 
 def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
@@ -296,7 +259,7 @@ def eigen_equation_residual(problem: LinearInverseProblem, lam: complex, y,
             raise SingularSystemError(
                 f"lambda = {lam} is within {exclusion:.3e} of Spec(B^k)")
     eye = np.eye(problem.n_u)
-    core = _dense(problem, (lam - 1.0) * ops.X + ops.T.T @ (problem.H.T @ problem.H) @ ops.T)
+    core = _dense(problem, (lam - 1.0) * ops.X + ops.HT.T @ ops.HT)
     try:
         right = np.linalg.solve(lam * eye - Bk, problem.M @ y)
         inner_vec = np.linalg.solve(lam * eye - Bk.T.astype(complex), core @ right)

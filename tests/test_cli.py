@@ -175,6 +175,19 @@ class TestNonFiniteCavityValues:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("omega", "abc"), ("sigma_subdivision", "1,x"),
+                                       ("normalize_data", "maybe")])
+def test_generate_names_the_bad_manifest_key(tmp_path, capsys, key, value):
+    text = with_cavity_value(format_manifest(small_config()), key, value)
+    lineno = text.split("\n").index(f"{key} = {value}") + 1
+    manifest = tmp_path / "cavity.cfg"
+    manifest.write_text(text)
+    out = tmp_path / "out"
+    assert main(["generate", "--spec", str(manifest), "--out", str(out), "--quiet"]) == 2
+    assert f"line {lineno}: bad value for {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("layout", ["-1,-1,0.5;1,0.5,-0.5", "-1,-1,0.5;1,0.5,0",
                                     "-1,-1,0.5;1,0.5"])
 def test_bad_inclusion_geometry_fails_before_any_output(tmp_path, capsys, layout):

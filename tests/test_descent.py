@@ -89,7 +89,9 @@ class TestSemiImplicitGD:
         # sigma' = (sigma - tau M*p)/(1 + tau alpha): the whole update is
         # damped by 1e8, including the alpha-independent misfit term
         assert np.linalg.norm(new.sigma) <= 1e-5 * np.linalg.norm(state.sigma)
-        expected = (state.sigma - obj.problem.M.T @ new.p) / (1.0 + 1e8)
+        u = solve_state_exact(obj.problem, state.sigma)
+        p = solve_adjoint_exact(obj.problem, u, obj.g)
+        expected = (state.sigma - obj.problem.M.T @ p) / (1.0 + 1e8)
         assert np.allclose(new.sigma, expected, atol=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
@@ -127,17 +129,24 @@ class TestKShot:
         assert np.array_equal(new.u, u1) and np.array_equal(new.p, p1)
 
     def test_large_k_approaches_usual_gd(self, rng):
-        # from identical (sigma, u, p) with exact u, p, the sigma update is
-        # the usual gradient-descent one, and 500 sweeps with ||B|| = 0.3
+        # from identical (sigma, u, p) with exact u, p, both schemes make the
+        # usual gradient-descent update (gradient descent in its reduced
+        # form A* (A sigma - g_tilde) = M* p, which test_problem checks
+        # against the exact solves), and 500 sweeps with ||B|| = 0.3
         # reproduce the exact solves at the new sigma
         obj = make_objective(37, alpha=0.01, norm_b=0.3)
         sigma = rng.standard_normal(obj.problem.n_sigma)
         u = solve_state_exact(obj.problem, sigma)
         p = solve_adjoint_exact(obj.problem, u, obj.g)
         state = IterationState(sigma, u, p)
-        a = step(obj, state, SchemeKind.UsualGD, 0.02)
-        b = step(obj, state, SchemeKind.KStepOneShot, 0.02, k=500)
-        assert np.array_equal(a.sigma, b.sigma)  # same update from exact p
+        tau = 0.02
+        a = step(obj, state, SchemeKind.UsualGD, tau)
+        b = step(obj, state, SchemeKind.KStepOneShot, tau, k=500)
+        A = obj.problem.reduced_operator()
+        Mp_reduced = A.T @ (A @ sigma - obj.shifted_data())
+        assert np.array_equal(a.sigma, sigma - tau * Mp_reduced - tau * obj.alpha * sigma)
+        Mp = obj.problem.M.T @ p
+        assert np.array_equal(b.sigma, sigma - tau * Mp - tau * obj.alpha * sigma)
         u_new = solve_state_exact(obj.problem, b.sigma)
         p_new = solve_adjoint_exact(obj.problem, u_new, obj.g)
         assert np.linalg.norm(b.u - u_new) <= 1e-6
@@ -289,6 +298,45 @@ class TestRun:
         trace = run(obj, RunConfig(scheme=SchemeKind.SemiImplicitGD, tau=1e-3, k=9,
                                    max_outer=5))
         assert [r.acc_inner for r in trace.records] == list(range(6))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("scheme", [SchemeKind.UsualGD, SchemeKind.SemiImplicitGD])
+    def test_gd_final_state_is_exact(self, stacked, scheme):
+        # gradient descent carries u, p unchanged; run solves once at the end
+        problem = stacked_and_kron_twin(52)[0] if stacked else make_problem(52)
+        obj = Objective(problem, np.random.default_rng(53).standard_normal(problem.n_g), 0.01)
+        tau = 0.5 / np.linalg.norm(problem.reduced_operator(), 2) ** 2
+        trace = run(obj, RunConfig(scheme=scheme, tau=tau, max_outer=12))
+        final = trace.final_state
+        u = solve_state_exact(problem, final.sigma)
+        assert np.array_equal(final.u, u)
+        assert np.array_equal(final.p, solve_adjoint_exact(problem, u, obj.g))
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.UsualGD, SchemeKind.SemiImplicitGD])
+    def test_gd_non_finite_sigma_ends_diverged(self, scheme):
+        # tau * M* p overflows on the first step, so no exact solve is tried
+        obj = controlled_objective(54)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(obj, RunConfig(scheme=scheme, tau=1e300, max_outer=5,
+                                       sigma0=np.full(obj.problem.n_sigma, 1e10)))
+        assert trace.status is RunStatus.DIVERGED
+        assert trace.records[-1].n == 1 and trace.final_cost == np.inf
+        assert not np.isfinite(trace.final_state.sigma).all()
+        assert not trace.final_state.u.any() and not trace.final_state.p.any()
+
+    def test_gd_diverged_sigma_too_large_to_solve(self):
+        # A = 2e-300 I barely moves sigma, which stays finite while the cost
+        # overflows, and M sigma = 2 sigma overflows: the final solve is skipped
+        n = 4
+        problem = LinearInverseProblem(np.zeros((n, n)), 2.0 * np.eye(n), 1e-300 * np.eye(n),
+                                       np.zeros(n))
+        obj = Objective(problem, np.zeros(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(obj, RunConfig(scheme=SchemeKind.UsualGD, tau=1.0, max_outer=5,
+                                       sigma0=np.full(n, 1e308)))
+        assert trace.status is RunStatus.DIVERGED
+        assert np.isfinite(trace.final_state.sigma).all()
+        assert not trace.final_state.u.any() and not trace.final_state.p.any()
 
     def test_tol_cost_stop(self):
         obj, sigma_ex = make_objective(49, alpha=0.0, exact_data=True)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from oneshot import (IterationState, LinearInverseProblem, Objective,
                      SingularSystemError, bound_report_for, certify, cost,
                      fixed_point_sweep, gradient, regularized_solution, run,
                      solve_adjoint_exact, solve_state_exact)
-from oneshot.problem import sweeps
+from oneshot.problem import k_step_operators, operator_form_is_cheaper, sweeps
 from conftest import make_objective, make_problem, stacked_and_kron_twin
 
 
@@ -135,6 +138,66 @@ class TestFixedPointSweep:
         floor = 1e-11 * errors[0]
         ratios = [b / a for a, b in zip(errors[10:], errors[11:]) if a > floor]
         assert ratios and max(ratios) <= p.rho_B + 0.05
+
+
+def loop_sweeps(problem, u, p, drive, g, k):
+    """k coupled sweeps on the dense kron(I, B), kron(I, H): the oracle of ``sweeps``."""
+    eye = np.eye(problem.n_blocks)
+    B, H = np.kron(eye, problem.B), np.kron(eye, problem.H)
+    for _ in range(k):
+        u, p = B @ u + drive, B.T @ p + H.T @ (H @ u - g)
+    return u, p
+
+
+class TestOperatorForm:
+    """``sweeps`` in closed form with the k-step operators, against the loop."""
+
+    @staticmethod
+    def problems():
+        return {"dense": make_problem(9), "stacked": stacked_and_kron_twin(10)[0]}
+
+    @pytest.mark.parametrize("kind", ["dense", "stacked"])
+    @pytest.mark.parametrize("data", ["array", "zero"])
+    def test_matches_loop(self, kind, data):
+        problem = self.problems()[kind]
+        rng = np.random.default_rng(11)
+        u, p = rng.standard_normal(problem.n_u), rng.standard_normal(problem.n_u)
+        drive = problem.M @ rng.standard_normal(problem.n_sigma) + problem.F
+        g = rng.standard_normal(problem.n_g) if data == "array" else 0.0
+        ks = (1, 2, 3, 10)
+        # both sides of the cutover are exercised
+        assert {operator_form_is_cheaper(k, *problem.H.shape) for k in ks} == {False, True}
+        for k in ks:
+            for ours, oracle in zip(sweeps(problem, u, p, drive, g, k),
+                                    loop_sweeps(problem, u, p, drive, g, k)):
+                assert np.linalg.norm(ours - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_measured_cutover(self):
+        # the measured cutovers at n = 169, m = 28 and n = 361, m = 20 (where
+        # k = 3 is a tie)
+        for m, n in ((28, 169), (20, 361)):
+            assert [operator_form_is_cheaper(k, m, n) for k in (1, 2, 3)] == [False, False, True]
+
+    def test_concurrent_builds_share_one_object(self):
+        problem = make_problem(13, n_u=40)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                built = list(pool.map(lambda _: k_step_operators(problem, 3), range(32),
+                                      timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(ops is built[0] for ops in built)
+
+    def test_operators_cached_and_read_only(self):
+        problem = make_problem(12)
+        ops = k_step_operators(problem, 3)
+        assert k_step_operators(problem, 3) is ops
+        assert k_step_operators(problem, 2) is not ops
+        for name in ("T", "U", "X", "Bk", "HT"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ops, name)[0, 0] = 1.0
 
 
 class TestCostAndGradient:

@@ -54,7 +54,7 @@ class TestKStepOperators:
         p = make_problem(52, n_u=6, n_sigma=2, n_g=4)
         ops = k_step_operators(p, k)
         T, U, X = direct_sum_operators(p, k)
-        for ours, direct in ((ops.T, T), (ops.U, U), (ops.X, X)):
+        for ours, direct in ((ops.T, T), (ops.U, U), (ops.X, X), (ops.HT, p.H @ T)):
             scale = max(np.linalg.norm(direct), 1.0)
             assert np.linalg.norm(ours - direct) <= 1e-12 * scale
         assert np.array_equal(ops.Bk, np.linalg.matrix_power(p.B, k))
