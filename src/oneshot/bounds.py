@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import eigvals
 
 from .errors import EigensolverError, ProblemAssumptionError, SingularSystemError
-from .problem import LinearInverseProblem, operator_norm, spectral_radius
+from .problem import LinearInverseProblem, contracts, operator_norm
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -163,12 +163,14 @@ def s_of(T) -> float:
 
     The result is within 2 S_OF_REL_TOL (relative) of a sampled norm.  A
     failed pencil eigensolve, or no certificate within S_OF_MAX_ITER
-    steps, raises EigensolverError.
+    steps, raises EigensolverError.  ``problem.contracts`` checks rho(T) < 1
+    first, from norms of T, T^2 and T^4 where one is below 1 and by
+    eigensolve otherwise; rho(T) >= 1 raises ProblemAssumptionError.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"T must be square, got shape {T.shape}")
-    if spectral_radius(T) >= 1.0:
+    if not contracts(T):
         raise ProblemAssumptionError("s(T) requires rho(T) < 1")
     lower = float(np.max(_resolvent_norms(T, np.array([0.0, 0.5 * np.pi, np.pi]))))
     for _ in range(S_OF_MAX_ITER):
@@ -191,13 +193,15 @@ def pq_decompose(T, lam: complex):
         Q = r sin(phi) T (I - 2 r cos(phi) T + r^2 T^2)^{-1}.
 
     Requires rho(T) < 1 and |lambda| >= 1, under which the middle factor
-    (I - T/lambda)(I - T/conj(lambda)) is invertible.
+    (I - T/lambda)(I - T/conj(lambda)) is invertible.  rho(T) < 1 is
+    checked by ``problem.contracts`` (norms first, eigensolve only where
+    they do not suffice); rho(T) >= 1 raises ProblemAssumptionError.
     """
     T = np.asarray(T, dtype=float)
     lam = complex(lam)
     if abs(lam) < 1.0:
         raise ValueError(f"pq_decompose requires |lambda| >= 1, got {abs(lam)}")
-    if spectral_radius(T) >= 1.0:
+    if not contracts(T):
         raise ProblemAssumptionError("pq_decompose requires rho(T) < 1")
     r = 1.0 / abs(lam)
     phi = -np.angle(lam)

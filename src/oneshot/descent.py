@@ -248,11 +248,11 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
             break
         # The step test arms at n >= 2: a one-shot scheme started from the
         # default p^0 = 0 leaves sigma unchanged on its very first update.
-        step_size = float(np.linalg.norm(state.sigma - prev_sigma))
-        if n >= 2 and config.tol_step > 0 and step_size <= config.tol_step * (
-                1.0 + float(np.linalg.norm(prev_sigma))):
-            status = RunStatus.TOL_STEP
-            break
+        if n >= 2 and config.tol_step > 0:
+            step_size = float(np.linalg.norm(state.sigma - prev_sigma))
+            if step_size <= config.tol_step * (1.0 + float(np.linalg.norm(prev_sigma))):
+                status = RunStatus.TOL_STEP
+                break
 
     if not config.scheme.is_one_shot and np.isfinite(state.sigma).all():
         try:

@@ -8,7 +8,10 @@ with measurements g = H u(sigma) in R^{n_g}.  Everything built on top
 relies on two standing assumptions, both checked at construction time:
 
 * the state iteration contracts, rho(B) < 1, so I - B is invertible and
-  the sweep u_{l+1} = B u_l + M sigma + F converges for any start;
+  the sweep u_{l+1} = B u_l + M sigma + F converges for any start.
+  ``contracts`` proves it from a 1- or infinity-norm of B, B^2 or B^4
+  below 1 where one is, which holds on every shipped cavity, and
+  eigensolves B only where none is;
 * the end-to-end parameter-to-data map A = H (I - B)^{-1} M has full
   column rank, so the inverse problem has a unique regularized solution.
 
@@ -81,6 +84,42 @@ def spectral_radius(x) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(x))))
 
 
+#: Squarings of T whose norms ``contracts`` tries before the eigensolve.
+CONTRACTION_SQUARINGS = 2
+
+
+def contracts(T) -> bool:
+    """Whether rho(T) < 1 for a dense square matrix T.
+
+    Every induced norm bounds the spectral radius, and rho(T)^(2^j) =
+    rho(T^(2^j)), so a 1- or infinity-norm of T, T^2 or T^4 below 1 proves
+    rho(T) < 1 in O(n^2) or one or two O(n^3) products, where an
+    eigensolve of T costs many times that.  Each computed norm is raised by
+    2 n eps for the rounding of its sums, and each squaring carries a bound
+    on its error in the exact power (|fl(P P) - P P| <= gamma_n |P| |P|
+    entrywise for any summation order; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Sec. 3.5), so a norm accepts only when
+    the exact T contracts.  Where none does, the answer is the dense
+    ``spectral_radius(T) < 1``.
+    """
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raise ValueError(f"T must be square, got shape {T.shape}")
+    if T.size:
+        slack = 2.0 * T.shape[0] * np.finfo(float).eps
+        power, err = T, 0.0  # err bounds ||T^(2^j) - power|| in both norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(CONTRACTION_SQUARINGS + 1):
+                if j:
+                    err = err * (2.0 * norms + err) + slack * norms ** 2
+                    power = power @ power
+                absolute = np.abs(power)
+                norms = (1.0 + slack) * np.array([absolute.sum(0).max(), absolute.sum(1).max()])
+                if np.min(norms + err) < 1.0:
+                    return True
+    return spectral_radius(T) < 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class LinearInverseProblem:
     """The quadruple (B, M, H, F) defining state model and measurements.
@@ -111,7 +150,8 @@ class LinearInverseProblem:
         M = _readonly(self.M, ndim=2, name="M")
         H = _readonly(self.H, ndim=2, name="H")
         F = _readonly(self.F, ndim=1, name="F")
-        if not (isinstance(self.n_blocks, (int, np.integer)) and self.n_blocks >= 1):
+        if isinstance(self.n_blocks, bool) or not (
+                isinstance(self.n_blocks, (int, np.integer)) and self.n_blocks >= 1):
             raise ProblemAssumptionError(
                 f"n_blocks must be a positive integer, got {self.n_blocks!r}")
         n = B.shape[0]
@@ -130,11 +170,9 @@ class LinearInverseProblem:
         for name, arr in (("B", B), ("M", M), ("H", H), ("F", F)):
             object.__setattr__(self, name, arr)
 
-        rho = spectral_radius(B)
-        if not rho < 1.0:
+        if not contracts(B):
             raise ProblemAssumptionError(
-                f"state iteration does not contract: rho(B) = {rho:.6g} >= 1")
-        object.__setattr__(self, "_rho_B", rho)
+                f"state iteration does not contract: rho(B) = {self.rho_B:.6g} >= 1")
 
         # Injectivity of A = H (I-B)^{-1} M via its singular values.
         if self.n_sigma:
@@ -157,10 +195,14 @@ class LinearInverseProblem:
     def n_g(self) -> int:
         return self.n_blocks * self.H.shape[0]
 
-    @property
+    @cached_property
     def rho_B(self) -> float:
-        """The checked spectral radius of B (equal to that of kron(I, B))."""
-        return self._rho_B
+        """The spectral radius of B (equal to that of kron(I, B)).
+
+        Construction certifies rho(B) < 1 through ``contracts``, mostly from
+        norms; this dense eigensolve runs on first use only.
+        """
+        return spectral_radius(self.B)
 
     # -- cached dense factorizations and norms -------------------------
     @cached_property

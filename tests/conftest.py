@@ -36,6 +36,19 @@ def stacked_and_kron_twin(seed, n_blocks=3, n=7, n_sigma=4, m=5):
             LinearInverseProblem(np.kron(eye, B), M, np.kron(eye, H), F))
 
 
+def spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records a copy of each call's
+    first argument; returns the list of recorded arrays."""
+    calls, real = [], getattr(owner, name)
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -11,14 +11,19 @@ from oneshot import (CaseParameters, EigensolverError, LinearInverseProblem,
                      ProblemAssumptionError, bounds, certify, gamma_select,
                      marden_quadratic_inside, pq_decompose, random_problem,
                      s_of, sufficient_tau_k_step, sufficient_tau_one_step)
+from oneshot import problem as problem_module
 from oneshot.bounds import (_psi, bound_report_for, report_csv_header,
                             report_csv_row)
 from oneshot.cavity import generate
 from oneshot.experiments import load_spec
 from oneshot.problem import operator_norm, spectral_radius
-from conftest import make_problem
+from conftest import make_problem, spy
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+# rho >= 1: the identity, a normal expansion, and a non-normal block with eigenvalues +-2
+NON_CONTRACTIVE = [np.eye(3), 1.5 * np.eye(2), np.array([[0.0, 4.0], [1.0, 0.0]])]
 
 
 def contraction(seed, n=6, norm=0.6):
@@ -231,6 +236,11 @@ class TestSOf:
         with pytest.raises(ProblemAssumptionError):
             s_of(np.eye(3))
 
+    @pytest.mark.parametrize("T", NON_CONTRACTIVE)
+    def test_rejects_rho_at_least_one(self, T):
+        with pytest.raises(ProblemAssumptionError, match="rho"):
+            s_of(T)
+
     def test_bench_work_is_a_few_solves(self, bench_s_call):
         # the doubling grid handed 1 + 513 + 512 matrices to the SVD here
         svd_matrices, pencil_solves = bench_s_call
@@ -309,6 +319,11 @@ class TestPQDecompose:
     def test_rejects_interior_lambda(self):
         with pytest.raises(ValueError):
             pq_decompose(contraction(77), 0.5)
+
+    @pytest.mark.parametrize("T", NON_CONTRACTIVE)
+    def test_rejects_rho_at_least_one(self, T):
+        with pytest.raises(ProblemAssumptionError, match="rho"):
+            pq_decompose(T, 1.3 + 0.4j)
 
 
 class TestGammaSelect:
@@ -564,6 +579,18 @@ class TestShearedSoundness:
         H = rng.standard_normal((4, n))
         from oneshot import LinearInverseProblem
         return LinearInverseProblem(B, M, H, np.zeros(n))
+
+    def test_squarings_certify_every_instance(self, monkeypatch):
+        # ||B|| > 1 on all of them, yet a norm of B^2 or B^4 proves rho(B) < 1
+        # without a dense eigensolve
+        eigensolves = spy(monkeypatch, problem_module, "spectral_radius")
+        needs_b4 = 0
+        for seed in [*range(1300, 1308), *range(1400, 1406)]:
+            B = self.sheared_problem(seed).B
+            B2 = B @ B
+            assert min(np.linalg.norm(B, 1), np.linalg.norm(B, np.inf)) > 1.0
+            needs_b4 += min(np.linalg.norm(B2, 1), np.linalg.norm(B2, np.inf)) >= 1.0
+        assert needs_b4 >= 5 and eigensolves == []
 
     def test_one_step_rho_only_path(self):
         for seed in range(8):

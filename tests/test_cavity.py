@@ -1,7 +1,9 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oneshot import (CavityConfig, ProblemAssumptionError, RunConfig,
                      SchemeKind, cost, generate, gradient, load_problem,
@@ -9,7 +11,13 @@ from oneshot import (CavityConfig, ProblemAssumptionError, RunConfig,
 from oneshot.cavity import (_CAVITY_CODECS, _assemble, _build_mesh, _source_positions,
                             _triangle_geometry, export_cavity, format_manifest,
                             parse_manifest)
+from oneshot import problem as problem_module
+from oneshot.experiments import load_spec
 from oneshot.problem import LinearInverseProblem, Objective
+from conftest import spy
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED_SPECS = ("exp_noise_free", "exp_noisy", "exp_mesh", "exp_delta")
 
 
 def small_config(**overrides):
@@ -186,7 +194,8 @@ class TestGenerate:
     def test_near_resonant_mesh_rejected(self):
         # this resolution places a discrete eigenvalue near omega^2; the
         # generator must refuse rather than hand out a non-contractive B
-        with pytest.raises(ProblemAssumptionError):
+        # (rho(B) = 2.79: no norm certifies, so the eigensolve rejects it)
+        with pytest.raises(ProblemAssumptionError, match="does not contract"):
             generate(CavityConfig(mesh_h=0.25, rng_seed=7))
 
     # generate would snap an edge <= 0 to a one-cell inclusion
@@ -225,6 +234,37 @@ class TestGenerate:
             recovered.append(trace.final_state.sigma)
         change = np.linalg.norm(recovered[1] - recovered[0])
         assert change <= 0.05 * np.linalg.norm(recovered[0])
+
+
+def shipped_and_seeded_configs():
+    """Every cavity of the shipped specs, plus three random-background seeds."""
+    configs = [c for name in SHIPPED_SPECS
+               for c in load_spec(os.path.join(CONFIG_DIR, f"{name}.cfg")).cavity_variants()]
+    return list(dict.fromkeys(configs)) + [small_config(rng_seed=s) for s in (0, 1, 2)]
+
+
+class TestSetUpChecks:
+    """Construction certifies rho(B) < 1 from norms, and the resonance test
+    eigensolves the exactly symmetric block A11_II."""
+
+    @pytest.mark.parametrize("config", shipped_and_seeded_configs())
+    def test_no_dense_eigensolve_and_symmetric_resonance_block(self, monkeypatch, config):
+        resonance = spy(monkeypatch, scipy.linalg, "eigvalsh")
+        eigensolves = spy(monkeypatch, problem_module, "spectral_radius")
+        generate(config)
+        assert eigensolves == []
+        [block] = resonance
+        assert np.array_equal(block, block.T)
+        ev = np.abs(scipy.linalg.eigvalsh(block))
+        sv = scipy.linalg.svdvals(block)
+        assert abs(ev.min() / ev.max() - sv[-1] / sv[0]) <= 1e-12 * (sv[-1] / sv[0])
+
+    def test_load_problem_needs_no_dense_eigensolve(self, monkeypatch, small_cavity, tmp_path):
+        eigensolves = spy(monkeypatch, problem_module, "spectral_radius")
+        export_cavity(small_cavity, tmp_path / "cavity")
+        loaded = load_problem(tmp_path / "cavity")
+        assert eigensolves == []
+        assert np.array_equal(loaded[0].B, small_cavity.problem.B)
 
 
 class TestNormalizeData:

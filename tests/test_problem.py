@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,8 +10,10 @@ from oneshot import (IterationState, LinearInverseProblem, Objective,
                      SingularSystemError, bound_report_for, certify, cost,
                      fixed_point_sweep, gradient, regularized_solution, run,
                      solve_adjoint_exact, solve_state_exact)
-from oneshot.problem import k_step_operators, operator_form_is_cheaper, sweeps
-from conftest import make_objective, make_problem, stacked_and_kron_twin
+from oneshot import problem as problem_module
+from oneshot.problem import (contracts, k_step_operators, operator_form_is_cheaper,
+                             spectral_radius, sweeps)
+from conftest import make_objective, make_problem, spy, stacked_and_kron_twin
 
 
 def fixed_point_oracle(problem, rhs_op, start, steps):
@@ -340,6 +343,83 @@ class TestRegularizedSolution:
         assert np.linalg.norm(gradient(obj, sol)) <= 1e-8 * (1 + np.linalg.norm(obj.g))
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The matrices of the dense spectral-radius eigensolves in ``oneshot.problem``."""
+    return spy(monkeypatch, problem_module, "spectral_radius")
+
+
+def sheared(seed, shear, n=6):
+    """Upper-triangular B with eigenvalues in (-0.5, 0.5) and a large norm."""
+    rng = np.random.default_rng(seed)
+    return np.diag(rng.uniform(-0.5, 0.5, n)) + np.triu(rng.standard_normal((n, n)), 1) * shear
+
+
+def min_norms(T, powers=(1, 2, 4)):
+    return [min(np.linalg.norm(P, 1), np.linalg.norm(P, np.inf))
+            for P in (np.linalg.matrix_power(T, k) for k in powers)]
+
+
+class TestContracts:
+    def test_norm_of_b_accepts_without_eigensolve(self, eigensolves):
+        for seed in range(5):
+            p = make_problem(seed, n_u=12, norm_b=0.3)
+            assert min_norms(p.B, (1,))[0] < 1.0
+        twin = stacked_and_kron_twin(7)[0]
+        assert twin.n_blocks == 3 and eigensolves == []
+
+    # ||B^2|| < 1 <= ||B||, and ||B^4|| < 1 <= ||B^2||: one and two squarings
+    @pytest.mark.parametrize("B, level", [
+        (np.array([[0.0, 2.0], [0.1, 0.0]]), 1),
+        (sheared(1300, 1.0), 2),
+    ])
+    def test_squarings_accept_without_eigensolve(self, eigensolves, B, level):
+        norms = min_norms(B)
+        assert all(v >= 1.0 for v in norms[:level]) and norms[level] < 1.0
+        assert spectral_radius(B) < 1.0
+        assert contracts(B)
+        LinearInverseProblem(B, np.eye(len(B)), np.eye(len(B)), np.zeros(len(B)))
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("B", [np.array([[0.5, 100.0], [0.0, 0.5]]), sheared(1301, 1.0)])
+    def test_eigensolve_decides_where_no_norm_does(self, eigensolves, B):
+        assert min(min_norms(B)) >= 1.0 and spectral_radius(B) < 1.0
+        assert contracts(B)
+        assert [a.shape for a in eigensolves] == [B.shape]
+
+    @pytest.mark.parametrize("B", [1.5 * np.eye(2), np.eye(3), np.array([[1.1, 0.0], [3.0, 0.1]]),
+                                   np.array([[0.0, 4.0], [1.0, 0.0]])])
+    def test_rejects_with_rho_in_message(self, B):
+        assert not contracts(B)
+        message = f"state iteration does not contract: rho(B) = {spectral_radius(B):.6g} >= 1"
+        with pytest.raises(ProblemAssumptionError, match=re.escape(message)):
+            LinearInverseProblem(B, np.eye(len(B)), np.eye(len(B)), np.zeros(len(B)))
+
+    def test_rho_b_is_lazy_and_bit_equal(self, eigensolves):
+        for p in (make_problem(3), stacked_and_kron_twin(4)[0],
+                  LinearInverseProblem(sheared(1301, 1.0), np.eye(6), np.eye(6), np.zeros(6))):
+            before = len(eigensolves)
+            assert p.rho_B == spectral_radius(p.B)
+            assert p.rho_B == spectral_radius(p.B)  # cached: one more eigensolve, not two
+            assert len(eigensolves) == before + 1
+
+    def test_non_finite_and_empty(self):
+        assert contracts(np.zeros((0, 0)))
+        with pytest.raises(np.linalg.LinAlgError):
+            contracts(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="square"):
+            contracts(np.zeros((2, 3)))
+
+    def test_agrees_with_eigensolve_on_random_matrices(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            B = rng.standard_normal((n, n)) * rng.uniform(0.05, 0.6)
+            if rng.uniform() < 0.5:
+                B = np.triu(B, 1) * rng.uniform(1.0, 8.0) + np.diag(np.diag(B))
+            assert contracts(B) == (spectral_radius(B) < 1.0)
+
+
 class TestConstruction:
     def test_rejects_expanding_iteration(self):
         with pytest.raises(ProblemAssumptionError, match="contract"):
@@ -500,7 +580,7 @@ class TestBlockStorage:
             assert_rel([getattr(r, field) for r in ours.records],
                        [getattr(r, field) for r in oracle.records])
 
-    @pytest.mark.parametrize("n_blocks", [0, -1, 1.5])
+    @pytest.mark.parametrize("n_blocks", [0, -1, 1.5, True])
     def test_rejects_bad_block_count(self, n_blocks):
         B, H = np.zeros((2, 2)), np.eye(2)
         with pytest.raises(ProblemAssumptionError, match="n_blocks"):
