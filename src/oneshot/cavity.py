@@ -37,7 +37,7 @@ geometry, source radius) are expressed in wavelengths lambda =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -273,9 +273,7 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     h = 2.0 * R / ncell
     nodes, tris, interior, boundary = _build_mesh(R, ncell)
     areas, grads = _triangle_geometry(nodes, tris)
-    rng = np.random.default_rng(config.rng_seed)
-    sigma_r = rng.uniform(0.0, 1.0, len(tris)) if config.random_background \
-        else np.ones(len(tris))
+    rng, sigma_r = _random_background(config, len(tris))
 
     K_unit = _assemble(nodes, tris, areas, grads).toarray()
     K_rand = _assemble(nodes, tris, areas, grads, stiffness_coef=sigma_r).toarray()
@@ -328,8 +326,7 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     problem = LinearInverseProblem(B=B_single, M=M, H=H_single,
                                    F=np.zeros(m * n1), n_blocks=m)
     g_clean = problem.reduced_operator() @ exact
-    eps = config.noise_level
-    g_noisy = g_clean + rng.uniform(-eps, eps, g_clean.shape) * g_clean
+    g_noisy = _noisy(g_clean, config.noise_level, rng)
 
     summary = MeshSummary(
         cells_per_side=ncell, h=h, n_triangles=len(tris),
@@ -339,6 +336,32 @@ def generate(config: CavityConfig) -> GeneratedCavity:
         problem=problem, exact_sigma=exact, init_sigma=init,
         stacked_clean=g_clean, stacked_noisy=g_noisy,
         mesh_summary=summary, config=config)
+
+
+def _random_background(config: CavityConfig, n_triangles: int):
+    """The random generator of ``generate`` and the background it draws first."""
+    rng = np.random.default_rng(config.rng_seed)
+    sigma_r = rng.uniform(0.0, 1.0, n_triangles) if config.random_background \
+        else np.ones(n_triangles)
+    return rng, sigma_r
+
+
+def _noisy(g_clean, eps, rng):
+    return g_clean + rng.uniform(-eps, eps, g_clean.shape) * g_clean
+
+
+def with_noise_level(cavity: GeneratedCavity, noise_level: float) -> GeneratedCavity:
+    """The cavity ``generate`` makes at another noise level, without a rebuild.
+
+    Only the noisy data depend on the noise level, so the result shares
+    the problem (with its cached A and k-step operators) and draws only
+    the noise, replaying the generator past the background draw; its
+    arrays equal those of ``generate`` bit for bit.
+    """
+    config = replace(cavity.config, noise_level=noise_level)
+    rng, _ = _random_background(config, cavity.mesh_summary.n_triangles)
+    return replace(cavity, stacked_noisy=_noisy(cavity.stacked_clean, noise_level, rng),
+                   config=config)
 
 
 def multi_source_objective(cavity: GeneratedCavity, alpha: float,

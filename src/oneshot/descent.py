@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import OneShotError, SingularSystemError
 from .problem import (IterationState, Objective, cost, fixed_point_sweep,
-                      gradient, regularized_solution, solve_adjoint_exact,
-                      solve_state_exact)
+                      gradient, positive_int, regularized_solution,
+                      solve_adjoint_exact, solve_state_exact)
 
 #: Cost level beyond which a run is declared diverged.
 DIVERGENCE_GUARD = 1e12
@@ -92,10 +92,8 @@ class RunConfig:
         object.__setattr__(self, "scheme", SchemeKind(self.scheme))
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        object.__setattr__(self, "k", positive_int("k", self.k))
+        object.__setattr__(self, "max_outer", positive_int("max_outer", self.max_outer))
         if not (0 <= self.tol_cost < math.inf and 0 <= self.tol_step < math.inf):
             raise ValueError("tolerances must be finite and >= 0")
 
@@ -215,12 +213,15 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
     t0 = time.perf_counter()
 
     def record(n, state):
+        # sqrt(x @ x) is np.linalg.norm of a 1-D float array, bit for bit
         j = cost(objective, state.sigma)
-        gnorm = float(np.linalg.norm(gradient(objective, state.sigma)))
+        grad = gradient(objective, state.sigma)
+        gnorm = math.sqrt(grad @ grad)
         if sigma_ref is None:
             rel = None
         else:
-            err = float(np.linalg.norm(state.sigma - sigma_ref))
+            diff = state.sigma - sigma_ref
+            err = math.sqrt(diff @ diff)
             rel = err / ref_norm if ref_norm > 0 else err
         wall = (time.perf_counter() - t0) * 1e3
         trace.records.append(TraceRecord(n, j, gnorm, rel, inner_per_outer * n, wall))
@@ -240,7 +241,7 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
             status = RunStatus.DIVERGED
             break
         j = record(n, state)
-        if not np.isfinite(j) or j > DIVERGENCE_GUARD:
+        if not math.isfinite(j) or j > DIVERGENCE_GUARD:
             status = RunStatus.DIVERGED
             break
         if j <= config.tol_cost:

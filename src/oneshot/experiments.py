@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from . import __version__
 from .bounds import bound_report_for, report_csv_header, report_csv_row
 from .cavity import (CavityConfig, cavity_config_lines, generate,
-                     multi_source_objective, parse_cavity_value)
+                     multi_source_objective, parse_cavity_value, with_noise_level)
 from .descent import RunConfig, SchemeKind, format_trace_csv, run
 from .errors import SpecParseError, SpecValidationError
 from .spectral import certificate_csv_header, certificate_csv_row, certify
@@ -259,12 +259,18 @@ def _fmt(value) -> str:
 def _cells(spec: ExperimentSpec):
     """Enumerate (cavity, scheme, tau, k, alpha) run cells.
 
-    Each cavity variant is generated once, just before its cells; the
-    gradient-descent schemes ignore k, so their cells collapse to a
-    single k.
+    Each cavity variant is generated once, just before its cells; a
+    variant that differs from the one before only in noise_level reuses
+    its problem and draws only the noise.  The gradient-descent schemes
+    ignore k, so their cells collapse to a single k.
     """
+    cavity = None
     for variant in spec.cavity_variants():
-        cavity = generate(variant)
+        if cavity is not None and variant == replace(cavity.config,
+                                                     noise_level=variant.noise_level):
+            cavity = with_noise_level(cavity, variant.noise_level)
+        else:
+            cavity = generate(variant)
         for scheme in spec.schemes:
             ks = spec.ks if scheme.is_one_shot else (spec.ks[0],)
             for tau in spec.taus:

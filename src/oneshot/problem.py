@@ -37,11 +37,12 @@ that view times T^T, and no block is copied in or out.  All exact solves
 use one dense LU factorization of the block I - B with partial pivoting,
 shared by the state and the (transposed) adjoint equation; LAPACK's
 getrs takes the blocks as the columns of the transposed view.  The
-k-step operators of the block (``k_step_operators``) are cached on the
-problem like A, once per k; ``sweeps`` applies k sweeps in their closed
-form where a cost model says that is cheaper.  Problems and
-objectives are immutable and safe to share across threads; every
-operation here is a pure function of its inputs.
+k-step operators of the block (``k_step_operators``), with M and F
+folded into them, are cached on the problem like A, once per k; from
+k = 3 on ``sweeps`` applies k sweeps in their closed form, three block
+products per call.  Problems and objectives are immutable and safe to
+share across threads; every operation here is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ def _readonly(a, dtype=float, ndim=None, name="array", copy=True):
         raise ProblemAssumptionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def positive_int(name, value, error=ValueError) -> int:
+    """value as an int if it is an integer >= 1; a bool or anything else raises error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def operator_norm(x) -> float:
@@ -150,10 +158,7 @@ class LinearInverseProblem:
         M = _readonly(self.M, ndim=2, name="M")
         H = _readonly(self.H, ndim=2, name="H")
         F = _readonly(self.F, ndim=1, name="F")
-        if isinstance(self.n_blocks, bool) or not (
-                isinstance(self.n_blocks, (int, np.integer)) and self.n_blocks >= 1):
-            raise ProblemAssumptionError(
-                f"n_blocks must be a positive integer, got {self.n_blocks!r}")
+        positive_int("n_blocks", self.n_blocks, ProblemAssumptionError)
         n = B.shape[0]
         n_u = self.n_blocks * n
         if B.shape != (n, n):
@@ -351,7 +356,7 @@ class IterationState:
         sigma = np.zeros(problem.n_sigma) if sigma0 is None else np.asarray(sigma0, float)
         u = np.zeros(problem.n_u) if u0 is None else np.asarray(u0, float)
         p = np.zeros(problem.n_u) if p0 is None else np.asarray(p0, float)
-        return cls(sigma, u, p)
+        return _checked_state(problem, cls(sigma, u, p))
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +369,13 @@ def _checked_sigma(problem: LinearInverseProblem, sigma) -> np.ndarray:
         raise ProblemAssumptionError(
             f"sigma has shape {sigma.shape}, expected ({problem.n_sigma},)")
     return sigma
+
+
+def _checked_state(problem: LinearInverseProblem, state: IterationState) -> IterationState:
+    if state.u.shape != (problem.n_u,):
+        raise ProblemAssumptionError(
+            f"u and p have shape {state.u.shape}, expected ({problem.n_u},)")
+    return state
 
 
 def solve_state_exact(problem: LinearInverseProblem, sigma) -> np.ndarray:
@@ -386,7 +398,10 @@ class KStepOperators:
 
     Every caller that needs B^k reads ``Bk`` rather than forming the power
     again, so all of them see the same floats.  ``HT`` is the product
-    H T_k, which maps the data of k sweeps.  The arrays are read-only.
+    H T_k, which maps the data of k sweeps.  ``W`` stacks kron(I, T_k) M
+    over kron(I, X_k) M (2 n_u x n_sigma) and ``c`` stacks kron(I, T_k) F
+    over kron(I, X_k) F, so W sigma + c is [T_k d; X_k d] for the drive
+    d = M sigma + F.  The arrays are read-only.
     """
 
     T: np.ndarray
@@ -394,6 +409,8 @@ class KStepOperators:
     X: np.ndarray
     Bk: np.ndarray
     HT: np.ndarray
+    W: np.ndarray
+    c: np.ndarray
     k: int
 
 
@@ -409,13 +426,12 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
     associates the products differently.  The result is cached on the
     problem, so the sweeps, the certificate and the bounds read one object.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = positive_int("k", k)
     cache = problem.__dict__.setdefault("_k_step", {})
     cached = cache.get(k)
     if cached is not None:
         return cached
-    B, H = problem.B, problem.H
+    B, H, M, F = problem.B, problem.H, problem.M, problem.F
     n = B.shape[0]
     eye = np.eye(n)
     HtH = H.T @ H
@@ -428,29 +444,12 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
         B_pow = B_pow @ B
         U = B.T @ U + HtH @ B_pow
         T = eye + B @ T
-    ops = KStepOperators(*(_readonly(a, copy=False)
-                           for a in (T, U, X, np.linalg.matrix_power(B, k), H @ T)), k=k)
+    W = np.vstack([problem.apply(T, M), problem.apply(X, M)])
+    c = np.concatenate([problem.apply(T, F), problem.apply(X, F)])
+    ops = KStepOperators(*(_readonly(a, copy=False) for a in (
+        T, U, X, np.linalg.matrix_power(B, k), H @ T, W, c)), k=k)
     # a concurrent builder of the same k may have stored its equal copy first
     return cache.setdefault(k, ops)
-
-
-#: ``sweeps`` applies the k-step operators instead of looping when
-#: k (2n + 2m) >= OPERATOR_FORM_COST (5n + m), for a block of width n and
-#: m rows of H: k sweeps multiply by B, B*, H and H* (k (2n^2 + 2nm) flops
-#: per block), the operator form by B^k, (B^k)*, T_k, U_k, X_k and H T_k
-#: (5n^2 + nm).  Measured per call, one BLAS thread, 6 blocks (loop vs
-#: operator form): n = 169, m = 28: 59-87 vs 88-107 us at k = 2, 117-122
-#: vs 79-89 us at k = 3; n = 361, m = 20: 412-460 vs 618-705 us at k = 2,
-#: 537-645 vs 511-622 us at k = 3, 846-869 vs 665-693 us at k = 4.  Any
-#: constant in (0.95, 1.35) puts the cutover at the measured k (also at
-#: n = 20 and 60); 1.2 puts it at k = 3 for all four.  The operators cost
-#: O(k n^3) once per (problem, k): 12-17 ms at n = 169, k = 10.
-OPERATOR_FORM_COST = 1.2
-
-
-def operator_form_is_cheaper(k: int, m: int, n: int) -> bool:
-    """Whether ``sweeps`` applies the k-step operators (see OPERATOR_FORM_COST)."""
-    return k * (2 * n + 2 * m) >= OPERATOR_FORM_COST * (5 * n + m)
 
 
 def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
@@ -467,51 +466,65 @@ def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
 
     Returns the pair (u_k, p_k).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = positive_int("k", k)
+    state = _checked_state(problem, state)
     sigma_new = _checked_sigma(problem, sigma_new)
     g = np.asarray(g, dtype=float)
     if g.shape != (problem.n_g,):
         raise ProblemAssumptionError(f"g has shape {g.shape}, expected ({problem.n_g},)")
-    return sweeps(problem, state.u, state.p, problem.M @ sigma_new + problem.F, g, k)
+    return sweeps(problem, state.u, state.p, sigma_new, g, k)
 
 
-def sweeps(problem: LinearInverseProblem, u, p, drive, g, k: int):
-    """The k coupled sweeps of ``fixed_point_sweep`` with a given drive.
+def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
+    """The k coupled sweeps of ``fixed_point_sweep`` at the new sigma.
 
-    u_{l+1} = B u_l + drive and p_{l+1} = B* p_l + H* (H u_l - g); with
-    drive = M sigma and the scalar g = 0.0 they are the linear part of the
-    inner iteration, which the spectral certificate applies.  g is the
-    data array or that scalar 0.0.  No input checks.
+    u_{l+1} = B u_l + M sigma + F and p_{l+1} = B* p_l + H* (H u_l - g),
+    for the data array g.  With the scalar g = 0.0 they are the linear part
+    of the inner iteration, u_{l+1} = B u_l + M sigma and
+    p_{l+1} = B* p_l + H*H u_l (no F, no data), which the spectral
+    certificate applies.  No input checks.
 
-    Where ``operator_form_is_cheaper`` says so, the k sweeps are applied in
-    their closed form with the cached k-step operators of the block,
+    From k = 3 on, the k sweeps are applied in their closed form with the
+    cached k-step operators of the block,
 
-        u_k = B^k u_0 + T_k drive,
-        p_k = (B*)^k p_0 + U_k u_0 + X_k drive - T_k* H* g,
+        u_k = B^k u_0 + T_k d,
+        p_k = (B*)^k p_0 + U_k u_0 + X_k d - T_k* H* g,   d = M sigma + F,
 
-    which equals the loop in exact arithmetic.  This is possible only
-    because B is stored dense; in the paper's PDE setting B is applied, not
-    stored, and the cost is counted in sweeps.  The trace's ``acc_inner``
-    keeps counting k sweeps per outer step either way.
+    which equals the loop in exact arithmetic.  [T_k d; X_k d] is the
+    cached W sigma + c, so a call multiplies by three n x n blocks (B^k,
+    (B^k)*, U_k) where k sweeps multiply by B, B*, H and H* k times: per
+    block of width n with m rows of H, 3 n^2 + n m + 2 n n_sigma flops
+    against k (2 n^2 + 2 n m) + n n_sigma, fewer at every k >= 3 unless
+    n_sigma exceeds 3 n + 5 m.  Up to k = 2 the loop stays, so two single
+    sweeps compose exactly into k = 2 and no operators are built.
+    The closed form is possible only because B is stored dense; in the
+    paper's PDE setting B is applied, not stored, and the cost is counted
+    in sweeps.  The trace's ``acc_inner`` keeps counting k sweeps per outer
+    step either way.
     """
     B, H, n_blocks = problem.B, problem.H, problem.n_blocks
+    data = np.ndim(g) > 0
     if n_blocks > 1:
         # the (n_blocks, n) row views, reshaped once per call
-        u, p, drive = (x.reshape(n_blocks, -1) for x in (u, p, drive))
-        if np.ndim(g):
+        u, p = u.reshape(n_blocks, -1), p.reshape(n_blocks, -1)
+        if data:
             g = g.reshape(n_blocks, -1)
     # x @ T.T is kron(I, T) x on a row view, and T @ x on a plain vector
-    if operator_form_is_cheaper(k, *H.shape):
+    if k >= 3:
         ops = k_step_operators(problem, k)
+        drives = ops.W @ sigma
+        if data:
+            drives += ops.c
+        T_drive, X_drive = drives.reshape(2, *u.shape)
         u_k = u @ ops.Bk.T
-        u_k += drive @ ops.T.T
+        u_k += T_drive
         p_k = p @ ops.Bk
         p_k += u @ ops.U.T
-        p_k += drive @ ops.X.T
-        if np.ndim(g):
+        p_k += X_drive
+        if data:
             p_k -= g @ ops.HT
         return u_k.reshape(-1), p_k.reshape(-1)
+    drive = (problem.M @ sigma + problem.F if data else problem.M @ sigma).reshape(u.shape)
     for _ in range(k):
         p_next = p @ B + (u @ H.T - g) @ H
         u = u @ B.T + drive

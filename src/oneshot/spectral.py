@@ -38,9 +38,13 @@ The k-step operators of a stacked problem are those of its stored block;
 only the dense block matrix and the eigenvalue-equation residual expand
 them.  ``KStepOperators`` and ``k_step_operators`` are defined in
 ``problem``, which caches one read-only object per (problem, k), and are
-re-exported here.  The dense G, both Arnoldi operators and the
-eigenvalue-equation residual read that object, and so do the inner
-sweeps from the cost cutover in k on (see ``problem.sweeps``).
+re-exported here.  Its ``W`` holds the sigma column's T_k M and X_k M, so
+the dense G reads them (and T_k M M*, X_k M M* as their products with
+M*) instead of applying T_k and X_k again.  Both Arnoldi operators and
+the eigenvalue-equation residual read the same object, and so do the
+inner sweeps from k = 3 on (see ``problem.sweeps``); the matrix-free G
+passes sigma' to ``sweeps`` with the scalar data 0.0, which asks for the
+linear part of the iteration (no F, no data).
 """
 
 from __future__ import annotations
@@ -83,12 +87,25 @@ def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
     n_u, n_s = problem.n_u, problem.n_sigma
     d = 1.0 + tau * alpha
     Bk = _dense(problem, ops.Bk)
-    MMt = M @ M.T
-    top = np.hstack([Bk.T - (tau / d) * problem.apply(ops.X, MMt), _dense(problem, ops.U),
-                     problem.apply(ops.X, M) / d])
-    mid = np.hstack([-(tau / d) * problem.apply(ops.T, MMt), Bk, problem.apply(ops.T, M) / d])
+    TM, XM = ops.W[:n_u], ops.W[n_u:]
+    top = np.hstack([Bk.T - (tau / d) * (XM @ M.T), _dense(problem, ops.U), XM / d])
+    mid = np.hstack([-(tau / d) * (TM @ M.T), Bk, TM / d])
     bot = np.hstack([-(tau / d) * M.T, np.zeros((n_s, n_u)), np.eye(n_s) / d])
     return np.vstack([top, mid, bot])
+
+
+def apply_iteration_matrix(problem: LinearInverseProblem, x, tau: float,
+                           alpha: float, k: int) -> np.ndarray:
+    """G x without forming G: one step of the scheme with zero data.
+
+    sigma' = (sigma - tau M* p) / (1 + tau alpha), then the k linear sweeps
+    at sigma' from the (p, u) blocks of x.
+    """
+    n_u = problem.n_u
+    p, u, s = np.split(x, (n_u, 2 * n_u))
+    s = (s - tau * (problem.M.T @ p)) / (1.0 + tau * alpha)
+    u, p = sweeps(problem, u, p, s, 0.0, k)
+    return np.concatenate([p, u, s])
 
 
 def _check_step(tau: float, alpha: float):
@@ -177,22 +194,18 @@ def _arnoldi_extremes(problem: LinearInverseProblem, tau: float, alpha: float, k
     n_u = problem.n_u
     dim = 2 * n_u + problem.n_sigma
     M, H, apply = problem.M, problem.H, problem.apply
-    d = 1.0 + tau * alpha
     ops = k_step_operators(problem, k)
     lu_k = scipy.linalg.lu_factor(np.eye(ops.Bk.shape[0]) - ops.Bk)
     A = problem.reduced_operator()
     normal = scipy.linalg.cho_factor(A.T @ A + alpha * np.eye(problem.n_sigma))
-    W = problem.solve_I_minus_B(M)                                # (I - B)^{-1} M
+    V = problem.solve_I_minus_B(M)                                # (I - B)^{-1} M
     Z = problem.solve_I_minus_B(apply(H.T, A), adjoint=True)     # (I - B*)^{-1} H*A
     matvecs = 0
 
     def step(x):
         nonlocal matvecs
         matvecs += 1
-        p, u, s = np.split(x, (n_u, 2 * n_u))
-        s = (s - tau * (M.T @ p)) / d
-        u, p = sweeps(problem, u, p, M @ s, 0.0, k)
-        return np.concatenate([p, u, s])
+        return apply_iteration_matrix(problem, x, tau, alpha, k)
 
     def resolvent(b):
         nonlocal matvecs
@@ -201,7 +214,7 @@ def _arnoldi_extremes(problem: LinearInverseProblem, tau: float, alpha: float, k
         y = problem.solve_factored(lu_k, b_u)
         c = problem.solve_factored(lu_k, apply(ops.U, y) + b_p, adjoint=True)
         s = scipy.linalg.cho_solve(normal, M.T @ c - b_s / tau)
-        return np.concatenate([Z @ s - c, W @ s - y, s - b_s])
+        return np.concatenate([Z @ s - c, V @ s - y, s - b_s])
 
     def largest(matvec):
         operator = LinearOperator((dim, dim), matvec=matvec, dtype=float)

@@ -10,7 +10,7 @@ from oneshot import (CavityConfig, ProblemAssumptionError, RunConfig,
                      multi_source_objective, run)
 from oneshot.cavity import (_CAVITY_CODECS, _assemble, _build_mesh, _source_positions,
                             _triangle_geometry, export_cavity, format_manifest,
-                            parse_manifest)
+                            parse_manifest, with_noise_level)
 from oneshot import problem as problem_module
 from oneshot.experiments import load_spec
 from oneshot.problem import LinearInverseProblem, Objective
@@ -116,6 +116,18 @@ class TestGenerate:
         c = generate(small_config(noise_level=0.05, rng_seed=4))
         assert not np.array_equal(per_source(a, a.stacked_noisy)[0],
                                   per_source(c, c.stacked_noisy)[0])
+
+    @pytest.mark.parametrize("background", [True, False])
+    def test_with_noise_level_equals_generate(self, background):
+        base = generate(small_config(noise_level=0.01, random_background=background))
+        for level in (0.05, 0.0, 0.01):
+            ours = with_noise_level(base, level)
+            oracle = generate(small_config(noise_level=level, random_background=background))
+            assert ours.problem is base.problem and ours.config == oracle.config
+            for name in ("stacked_noisy", "stacked_clean", "exact_sigma", "init_sigma"):
+                assert np.array_equal(getattr(ours, name), getattr(oracle, name))
+        with pytest.raises(ValueError, match="noise_level"):
+            with_noise_level(base, -0.01)
 
     def test_assembly_matrices_symmetric(self):
         nodes, tris, interior, boundary = _build_mesh(2.0, 10)

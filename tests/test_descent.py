@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oneshot import (IterationState, LinearInverseProblem, Objective,
-                     RunConfig, RunStatus, SchemeKind, cost, gradient,
-                     iteration_matrix_semi_implicit, regularized_solution,
-                     run, solve_adjoint_exact, solve_state_exact, step)
+                     ProblemAssumptionError, RunConfig, RunStatus, SchemeKind,
+                     cost, gradient, iteration_matrix_semi_implicit,
+                     regularized_solution, run, solve_adjoint_exact,
+                     solve_state_exact, step)
 from oneshot.bounds import bound_report_for
 from oneshot.descent import format_trace_csv
 from conftest import make_objective, make_problem, stacked_and_kron_twin
@@ -287,11 +288,14 @@ class TestRun:
         trace = run(obj, RunConfig(scheme=scheme, tau=tau, k=2, max_outer=15))
         assert trace.records[-1].n == 15
         state = IterationState.zero(problem)
+        sigma_ref = regularized_solution(obj)
         for rec in trace.records:
             if rec.n:
                 state = step(obj, state, scheme, tau, 2)
             assert rec.cost == cost(obj, state.sigma)
             assert rec.grad_norm == np.linalg.norm(gradient(obj, state.sigma))
+            assert rec.rel_err_sigma == \
+                np.linalg.norm(state.sigma - sigma_ref) / np.linalg.norm(sigma_ref)
 
     def test_gd_trace_counts_outer_iterations(self):
         obj = make_objective(48)
@@ -370,6 +374,27 @@ class TestRun:
             RunConfig(scheme=SchemeKind.UsualGD, tau=0.1, k=0)
         with pytest.raises(ValueError):
             RunConfig(scheme="NoSuchScheme", tau=0.1)
+
+    @pytest.mark.parametrize("field", ["k", "max_outer"])
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, 0, "3"])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            RunConfig(**{"scheme": SchemeKind.KStepOneShot, "tau": 0.1, field: value})
+
+    def test_numpy_integer_counts_become_int(self):
+        config = RunConfig(scheme=SchemeKind.KStepOneShot, tau=0.1, k=np.int64(3),
+                           max_outer=np.int32(5))
+        assert (config.k, config.max_outer) == (3, 5)
+        assert type(config.k) is int and type(config.max_outer) is int
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_start_vectors_of_wrong_length_rejected(self, scheme):
+        obj = make_objective(40)
+        assert obj.problem.n_u == 8
+        config = RunConfig(scheme=scheme, tau=0.01, k=2, max_outer=3,
+                           u0=np.zeros(7), p0=np.zeros(7))
+        with pytest.raises(ProblemAssumptionError, match="expected \\(8,\\)"):
+            run(obj, config)
 
     @pytest.mark.parametrize("field", ["tau", "tol_cost", "tol_step"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

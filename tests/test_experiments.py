@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
 from oneshot import SpecParseError, SpecValidationError
-from oneshot.experiments import (ExperimentKind, ExperimentSpec, _kind_keys,
+from oneshot import experiments
+from oneshot.cavity import generate
+from oneshot.experiments import (ExperimentKind, ExperimentSpec, _cells, _kind_keys,
                                  parse_spec, run_experiment, serialize_spec)
+from conftest import spy
 from test_cavity import EVERY_FIELD_LINES, every_field_config
 
 MINIMAL = """
@@ -265,6 +269,24 @@ class TestCavityVariants:
             (e, h, d) for e in (0.0, 0.01) for h in (0.2857142857142857, 0.2)
             for d in (0.01, 0.02)]
         assert all(v.rng_seed == spec.cavity.rng_seed for v in variants)
+
+    def test_noise_levels_share_one_problem(self, monkeypatch):
+        spec = parse_spec(MINIMAL.replace("kind = TauSweep", "kind = NoiseStudy")
+                          + "noise_levels = 0.01,0.03,0.0\n")
+        generated = spy(monkeypatch, experiments, "generate")
+        cavities = [cell[0] for cell in _cells(spec)]
+        assert len(generated) == 1 and len({id(c.problem) for c in cavities}) == 1
+        for cavity, variant in zip(cavities, spec.cavity_variants()):
+            assert cavity.config == variant
+            assert np.array_equal(cavity.stacked_noisy, generate(variant).stacked_noisy)
+
+    def test_other_axes_regenerate(self, monkeypatch):
+        # noise is the outer axis, so consecutive variants differ in mesh_h
+        spec = parse_spec(MINIMAL + "noise_levels = 0.0,0.01\n"
+                          "mesh_hs = 0.2857142857142857,0.2\n")
+        generated = spy(monkeypatch, experiments, "generate")
+        assert [cell[0].config for cell in _cells(spec)] == spec.cavity_variants()
+        assert len(generated) == 4
 
     def test_no_axis_keeps_the_cavity(self):
         spec = parse_spec(MINIMAL)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,8 +12,7 @@ from oneshot import (IterationState, LinearInverseProblem, Objective,
                      fixed_point_sweep, gradient, regularized_solution, run,
                      solve_adjoint_exact, solve_state_exact)
 from oneshot import problem as problem_module
-from oneshot.problem import (contracts, k_step_operators, operator_form_is_cheaper,
-                             spectral_radius, sweeps)
+from oneshot.problem import contracts, k_step_operators, spectral_radius, sweeps
 from conftest import make_objective, make_problem, spy, stacked_and_kron_twin
 
 
@@ -142,6 +142,30 @@ class TestFixedPointSweep:
         ratios = [b / a for a, b in zip(errors[10:], errors[11:]) if a > floor]
         assert ratios and max(ratios) <= p.rho_B + 0.05
 
+    @pytest.mark.parametrize("k", [True, False, 2.5, 3.0, 0, -1, "3", None])
+    def test_rejects_non_integer_k(self, k):
+        p = make_problem(8)
+        state = IterationState.zero(p)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            fixed_point_sweep(p, state, np.zeros(p.n_sigma), np.zeros(p.n_g), k)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            k_step_operators(p, k)
+        assert "_k_step" not in p.__dict__
+
+    def test_numpy_integer_k_shares_the_int_cache_entry(self):
+        p = make_problem(8)
+        ops = k_step_operators(p, np.int64(3))
+        assert ops.k == 3 and type(ops.k) is int and k_step_operators(p, 3) is ops
+
+    @pytest.mark.parametrize("n", [7, 9, 0])
+    def test_rejects_state_of_wrong_length(self, n):
+        p = make_problem(8)
+        state = IterationState(np.zeros(p.n_sigma), np.zeros(n), np.zeros(n))
+        with pytest.raises(ProblemAssumptionError, match="expected \\(8,\\)"):
+            fixed_point_sweep(p, state, np.zeros(p.n_sigma), np.zeros(p.n_g), 1)
+        with pytest.raises(ProblemAssumptionError, match="expected \\(8,\\)"):
+            IterationState.zero(p, u0=np.zeros(n), p0=np.zeros(n))
+
 
 def loop_sweeps(problem, u, p, drive, g, k):
     """k coupled sweeps on the dense kron(I, B), kron(I, H): the oracle of ``sweeps``."""
@@ -159,27 +183,64 @@ class TestOperatorForm:
     def problems():
         return {"dense": make_problem(9), "stacked": stacked_and_kron_twin(10)[0]}
 
+    @staticmethod
+    def start(problem, data, seed=11):
+        """(u, p, sigma, g) and the loop's drive; zero data is the linear part."""
+        rng = np.random.default_rng(seed)
+        u, p = rng.standard_normal(problem.n_u), rng.standard_normal(problem.n_u)
+        sigma = rng.standard_normal(problem.n_sigma)
+        if data == "array":
+            return u, p, sigma, rng.standard_normal(problem.n_g), problem.M @ sigma + problem.F
+        return u, p, sigma, 0.0, problem.M @ sigma
+
     @pytest.mark.parametrize("kind", ["dense", "stacked"])
     @pytest.mark.parametrize("data", ["array", "zero"])
     def test_matches_loop(self, kind, data):
+        # k = 1, 2 loop, k = 3, 10 take the closed form
         problem = self.problems()[kind]
-        rng = np.random.default_rng(11)
-        u, p = rng.standard_normal(problem.n_u), rng.standard_normal(problem.n_u)
-        drive = problem.M @ rng.standard_normal(problem.n_sigma) + problem.F
-        g = rng.standard_normal(problem.n_g) if data == "array" else 0.0
-        ks = (1, 2, 3, 10)
-        # both sides of the cutover are exercised
-        assert {operator_form_is_cheaper(k, *problem.H.shape) for k in ks} == {False, True}
-        for k in ks:
-            for ours, oracle in zip(sweeps(problem, u, p, drive, g, k),
+        u, p, sigma, g, drive = self.start(problem, data)
+        for k in (1, 2, 3, 10):
+            for ours, oracle in zip(sweeps(problem, u, p, sigma, g, k),
                                     loop_sweeps(problem, u, p, drive, g, k)):
                 assert np.linalg.norm(ours - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
-    def test_measured_cutover(self):
-        # the measured cutovers at n = 169, m = 28 and n = 361, m = 20 (where
-        # k = 3 is a tie)
-        for m, n in ((28, 169), (20, 361)):
-            assert [operator_form_is_cheaper(k, m, n) for k in (1, 2, 3)] == [False, False, True]
+    @pytest.mark.parametrize("kind", ["dense", "stacked"])
+    def test_no_operators_below_k3(self, kind, monkeypatch):
+        problem = self.problems()[kind]
+        built = spy(monkeypatch, problem_module, "k_step_operators")
+        obj = Objective(problem, np.ones(problem.n_g))
+        for k in (1, 2):
+            run(obj, RunConfig(scheme=SchemeKind.SemiImplicitKStepOneShot, tau=0.01, k=k,
+                               max_outer=3))
+        assert built == [] and "_k_step" not in problem.__dict__
+        run(obj, RunConfig(scheme=SchemeKind.KStepOneShot, tau=0.01, k=3, max_outer=3))
+        assert len(built) == 3 and set(problem.__dict__["_k_step"]) == {3}
+
+    @pytest.mark.parametrize("kind", ["dense", "stacked"])
+    @pytest.mark.parametrize("data", ["array", "zero"])
+    def test_closed_form_reads_folded_operators_only(self, kind, data):
+        # NaN copies of T_k and X_k in the cache: the closed form reads Bk, U,
+        # HT, W and c only, so the result stays finite and matches the loop
+        problem = self.problems()[kind]
+        u, p, sigma, g, drive = self.start(problem, data)
+        for k in (3, 10):
+            ops = k_step_operators(problem, k)
+            problem.__dict__["_k_step"][k] = dataclasses.replace(
+                ops, T=np.full_like(ops.T, np.nan), X=np.full_like(ops.X, np.nan))
+            for ours, oracle in zip(sweeps(problem, u, p, sigma, g, k),
+                                    loop_sweeps(problem, u, p, drive, g, k)):
+                assert np.linalg.norm(ours - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("kind", ["dense", "stacked"])
+    def test_folded_drive_operators(self, kind):
+        problem = self.problems()[kind]
+        eye = np.eye(problem.n_blocks)
+        for k in (1, 2, 3, 10):
+            ops = k_step_operators(problem, k)
+            T, X = np.kron(eye, ops.T), np.kron(eye, ops.X)
+            assert ops.W.shape == (2 * problem.n_u, problem.n_sigma)
+            assert_rel(ops.W, np.vstack([T @ problem.M, X @ problem.M]))
+            assert_rel(ops.c, np.concatenate([T @ problem.F, X @ problem.F]))
 
     def test_concurrent_builds_share_one_object(self):
         problem = make_problem(13, n_u=40)
@@ -198,9 +259,9 @@ class TestOperatorForm:
         ops = k_step_operators(problem, 3)
         assert k_step_operators(problem, 3) is ops
         assert k_step_operators(problem, 2) is not ops
-        for name in ("T", "U", "X", "Bk", "HT"):
+        for name in ("T", "U", "X", "Bk", "HT", "W", "c"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(ops, name)[0, 0] = 1.0
+                getattr(ops, name)[(0,) * getattr(ops, name).ndim] = 1.0
 
 
 class TestCostAndGradient:
@@ -518,9 +579,8 @@ class TestBlockStorage:
         block, dense, _, sigma = twins
         rng = np.random.default_rng(48)
         u, p = rng.standard_normal(dense.n_u), rng.standard_normal(dense.n_u)
-        drive = dense.M @ sigma
-        for ours, oracle in zip(sweeps(block, u, p, drive, 0.0, 3),
-                                sweeps(dense, u, p, drive, 0.0, 3)):
+        for ours, oracle in zip(sweeps(block, u, p, sigma, 0.0, 3),
+                                sweeps(dense, u, p, sigma, 0.0, 3)):
             assert_rel(ours, oracle)
 
     def test_objective_and_reduced_operator(self, twins):

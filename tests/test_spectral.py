@@ -9,7 +9,7 @@ from oneshot import (IterationState, RunConfig, SchemeKind,
                      k_step_operators, run, s_of, spectrum)
 from oneshot.bounds import bound_report_for
 from oneshot.problem import LinearInverseProblem, operator_norm
-from oneshot.spectral import ARNOLDI_MIN_DIM, CONVERGENCE_MARGIN
+from oneshot.spectral import ARNOLDI_MIN_DIM, CONVERGENCE_MARGIN, apply_iteration_matrix
 from conftest import make_objective, make_problem
 
 
@@ -268,6 +268,17 @@ class TestArnoldiCertificate:
             assert cert.min_dist_to_one == pytest.approx(dist, rel=self.DIST_REL)
             verdicts.add(cert.convergent)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_matvec_is_dense_matrix(self, n_blocks, k):
+        # the sources F of the problem play no part in G
+        p = stacked_problem(72, n_blocks, 9, 4, 5, 0.6)
+        x = np.random.default_rng(73).standard_normal(2 * p.n_u + p.n_sigma)
+        for tau, alpha in ((0.05, 0.0), (0.02, 0.3)):
+            oracle = iteration_matrix_semi_implicit(p, tau, alpha, k) @ x
+            ours = apply_iteration_matrix(p, x, tau, alpha, k)
+            assert np.linalg.norm(ours - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_crossover(self):
         below = make_problem(70, n_u=(ARNOLDI_MIN_DIM - 2) // 2, n_sigma=1, n_g=3)
