@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import eigvals
 
 from .errors import EigensolverError, ProblemAssumptionError, SingularSystemError
-from .problem import LinearInverseProblem, contracts, operator_norm
+from .problem import LinearInverseProblem, contracts, operator_norm, positive_int
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -412,8 +412,7 @@ def sufficient_tau_k_step(norm_B: float, norm_M: float, norm_H: float,
     complex cases.  This path requires theta0 strictly below pi/4.
     """
     params = params or DEFAULT_PARAMETERS
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = positive_int("k", k)
     _check_alpha(alpha)
     if not params.theta0 < math.pi / 4:
         raise ValueError("the multi-step bounds require theta0 < pi/4 strictly")
@@ -480,6 +479,7 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     """
     from .spectral import k_step_operators
 
+    k = positive_int("k", k)
     _check_alpha(alpha)
     norm_B, norm_M, norm_H = problem.norm_B, problem.norm_M, problem.norm_H
     if use_s_path is None:

@@ -46,7 +46,7 @@ import scipy.special
 
 from .errors import ProblemAssumptionError
 from .matrixio import write_matrix
-from .problem import LinearInverseProblem, Objective
+from .problem import LinearInverseProblem, Objective, from_block_columns, positive_int
 
 #: Relative smallest-singular-value threshold for the resonance check.
 RESONANCE_TOL = 1e-8
@@ -104,23 +104,19 @@ class CavityConfig:
             raise ValueError("delta must be >= 0")
         if self.noise_level < 0:
             raise ValueError("noise_level must be >= 0")
-        if self.n_sources < 1:
-            raise ValueError("n_sources must be >= 1")
-        if self.boundary_subsample < 1:
-            raise ValueError("boundary_subsample must be >= 1")
+        for name in ("n_sources", "boundary_subsample"):
+            positive_int(name, getattr(self, name))
         if not self.data_scale > 0:
             raise ValueError("data_scale must be > 0")
         if not self.effective_source_radius > self.domain_radius:
             raise ValueError("source_radius must be > domain_radius "
                              "(the sources sit strictly outside the domain)")
-        sx, sy = self.sigma_subdivision
-        if sx < 1 or sy < 1:
-            raise ValueError("sigma_subdivision entries must be >= 1")
+        sx, sy = (positive_int("sigma_subdivision entries", v) for v in self.sigma_subdivision)
         if not self.inclusion_layout or any(len(inc) != 3 or not inc[2] > 0
                                             for inc in self.inclusion_layout):
             raise ValueError("inclusion_layout must list (center_x, center_y, edge) "
                              "squares with edge > 0")
-        object.__setattr__(self, "sigma_subdivision", (int(sx), int(sy)))
+        object.__setattr__(self, "sigma_subdivision", (sx, sy))
 
     @property
     def wavelength(self) -> float:
@@ -309,19 +305,20 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     U0[boundary] = f_all
     lu1 = scipy.linalg.lu_factor(A1[II])
     U0[interior] = scipy.linalg.lu_solve(lu1, -A1[IB] @ f_all)
-    # A2[:, i, c] = (stiffness of sigma cell c) u0_i; M stacks A11^{-1} A2[:, i] over i
+    # A2[:, i, c] = (stiffness of sigma cell c) u0_i; with the last two axes of its
+    # interior rows merged, column i * n_sigma + c is block i of column c of the
+    # stacked A2_I, the block-column layout that from_block_columns stacks
     A2 = np.stack([_assemble(nodes, tris[t], areas[t], grads[t]) @ U0 for t in cells], -1)
     n1, m = len(interior), config.n_sources
-    M = scipy.linalg.lu_solve(lu, A2[interior].reshape(n1, -1))
-    M = M.reshape(n1, m, n_sigma).transpose(1, 0, 2).reshape(m * n1, n_sigma)
+    A2_I = A2[interior].reshape(n1, m * n_sigma)
+    M = from_block_columns(scipy.linalg.lu_solve(lu, A2_I), m)
 
     sel = boundary[:: config.boundary_subsample]
     H_single = config.data_scale * A1[np.ix_(sel, interior)]
     if config.normalize_data:
         # rescale so that the stacked parameter-to-data map has norm data_scale,
         # using (I - B)^{-1} M = A1_II^{-1} A2_I
-        A = H_single @ scipy.linalg.lu_solve(lu1, A2[interior].reshape(n1, -1))
-        A = A.reshape(len(sel), m, n_sigma).transpose(1, 0, 2).reshape(-1, n_sigma)
+        A = from_block_columns(H_single @ scipy.linalg.lu_solve(lu1, A2_I), m)
         H_single *= config.data_scale / np.linalg.norm(A, 2)
     problem = LinearInverseProblem(B=B_single, M=M, H=H_single,
                                    F=np.zeros(m * n1), n_blocks=m)

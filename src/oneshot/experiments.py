@@ -43,6 +43,7 @@ from .cavity import (CavityConfig, cavity_config_lines, generate,
                      multi_source_objective, parse_cavity_value, with_noise_level)
 from .descent import RunConfig, SchemeKind, format_trace_csv, run
 from .errors import SpecParseError, SpecValidationError
+from .problem import positive_int
 from .spectral import certificate_csv_header, certificate_csv_row, certify
 
 
@@ -148,15 +149,14 @@ class ExperimentSpec:
                 raise SpecValidationError(f"{name} contains a non-finite value")
         if any(t <= 0 for t in self.taus):
             raise SpecValidationError("taus must be positive")
-        if any(k < 1 for k in self.ks):
-            raise SpecValidationError("ks must be >= 1")
+        for k in self.ks:
+            positive_int("ks", k, SpecValidationError)
         if any(a < 0 for a in self.alphas):
             raise SpecValidationError("alphas must be non-negative")
         for name in ("tol_cost", "tol_step"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise SpecValidationError(f"{name} must be finite and non-negative")
-        if self.max_outer < 1:
-            raise SpecValidationError("max_outer must be >= 1")
+        positive_int("max_outer", self.max_outer, SpecValidationError)
         try:
             self.cavity_variants()
         except ValueError as exc:

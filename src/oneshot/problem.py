@@ -31,18 +31,19 @@ nothing; the exact-solve forms above are their test oracle.
 
 A problem stacking n_blocks copies of one state model with a shared
 sigma (the cavity's sources) stores the single blocks B and H, while M
-and F stay stacked (a dense problem has n_blocks = 1).  Block j of a
-stacked vector x is row j of its (n_blocks, n) view, so kron(I, T) x is
-that view times T^T, and no block is copied in or out.  All exact solves
-use one dense LU factorization of the block I - B with partial pivoting,
-shared by the state and the (transposed) adjoint equation; LAPACK's
-getrs takes the blocks as the columns of the transposed view.  The
-k-step operators of the block (``k_step_operators``), with M and F
-folded into them, are cached on the problem like A, once per k; from
-k = 3 on ``sweeps`` applies k sweeps in their closed form, three block
-products per call.  Problems and objectives are immutable and safe to
-share across threads; every operation here is a pure function of its
-inputs.
+and F stay stacked (a dense problem has n_blocks = 1).  Only this module
+takes a stacked array apart: ``to_block_columns`` makes the blocks of a
+stacked vector or matrix the columns of one matrix and
+``from_block_columns`` stacks them back, so ``blockwise`` applies kron(I,
+T) or its inverse by one product or LAPACK solve with the block T, and
+``sweeps`` works on the (n_blocks, n) row view.  All exact solves use one
+dense LU factorization of the block I - B with partial pivoting, shared
+by the state and the (transposed) adjoint equation.  The k-step operators
+of the block (``k_step_operators``), with M and F folded into them, are
+cached on the problem like A, once per k; from k = 3 on ``sweeps``
+applies k sweeps in their closed form, three block products per call.
+Problems and objectives are immutable and safe to share across threads;
+every operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -74,6 +75,25 @@ def positive_int(name, value, error=ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def to_block_columns(x, n_blocks: int) -> np.ndarray:
+    """The blocks of a stacked x as the columns of one (n, n_blocks * c) matrix.
+
+    x is an (n_blocks * n, c) matrix, or an (n_blocks * n,) vector with
+    c = 1; column j * c + i of the result is block j of column i of x.
+    """
+    x = np.asarray(x)
+    n, c = x.shape[0] // n_blocks, x.shape[1] if x.ndim == 2 else 1
+    return x.reshape(n_blocks, n, c).swapaxes(0, 1).reshape(n, n_blocks * c)
+
+
+def from_block_columns(y, n_blocks: int, ndim: int = 2) -> np.ndarray:
+    """The stacked array whose blocks are the columns of y (``to_block_columns``
+    inverted): an (n_blocks * n, c) matrix, or a vector when ndim is 1."""
+    n, c = y.shape[0], y.shape[1] // n_blocks
+    x = y.reshape(n, n_blocks, c).swapaxes(0, 1).reshape(n_blocks * n, c)
+    return x if ndim == 2 else x.reshape(-1)
 
 
 def operator_norm(x) -> float:
@@ -230,25 +250,18 @@ class LinearInverseProblem:
     def norm_H(self) -> float:
         return operator_norm(self.H)
 
-    def _by_columns(self, fn, x):
-        """kron(I, T) x for a stacked matrix x; fn(c) computes T c.
+    def blockwise(self, fn, x):
+        """kron(I, T) x for a stacked vector or matrix x, where fn(c) computes T c.
 
-        The blocks of every column of x become the columns of one matrix,
-        so fn runs once; only set-up (A and the certificate) passes matrices.
+        T is a block, or the inverse of one when fn solves.  The blocks of
+        every column of x become the columns of one matrix, so fn runs once.
         """
-        n, c = x.shape[0] // self.n_blocks, x.shape[1]
-        blocks = x.reshape(self.n_blocks, n, c).swapaxes(0, 1)
-        out = fn(blocks.reshape(n, self.n_blocks * c))
-        return out.reshape(out.shape[0], self.n_blocks, c).swapaxes(0, 1).reshape(
-            self.n_blocks * out.shape[0], c)
+        return from_block_columns(fn(to_block_columns(x, self.n_blocks)), self.n_blocks,
+                                  np.ndim(x))
 
     def apply(self, op, x):
         """kron(I, op) @ x for a block matrix op (e.g. B, B.T, H, H.T)."""
-        if self.n_blocks == 1:
-            return op @ x
-        if x.ndim == 1:
-            return (x.reshape(self.n_blocks, -1) @ op.T).reshape(-1)
-        return self._by_columns(op.__matmul__, x)
+        return self.blockwise(op.__matmul__, x)
 
     def solve_factored(self, factor, rhs, adjoint=False):
         """kron(I, T)^{-1} rhs, or kron(I, T*)^{-1} rhs when ``adjoint``.
@@ -267,12 +280,7 @@ class LinearInverseProblem:
             return x
 
         try:
-            if self.n_blocks == 1:
-                return getrs(rhs)
-            if rhs.ndim == 1:
-                # the blocks are the columns of the F-contiguous transposed view
-                return getrs(rhs.reshape(self.n_blocks, -1).T).T.reshape(-1)
-            return self._by_columns(getrs, rhs)
+            return self.blockwise(getrs, rhs)
         except ValueError as exc:
             raise SingularSystemError("exact solve failed") from exc
 
@@ -280,23 +288,21 @@ class LinearInverseProblem:
         """Solve (I - B) x = rhs, or (I - B*) x = rhs when ``adjoint``."""
         return self.solve_factored(self._lu_state, rhs, adjoint)
 
+    @cached_property
+    def _A(self) -> np.ndarray:
+        return _readonly(self.apply(self.H, self.solve_I_minus_B(self.M)), copy=False)
+
+    @cached_property
+    def _offset(self) -> np.ndarray:
+        return _readonly(self.apply(self.H, self.solve_I_minus_B(self.F)), copy=False)
+
     def reduced_operator(self) -> np.ndarray:
         """The end-to-end map A = H (I - B)^{-1} M (n_g x n_sigma)."""
-        cached = self.__dict__.get("_A")
-        if cached is None:
-            cached = self.apply(self.H, self.solve_I_minus_B(self.M))
-            cached.setflags(write=False)
-            self.__dict__["_A"] = cached
-        return cached
+        return self._A
 
     def data_offset(self) -> np.ndarray:
         """The sigma-independent measurement part H (I - B)^{-1} F."""
-        cached = self.__dict__.get("_offset")
-        if cached is None:
-            cached = self.apply(self.H, self.solve_I_minus_B(self.F))
-            cached.setflags(write=False)
-            self.__dict__["_offset"] = cached
-        return cached
+        return self._offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,14 +325,13 @@ class Objective:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "alpha", float(self.alpha))
 
+    @cached_property
+    def _g_tilde(self) -> np.ndarray:
+        return _readonly(self.g - self.problem.data_offset(), copy=False)
+
     def shifted_data(self) -> np.ndarray:
         """g with the source contribution removed: g - H (I-B)^{-1} F."""
-        cached = self.__dict__.get("_g_tilde")
-        if cached is None:
-            cached = self.g - self.problem.data_offset()
-            cached.setflags(write=False)
-            self.__dict__["_g_tilde"] = cached
-        return cached
+        return self._g_tilde
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,12 +509,10 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
     """
     B, H, n_blocks = problem.B, problem.H, problem.n_blocks
     data = np.ndim(g) > 0
-    if n_blocks > 1:
-        # the (n_blocks, n) row views, reshaped once per call
-        u, p = u.reshape(n_blocks, -1), p.reshape(n_blocks, -1)
-        if data:
-            g = g.reshape(n_blocks, -1)
-    # x @ T.T is kron(I, T) x on a row view, and T @ x on a plain vector
+    # on the (n_blocks, n) row views, reshaped once per call, x @ T.T is kron(I, T) x
+    u, p = u.reshape(n_blocks, -1), p.reshape(n_blocks, -1)
+    if data:
+        g = g.reshape(n_blocks, -1)
     if k >= 3:
         ops = k_step_operators(problem, k)
         drives = ops.W @ sigma

@@ -34,23 +34,26 @@ operators that are never formed:
   A = H (I - B)^{-1} M.  So one application costs two block solves with
   I - B^k and one n_sigma solve with alpha I + A*A.
 
-The k-step operators of a stacked problem are those of its stored block;
-only the dense block matrix and the eigenvalue-equation residual expand
-them.  ``KStepOperators`` and ``k_step_operators`` are defined in
-``problem``, which caches one read-only object per (problem, k), and are
-re-exported here.  Its ``W`` holds the sigma column's T_k M and X_k M, so
-the dense G reads them (and T_k M M*, X_k M M* as their products with
-M*) instead of applying T_k and X_k again.  Both Arnoldi operators and
-the eigenvalue-equation residual read the same object, and so do the
-inner sweeps from k = 3 on (see ``problem.sweeps``); the matrix-free G
-passes sigma' to ``sweeps`` with the scalar data 0.0, which asks for the
-linear part of the iteration (no F, no data).
+The k-step operators of a stacked problem are those of its stored block.
+Only the dense block matrix, the oracle of the matrix-free paths, expands
+them to kron(I, .); the eigenvalue-equation residual eigensolves the
+block B^k and solves with lambda I - B^k block by block.
+``KStepOperators`` and ``k_step_operators`` are defined in ``problem``,
+which caches one read-only object per (problem, k), and are re-exported
+here.  Its ``W`` holds the sigma column's T_k M and X_k M, so the dense G
+reads them (and T_k M M*, X_k M M* as their products with M*) instead of
+applying T_k and X_k again.  Both Arnoldi operators and the
+eigenvalue-equation residual read the same object, and so do the inner
+sweeps from k = 3 on (see ``problem.sweeps``); the matrix-free G passes
+sigma' to ``sweeps`` with the scalar data 0.0, which asks for the linear
+part of the iteration (no F, no data).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -86,10 +89,11 @@ def iteration_matrix_semi_implicit(problem: LinearInverseProblem, tau: float,
     M = problem.M
     n_u, n_s = problem.n_u, problem.n_sigma
     d = 1.0 + tau * alpha
-    Bk = _dense(problem, ops.Bk)
+    eye = np.eye(problem.n_blocks)
     TM, XM = ops.W[:n_u], ops.W[n_u:]
-    top = np.hstack([Bk.T - (tau / d) * (XM @ M.T), _dense(problem, ops.U), XM / d])
-    mid = np.hstack([-(tau / d) * (TM @ M.T), Bk, TM / d])
+    top = np.hstack([np.kron(eye, ops.Bk.T) - (tau / d) * (XM @ M.T), np.kron(eye, ops.U),
+                     XM / d])
+    mid = np.hstack([-(tau / d) * (TM @ M.T), np.kron(eye, ops.Bk), TM / d])
     bot = np.hstack([-(tau / d) * M.T, np.zeros((n_s, n_u)), np.eye(n_s) / d])
     return np.vstack([top, mid, bot])
 
@@ -113,11 +117,6 @@ def _check_step(tau: float, alpha: float):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-
-
-def _dense(problem: LinearInverseProblem, block: np.ndarray) -> np.ndarray:
-    """The stacked operator kron(I, block) as a dense matrix."""
-    return np.kron(np.eye(problem.n_blocks), block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,18 +263,18 @@ def eigen_equation_residual(problem: LinearInverseProblem, lam: complex, y,
         raise ValueError(f"y must be a unit vector, got norm {nrm}")
     lam = complex(lam)
     ops = k_step_operators(problem, k)
-    Bk = _dense(problem, ops.Bk)
     exclusion = RESOLVENT_EXCLUSION * problem.norm_B ** k
     if exclusion > 0:
-        dist = np.min(np.abs(np.linalg.eigvals(Bk) - lam))
+        dist = np.min(np.abs(np.linalg.eigvals(ops.Bk) - lam))
         if dist < exclusion:
             raise SingularSystemError(
                 f"lambda = {lam} is within {exclusion:.3e} of Spec(B^k)")
-    eye = np.eye(problem.n_u)
-    core = _dense(problem, (lam - 1.0) * ops.X + ops.HT.T @ ops.HT)
+    shifted = lam * np.eye(ops.Bk.shape[0]) - ops.Bk
+    core = (lam - 1.0) * ops.X + ops.HT.T @ ops.HT
     try:
-        right = np.linalg.solve(lam * eye - Bk, problem.M @ y)
-        inner_vec = np.linalg.solve(lam * eye - Bk.T.astype(complex), core @ right)
+        right = problem.blockwise(partial(np.linalg.solve, shifted), problem.M @ y)
+        inner_vec = problem.blockwise(partial(np.linalg.solve, shifted.T),
+                                      problem.apply(core, right))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("resolvent solve failed") from exc
     quad = complex(np.vdot(y, problem.M.T @ inner_vec))

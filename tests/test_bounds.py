@@ -548,6 +548,13 @@ class TestKStepBounds:
                 report = sufficient_tau_k_step(b, 1.3, 0.7, alpha=0.05, k=k)
                 assert report.binding_case != "real"
 
+    @pytest.mark.parametrize("k", [2.5, True, 0])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            sufficient_tau_k_step(0.5, 1.0, 1.0, alpha=0.0, k=k)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            bound_report_for(make_problem(90), alpha=0.0, k=k)
+
     def test_theta0_strictness(self):
         params = CaseParameters(theta0=np.pi / 4)
         sufficient_tau_one_step(0.5, 1.0, 1.0, params=params)  # allowed at k = 1

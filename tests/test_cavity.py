@@ -217,6 +217,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="inclusion_layout"):
             small_config(inclusion_layout=((-1.0, -1.0, 0.5), inclusion))
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_sources", 2.5), ("n_sources", True), ("n_sources", 0),
+        ("boundary_subsample", 1.5), ("sigma_subdivision", (2.5, 1)),
+        ("sigma_subdivision", (1, False))])
+    def test_counts_must_be_positive_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}.* must be a positive integer"):
+            small_config(**{name: value})
+
     def test_subdivision_must_divide(self):
         with pytest.raises(ValueError, match="divisible"):
             generate(small_config(sigma_subdivision=(3, 1)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,16 @@ class TestParseSpec:
         bad_k = MINIMAL + "ks = 0\n"
         with pytest.raises(SpecValidationError, match="ks"):
             parse_spec(bad_k)
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("TauSweep", "ks", (True,)), ("TauSweep", "ks", (1.5,)),
+        ("TauSweep", "max_outer", 2.5), ("TauSweep", "max_outer", True),
+        ("BoundReport", "ks", (1.5, True))])
+    def test_counts_must_be_integers(self, kind, name, value):
+        # a spec built in code is checked like a parsed one, which reads int()
+        spec = parse_spec(MINIMAL if kind == "TauSweep" else table_spec(kind))
+        with pytest.raises(SpecValidationError, match=f"{name} must be a positive integer"):
+            dataclasses.replace(spec, **{name: value})
 
     @pytest.mark.parametrize("line", ["tol_cost = nan", "tol_cost = inf", "tol_cost = -1",
                                       "tol_step = nan", "tol_step = inf", "tol_step = -1"])

@@ -12,7 +12,9 @@ from oneshot import (IterationState, LinearInverseProblem, Objective,
                      fixed_point_sweep, gradient, regularized_solution, run,
                      solve_adjoint_exact, solve_state_exact)
 from oneshot import problem as problem_module
-from oneshot.problem import contracts, k_step_operators, spectral_radius, sweeps
+from oneshot.problem import (contracts, from_block_columns, k_step_operators,
+                             spectral_radius, sweeps, to_block_columns)
+from oneshot.spectral import eigen_equation_residual
 from conftest import make_objective, make_problem, spy, stacked_and_kron_twin
 
 
@@ -563,16 +565,43 @@ class TestBlockStorage:
         oracle = op(dense)
         rng = np.random.default_rng(45)
         for x in (rng.standard_normal(oracle.shape[1]),
-                  rng.standard_normal((oracle.shape[1], 3))):
+                  rng.standard_normal((oracle.shape[1], 3)), np.zeros((oracle.shape[1], 0))):
             assert_rel(block.apply(op(block), x), oracle @ x)
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_block_solves(self, twins, adjoint):
         block, dense, _, _ = twins
         rng = np.random.default_rng(46)
-        for rhs in (rng.standard_normal(dense.n_u), rng.standard_normal((dense.n_u, 3))):
+        for rhs in (rng.standard_normal(dense.n_u), rng.standard_normal((dense.n_u, 3)),
+                    np.zeros((dense.n_u, 0))):
             assert_rel(block.solve_I_minus_B(rhs, adjoint),
                        dense.solve_I_minus_B(rhs, adjoint))
+
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    @pytest.mark.parametrize("shape", [(12,), (12, 4), (12, 0)], ids=["1-D", "2-D", "0-wide"])
+    def test_block_columns_round_trip(self, n_blocks, shape):
+        x = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        cols = to_block_columns(x, n_blocks)
+        width = shape[1] if len(shape) == 2 else 1
+        assert cols.shape == (12 // n_blocks, n_blocks * width)
+        # column j * width + i is block j of column i
+        blocks = x.reshape(n_blocks, 12 // n_blocks, width)
+        for j in range(n_blocks):
+            for i in range(width):
+                assert np.array_equal(cols[:, j * width + i], blocks[j, :, i])
+        back = from_block_columns(cols, n_blocks, x.ndim)
+        assert back.shape == x.shape and np.array_equal(back, x)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_eigen_equation_residual(self, twins, k):
+        block, dense, _, _ = twins
+        rng = np.random.default_rng(47)
+        y = rng.standard_normal(dense.n_sigma) + 1j * rng.standard_normal(dense.n_sigma)
+        y /= np.linalg.norm(y)
+        for lam in (1.0, -1.0, np.exp(1j)):
+            ours = eigen_equation_residual(block, lam, y, 0.3, 0.01, k)
+            oracle = eigen_equation_residual(dense, lam, y, 0.3, 0.01, k)
+            assert abs(ours - oracle) <= 1e-12 * abs(oracle)
 
     def test_sweeps_with_scalar_zero_data(self, twins):
         # the zero-data step of the matrix-free certificate passes g = 0.0

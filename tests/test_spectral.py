@@ -10,7 +10,7 @@ from oneshot import (IterationState, RunConfig, SchemeKind,
 from oneshot.bounds import bound_report_for
 from oneshot.problem import LinearInverseProblem, operator_norm
 from oneshot.spectral import ARNOLDI_MIN_DIM, CONVERGENCE_MARGIN, apply_iteration_matrix
-from conftest import make_objective, make_problem
+from conftest import make_objective, make_problem, stacked_and_kron_twin
 
 
 def direct_sum_operators(problem, k):
@@ -311,19 +311,21 @@ class TestEigenEquationResidual:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_true_eigenpairs_have_zero_residual(self, k):
-        p = make_problem(65, n_u=6, n_sigma=2, n_g=4)
-        A = p.reduced_operator()
-        tau = 5.0 / np.linalg.norm(A, 2) ** 2  # deliberately divergent
-        alpha = 1e-3
-        mat = iteration_matrix_semi_implicit(p, tau, alpha, k)
-        values, vectors = np.linalg.eig(mat)
-        outside = [i for i, lam in enumerate(values) if abs(lam) >= 1.0]
-        assert outside, "expected a divergent configuration"
-        for i in outside:
-            y = vectors[2 * p.n_u:, i]
-            y = y / np.linalg.norm(y)
-            res = eigen_equation_residual(p, values[i], y, tau, alpha, k)
-            assert abs(res) <= 1e-8
+        # a dense problem, and a stacked one whose residual runs block by block
+        for p in (make_problem(65, n_u=6, n_sigma=2, n_g=4),
+                  stacked_and_kron_twin(65, n_blocks=3, n=4, n_sigma=2, m=3)[0]):
+            A = p.reduced_operator()
+            tau = 5.0 / np.linalg.norm(A, 2) ** 2  # deliberately divergent
+            alpha = 1e-3
+            mat = iteration_matrix_semi_implicit(p, tau, alpha, k)
+            values, vectors = np.linalg.eig(mat)
+            outside = [i for i, lam in enumerate(values) if abs(lam) >= 1.0]
+            assert outside, "expected a divergent configuration"
+            for i in outside:
+                y = vectors[2 * p.n_u:, i]
+                y = y / np.linalg.norm(y)
+                res = eigen_equation_residual(p, values[i], y, tau, alpha, k)
+                assert abs(res) <= 1e-8
 
     def test_b_zero_reduces_to_quadratic(self, rng):
         p = make_problem(66, norm_b=0.0)
