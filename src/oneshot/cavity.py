@@ -27,7 +27,9 @@ so certificates and step bounds apply unchanged; the stacked cost is the
 sum of the per-source costs, and the clean data is A sigma_exact (stored
 stacked only).  One scipy.sparse assembly routine builds the stiffness
 and mass matrices and, applied to the incident fields, each column c of A2
-(the stiffness matrix of sigma cell c's triangles).
+(the stiffness matrix of sigma cell c's triangles).  The matrices stay
+sparse, SuperLU (scipy.sparse.linalg.splu) factors the interior blocks
+A11_II and A1_II, and only the outputs and the resonance block are dense.
 
 Lengths in the configuration (mesh size, domain half-width, inclusion
 geometry, source radius) are expressed in wavelengths lambda =
@@ -42,6 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 import scipy.special
 
 from .errors import ProblemAssumptionError
@@ -106,6 +109,9 @@ class CavityConfig:
             raise ValueError("noise_level must be >= 0")
         for name in ("n_sources", "boundary_subsample"):
             positive_int(name, getattr(self, name))
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
         if not self.data_scale > 0:
             raise ValueError("data_scale must be > 0")
         if not self.effective_source_radius > self.domain_radius:
@@ -196,7 +202,11 @@ def _triangle_geometry(nodes, tris):
 
 
 def _assemble(nodes, tris, areas, grads, stiffness_coef=None, mass=False):
-    """COO stiffness (optionally coefficient-weighted) or mass matrix of the triangles."""
+    """CSR stiffness (optionally coefficient-weighted) or mass matrix of the triangles.
+
+    Every entry sums its element contributions in triangle order, as a dense
+    scatter-add does, so the matrix equals the dense assembly bit for bit.
+    """
     n = len(nodes)
     if mass:
         template = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -207,7 +217,10 @@ def _assemble(nodes, tris, areas, grads, stiffness_coef=None, mass=False):
             local = local * stiffness_coef[:, None, None]
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    return scipy.sparse.coo_array((local.ravel(), (rows, cols)), shape=(n, n))
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)  # sorted row-major
+    row, col = np.divmod(keys, n)
+    return scipy.sparse.csr_array((np.bincount(slot, local.ravel()), col,
+                                   np.searchsorted(row, np.arange(n + 1))), shape=(n, n))
 
 
 def _sigma_cells(config: CavityConfig, R: float, h: float, ncell: int):
@@ -262,6 +275,14 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     block A11_II; that block is exactly symmetric (the assembly adds the
     (i, j) and (j, i) contributions in the same order), so they are the
     extreme |eigenvalues| from one symmetric eigensolve.
+
+    The stiffness and mass matrices stay sparse (CSR); only the interior
+    rows, and of them the interior columns, the boundary columns and the
+    sampled boundary rows of H, are sliced out.  SuperLU factors A11_II
+    and A1_II once each: the first gives B = -delta A11_II^{-1} K_rand_II
+    and M, the second the incident fields and the normalize_data
+    rescaling.  Only the outputs B, M, H and, for the resonance check,
+    A11_II are dense.
     """
     lam = config.wavelength
     R = config.domain_radius * lam
@@ -271,16 +292,15 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     areas, grads = _triangle_geometry(nodes, tris)
     rng, sigma_r = _random_background(config, len(tris))
 
-    K_unit = _assemble(nodes, tris, areas, grads).toarray()
-    K_rand = _assemble(nodes, tris, areas, grads, stiffness_coef=sigma_r).toarray()
-    mass = _assemble(nodes, tris, areas, grads, mass=True).toarray()
+    K_unit = _assemble(nodes, tris, areas, grads)
+    K_rand = _assemble(nodes, tris, areas, grads, stiffness_coef=sigma_r)
+    mass = _assemble(nodes, tris, areas, grads, mass=True)
     A11 = config.sigma0_bar * K_unit - config.omega ** 2 * mass
-    II = np.ix_(interior, interior)
-    IB = np.ix_(interior, boundary)
+    A1 = A11 + config.delta * K_rand
+    A11_II, A1_I = A11[interior][:, interior], A1[interior]
 
-    A11_II = A11[II]
     # A11_II is exactly symmetric, so its singular values are |eigenvalues|
-    sv = np.abs(scipy.linalg.eigvalsh(A11_II))
+    sv = np.abs(scipy.linalg.eigvalsh(A11_II.toarray()))
     if sv.min() <= RESONANCE_TOL * sv.max():
         raise ProblemAssumptionError(
             "omega^2 is numerically resonant for this discretization "
@@ -293,32 +313,31 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     init = np.repeat(config.per_inclusion(config.sigma_init), n_sub)
 
     # single-source operator blocks
-    lu = scipy.linalg.lu_factor(A11_II)
-    B_single = -config.delta * scipy.linalg.lu_solve(lu, K_rand[II])
+    lu = scipy.sparse.linalg.splu(A11_II.tocsc())
+    B_single = -config.delta * lu.solve(K_rand[interior][:, interior].toarray())
 
     # incident fields u0 (A1 u0 = 0 inside, Y0 traces on the boundary)
-    A1 = A11 + config.delta * K_rand
     sources = _source_positions(config)
     f_all = scipy.special.y0(config.omega * np.linalg.norm(
         nodes[boundary, None] - sources[None], axis=-1))
     U0 = np.zeros((len(nodes), len(sources)))
     U0[boundary] = f_all
-    lu1 = scipy.linalg.lu_factor(A1[II])
-    U0[interior] = scipy.linalg.lu_solve(lu1, -A1[IB] @ f_all)
+    lu1 = scipy.sparse.linalg.splu(A1_I[:, interior].tocsc())
+    U0[interior] = lu1.solve(-(A1_I[:, boundary] @ f_all))
     # A2[:, i, c] = (stiffness of sigma cell c) u0_i; with the last two axes of its
     # interior rows merged, column i * n_sigma + c is block i of column c of the
     # stacked A2_I, the block-column layout that from_block_columns stacks
     A2 = np.stack([_assemble(nodes, tris[t], areas[t], grads[t]) @ U0 for t in cells], -1)
     n1, m = len(interior), config.n_sources
     A2_I = A2[interior].reshape(n1, m * n_sigma)
-    M = from_block_columns(scipy.linalg.lu_solve(lu, A2_I), m)
+    M = from_block_columns(lu.solve(A2_I), m)
 
     sel = boundary[:: config.boundary_subsample]
-    H_single = config.data_scale * A1[np.ix_(sel, interior)]
+    H_single = config.data_scale * A1[sel][:, interior].toarray()
     if config.normalize_data:
         # rescale so that the stacked parameter-to-data map has norm data_scale,
         # using (I - B)^{-1} M = A1_II^{-1} A2_I
-        A = from_block_columns(H_single @ scipy.linalg.lu_solve(lu1, A2_I), m)
+        A = from_block_columns(H_single @ lu1.solve(A2_I), m)
         H_single *= config.data_scale / np.linalg.norm(A, 2)
     problem = LinearInverseProblem(B=B_single, M=M, H=H_single,
                                    F=np.zeros(m * n1), n_blocks=m)

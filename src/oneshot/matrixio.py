@@ -20,21 +20,31 @@ class MatrixFormatError(OneShotError):
     """Malformed matrix container file."""
 
 
-def format_matrix(array) -> str:
+def _matrix_lines(array):
+    """The header line and an iterator over the entry lines of the container."""
     arr = np.asarray(array, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"expected a vector or matrix, got ndim={arr.ndim}")
     rows, cols = arr.shape
-    lines = [f"{HEADER_MAGIC} {FORMAT_VERSION} {rows} {cols}"]
-    lines += [" ".join(f"{v:.16e}" for v in row) for row in arr]
-    return "\n".join(lines) + "\n"
+    # '%.16e' % v is the text of f"{v:.16e}", one template formats a whole row
+    template = " ".join(["%.16e"] * cols) + "\n"
+    return (f"{HEADER_MAGIC} {FORMAT_VERSION} {rows} {cols}\n",
+            (template % tuple(row.tolist()) for row in arr))
+
+
+def format_matrix(array) -> str:
+    header, lines = _matrix_lines(array)
+    return header + "".join(lines)
 
 
 def write_matrix(path, array):
+    """Write the container row by row, without holding the whole text."""
+    header, lines = _matrix_lines(array)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(array))
+        fh.write(header)
+        fh.writelines(lines)
 
 
 def parse_matrix(text: str) -> np.ndarray:

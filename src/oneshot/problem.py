@@ -514,7 +514,10 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
     if data:
         g = g.reshape(n_blocks, -1)
     if k >= 3:
-        ops = k_step_operators(problem, k)
+        try:
+            ops = problem._k_step[k]
+        except (AttributeError, KeyError):
+            ops = k_step_operators(problem, k)
         drives = ops.W @ sigma
         if data:
             drives += ops.c

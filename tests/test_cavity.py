@@ -4,16 +4,19 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+import scipy.special
 
 from oneshot import (CavityConfig, ProblemAssumptionError, RunConfig,
                      SchemeKind, cost, generate, gradient, load_problem,
                      multi_source_objective, run)
-from oneshot.cavity import (_CAVITY_CODECS, _assemble, _build_mesh, _source_positions,
-                            _triangle_geometry, export_cavity, format_manifest,
-                            parse_manifest, with_noise_level)
+from oneshot.cavity import (_CAVITY_CODECS, _assemble, _build_mesh, _random_background,
+                            _sigma_cells, _source_positions, _triangle_geometry,
+                            export_cavity, format_manifest, parse_manifest, with_noise_level)
 from oneshot import problem as problem_module
 from oneshot.experiments import load_spec
-from oneshot.problem import LinearInverseProblem, Objective
+from oneshot.problem import LinearInverseProblem, Objective, from_block_columns
 from conftest import spy
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -140,8 +143,9 @@ class TestGenerate:
         assert np.linalg.norm(mass - mass.T) <= 1e-12 * np.linalg.norm(mass)
 
     def test_sparse_assembly_matches_dense_scatter_add(self):
-        # duplicates must sum in the same order as np.add.at, so the
-        # generated B stays bit-for-bit what the dense assembly gave
+        # duplicates must sum in the same order as np.add.at, so the sparse
+        # matrices, and the resonance block and H sliced from them, equal
+        # the dense assembly bit for bit
         nodes, tris, interior, boundary = _build_mesh(2.0, 10)
         areas, grads = _triangle_geometry(nodes, tris)
         coef = np.random.default_rng(1).uniform(0, 1, len(tris))
@@ -225,6 +229,18 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"{name}.* must be a positive integer"):
             small_config(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, -1, "3", None])
+    def test_rng_seed_must_be_a_non_negative_integer(self, value):
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            small_config(rng_seed=value)
+
+    def test_rng_seed_rejects_negatives_and_keeps_numpy_integers(self):
+        assert small_config(rng_seed=0).rng_seed == 0
+        cavity = generate(small_config(rng_seed=np.int64(3)))
+        assert np.array_equal(cavity.problem.B, generate(small_config()).problem.B)
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            small_config(rng_seed=np.int64(-3))
+
     def test_subdivision_must_divide(self):
         with pytest.raises(ValueError, match="divisible"):
             generate(small_config(sigma_subdivision=(3, 1)))
@@ -285,6 +301,77 @@ class TestSetUpChecks:
         loaded = load_problem(tmp_path / "cavity")
         assert eigensolves == []
         assert np.array_equal(loaded[0].B, small_cavity.problem.B)
+
+
+def dense_generate(config):
+    """Oracle: B, M, H and the clean data from node-sized dense matrices
+    (``.toarray()``) and LAPACK LU (``lu_factor``/``lu_solve``)."""
+    lam = config.wavelength
+    R = config.domain_radius * lam
+    ncell = max(4, round(2.0 * config.domain_radius / config.mesh_h))
+    nodes, tris, interior, boundary = _build_mesh(R, ncell)
+    areas, grads = _triangle_geometry(nodes, tris)
+    _, sigma_r = _random_background(config, len(tris))
+    K_rand = _assemble(nodes, tris, areas, grads, stiffness_coef=sigma_r).toarray()
+    A11 = (config.sigma0_bar * _assemble(nodes, tris, areas, grads).toarray()
+           - config.omega ** 2 * _assemble(nodes, tris, areas, grads, mass=True).toarray())
+    A1 = A11 + config.delta * K_rand
+    II = np.ix_(interior, interior)
+    lu, lu1 = scipy.linalg.lu_factor(A11[II]), scipy.linalg.lu_factor(A1[II])
+    B = -config.delta * scipy.linalg.lu_solve(lu, K_rand[II])
+    f_all = scipy.special.y0(config.omega * np.linalg.norm(
+        nodes[boundary, None] - _source_positions(config)[None], axis=-1))
+    U0 = np.zeros((len(nodes), config.n_sources))
+    U0[boundary] = f_all
+    U0[interior] = scipy.linalg.lu_solve(lu1, -A1[np.ix_(interior, boundary)] @ f_all)
+    cells = _sigma_cells(config, R, 2.0 * R / ncell, ncell)
+    A2 = np.stack([_assemble(nodes, tris[t], areas[t], grads[t]).toarray() @ U0
+                   for t in cells], -1)
+    m = config.n_sources
+    A2_I = A2[interior].reshape(len(interior), m * len(cells))
+    M = from_block_columns(scipy.linalg.lu_solve(lu, A2_I), m)
+    H = config.data_scale * A1[np.ix_(boundary[:: config.boundary_subsample], interior)]
+    if config.normalize_data:
+        A = from_block_columns(H @ scipy.linalg.lu_solve(lu1, A2_I), m)
+        H *= config.data_scale / np.linalg.norm(A, 2)
+    n_sub = config.sigma_subdivision[0] * config.sigma_subdivision[1]
+    exact = np.repeat(config.per_inclusion(config.sigma_exact), n_sub)
+    problem = LinearInverseProblem(B, M, H, np.zeros(M.shape[0]), n_blocks=m)
+    return {"B": B, "M": M, "H": H, "stacked_clean": problem.reduced_operator() @ exact}
+
+
+class TestSparsePath:
+    """generate keeps the FEM matrices sparse and factors the two interior
+    blocks with SuperLU; the dense formulas are the oracle."""
+
+    @pytest.mark.parametrize("config", shipped_and_seeded_configs())
+    def test_matches_dense_oracle(self, config):
+        cavity = generate(config)
+        ours = {"B": cavity.problem.B, "M": cavity.problem.M, "H": cavity.problem.H,
+                "stacked_clean": cavity.stacked_clean}
+        for name, expected in dense_generate(config).items():
+            assert ours[name].shape == expected.shape
+            assert np.abs(ours[name] - expected).max() <= 1e-12 * np.abs(expected).max(), name
+
+    def test_two_sparse_factorizations_and_no_node_sized_dense_matrix(self, monkeypatch):
+        factored, densified, lapack_solves = [], [], []
+        splu, toarray = scipy.sparse.linalg.splu, scipy.sparse.csr_array.toarray
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, *args, **kwargs: (
+            factored.append((a.format, a.shape)) or splu(a, *args, **kwargs)))
+        monkeypatch.setattr(scipy.sparse.csr_array, "toarray", lambda self, *args, **kwargs: (
+            densified.append(self.shape) or toarray(self, *args, **kwargs)))
+        monkeypatch.setattr(scipy.linalg, "lu_solve", lambda *args, **kwargs: (
+            lapack_solves.append(args)))
+        lapack_factors = spy(monkeypatch, scipy.linalg, "lu_factor")
+        cavity = generate(small_config(normalize_data=True))
+        n1 = cavity.mesh_summary.n_u_single
+        n_nodes = (cavity.mesh_summary.cells_per_side + 1) ** 2
+        assert factored == [("csc", (n1, n1))] * 2
+        assert densified and all(max(shape) < n_nodes for shape in densified)
+        assert lapack_solves == []
+        # the one dense LU is the problem's own I - B, behind its reduced operator
+        [block] = lapack_factors
+        assert np.array_equal(block, np.eye(n1) - cavity.problem.B)
 
 
 class TestNormalizeData:

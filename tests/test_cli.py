@@ -188,6 +188,15 @@ def test_generate_names_the_bad_manifest_key(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_negative_seed_fails_before_any_output(tmp_path, capsys):
+    for command, spec in (("generate", None), ("run", os.path.join(CONFIG_DIR, "exp_mesh.cfg"))):
+        out = tmp_path / f"{command}_out"
+        args = [command, "--out", str(out), "--seed", "-1", "--quiet"]
+        assert main(args + (["--spec", spec] if spec else [])) == 2
+        assert "rng_seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("layout", ["-1,-1,0.5;1,0.5,-0.5", "-1,-1,0.5;1,0.5,0",
                                     "-1,-1,0.5;1,0.5"])
 def test_bad_inclusion_geometry_fails_before_any_output(tmp_path, capsys, layout):

@@ -123,6 +123,12 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError, match=f"{name} must be a positive integer"):
             dataclasses.replace(spec, **{name: value})
 
+    def test_negative_rng_seed_is_a_validation_error(self):
+        # the [cavity] parser reads the seed with int(), so the sign is checked
+        # when the spec is built, not first inside run_experiment
+        with pytest.raises(SpecValidationError, match="rng_seed must be a non-negative integer"):
+            parse_spec(MINIMAL.replace("rng_seed = 3", "rng_seed = -1"))
+
     @pytest.mark.parametrize("line", ["tol_cost = nan", "tol_cost = inf", "tol_cost = -1",
                                       "tol_step = nan", "tol_step = inf", "tol_step = -1"])
     def test_tolerances_must_be_finite_and_non_negative(self, line):

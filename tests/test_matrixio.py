@@ -33,6 +33,26 @@ class TestContainer:
         matrix = rng.standard_normal((5, 3))
         assert format_matrix(matrix) == format_matrix(matrix.copy())
 
+    @given(arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                  elements=st.floats(width=64)))
+    @settings(max_examples=200, deadline=None)
+    def test_text_is_the_per_entry_format(self, matrix):
+        # oracle: one f-string per entry, the lines joined whole
+        lines = [f"oneshot-matrix v1 {matrix.shape[0]} {matrix.shape[1]}"]
+        lines += [" ".join(f"{v:.16e}" for v in row) for row in matrix]
+        assert format_matrix(matrix) == "\n".join(lines) + "\n"
+
+    def test_written_file_is_the_formatted_text(self, tmp_path, rng):
+        for array in (rng.standard_normal((7, 4)), rng.standard_normal(5), np.zeros((0, 3))):
+            path = tmp_path / "m.txt"
+            write_matrix(path, array)
+            assert path.read_bytes() == format_matrix(array).encode()
+
+    def test_bad_shape_writes_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="ndim=3"):
+            write_matrix(tmp_path / "m.txt", np.zeros((2, 2, 2)))
+        assert not (tmp_path / "m.txt").exists()
+
     def test_seventeen_significant_digits(self):
         text = format_matrix(np.array([[np.pi]]))
         assert "3.1415926535897931e+00" in text
