@@ -9,8 +9,9 @@ analysis it implements:
   resolvent functional controlling all bounds when only rho(T) < 1 is
   known, from above.  It runs the level-set algorithm for the H-infinity
   norm (Boyd & Balakrishnan 1990; Bruinsma & Steinbuch 1990) on the unit
-  circle: a few 2n pencil eigensolves locate where the norm crosses a
-  trial level, and the result is certified, not sampled.
+  circle: a few standard 2n eigensolves, each of the level-set pencil
+  after a Cayley transform, locate where the norm crosses a trial level,
+  and the result is certified, not sampled.
 * ``pq_decompose`` splits (I - T/lambda)^{-1} = P + iQ with real-matrix
   formulas, separating real and imaginary parts of the eigenvalue
   equation.
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals
+from scipy.linalg import eigvals, solve
 
 from .errors import EigensolverError, ProblemAssumptionError, SingularSystemError
 from .problem import LinearInverseProblem, contracts, operator_norm, positive_int
@@ -118,21 +119,30 @@ def _resolvent_norms(T, theta):
     return 1.0 / np.linalg.svd(mats, compute_uv=False)[:, -1]
 
 
-def _crossing_angles(T, gamma):
+def _crossing_angles(T, gamma, pole):
     """The angles in [0, pi] where 1/gamma is a singular value of e^{i theta} I - T.
 
     They are the unimodular eigenvalues z = e^{i theta} of the real pencil
-    [[T, I/gamma], [0, I]] x = z [[I, 0], [I/gamma, T^T]] x; T is real, so
-    the angles are symmetric about 0.
+    L - zR with L = [[T, I/gamma], [0, I]] and R = [[I, 0], [I/gamma, T^T]];
+    T is real, so the angles are symmetric about 0.  The Cayley transform
+    z = -pole (1 + s)/(1 - s), pole = +-1, turns the pencil into the
+    standard eigenproblem s of (L - pole R)^{-1} (L + pole R) of the same
+    size, one LU solve and one real eigensolve instead of a QZ solve.
+    z = pole is a pencil eigenvalue only if 1/gamma is a singular value of
+    pole I - T, so L - pole R is nonsingular whenever gamma exceeds
+    ||(pole I - T)^{-1}||, as every level of ``s_of`` does.  Each s is
+    handed on as the homogeneous pair (-pole (1 + s), 1 - s), so s = 1
+    (the infinite eigenvalue of a singular T) needs no division.
     """
-    n = T.shape[0]
-    eye, zero = np.eye(n), np.zeros((n, n))
+    eye = np.eye(T.shape[0])
+    minus = np.block([[T - pole * eye, eye / gamma], [-pole / gamma * eye, eye - pole * T.T]])
+    plus = np.block([[T + pole * eye, eye / gamma], [pole / gamma * eye, eye + pole * T.T]])
     try:
-        alpha, beta = eigvals(np.block([[T, eye / gamma], [zero, eye]]),
-                              np.block([[eye, zero], [eye / gamma, T.T]]),
-                              homogeneous_eigvals=True)
+        s = eigvals(solve(minus, plus, overwrite_a=True, overwrite_b=True),
+                    overwrite_a=True)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"s(T) pencil eigensolve failed: {exc}") from exc
+        raise EigensolverError(f"s(T) level-set eigensolve failed: {exc}") from exc
+    alpha, beta = -pole * (1.0 + s), 1.0 - s
     size_a, size_b = np.abs(alpha), np.abs(beta)
     unit = (size_b > 0.0) & (np.abs(size_a - size_b) <= S_OF_UNIT_TOL * size_b)
     return np.unique(np.abs(np.angle(alpha[unit] * np.conj(beta[unit]))))
@@ -150,7 +160,11 @@ def s_of(T) -> float:
     * the lower bound starts as the largest norm at theta = 0, pi/2, pi;
     * each step sets gamma = (1 + 2 S_OF_REL_TOL) x the lower bound and
       finds the angles where the norm crosses gamma, as unimodular
-      eigenvalues of a 2n pencil (``_crossing_angles``);
+      eigenvalues of a 2n pencil (``_crossing_angles``).  One LU solve
+      and one standard eigensolve find them, after a Cayley transform
+      with its pole at z = +1 or -1, whichever has the smaller sampled
+      norm.  Every gamma exceeds the norm at that pole, so 1/gamma is not
+      a singular value of pole I - T and the transform is nonsingular;
     * the norm exceeds gamma on intervals whose ends are crossings, so
       one of the midpoints of consecutive crossings lies inside each; the
       largest norm at the midpoints (one batched SVD) becomes the new
@@ -162,7 +176,7 @@ def s_of(T) -> float:
       that left the circle by less than S_OF_UNIT_TOL just above a peak.
 
     The result is within 2 S_OF_REL_TOL (relative) of a sampled norm.  A
-    failed pencil eigensolve, or no certificate within S_OF_MAX_ITER
+    failed LU solve or eigensolve, or no certificate within S_OF_MAX_ITER
     steps, raises EigensolverError.  ``problem.contracts`` checks rho(T) < 1
     first, from norms of T, T^2 and T^4 where one is below 1 and by
     eigensolve otherwise; rho(T) >= 1 raises ProblemAssumptionError.
@@ -172,10 +186,12 @@ def s_of(T) -> float:
         raise ValueError(f"T must be square, got shape {T.shape}")
     if not contracts(T):
         raise ProblemAssumptionError("s(T) requires rho(T) < 1")
-    lower = float(np.max(_resolvent_norms(T, np.array([0.0, 0.5 * np.pi, np.pi]))))
+    start = _resolvent_norms(T, np.array([0.0, 0.5 * np.pi, np.pi]))
+    pole = 1.0 if start[0] < start[2] else -1.0
+    lower = float(np.max(start))
     for _ in range(S_OF_MAX_ITER):
         gamma = lower * (1.0 + 2.0 * S_OF_REL_TOL)
-        theta = _crossing_angles(T, gamma)
+        theta = _crossing_angles(T, gamma, pole)
         mids = 0.5 * (theta[1:] + theta[:-1])
         peak = float(np.max(_resolvent_norms(T, mids))) if len(mids) else 0.0
         if peak <= gamma:
@@ -472,10 +488,11 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     of B^k, T_k and X_k, all on the stored block).  The default (None)
     enables that path when it is required (||B|| >= 1) or the block has at
     most 128 rows, whatever n_blocks is; pass True/False to force.  The
-    128-row gate no longer guards cost (s_of takes about 0.15 s on a
-    169-wide block); it stays because taking the s-path on the 169-wide
-    noise-free cavity block raises that cavity's k = 3 tau_max, which
-    would move the benchmark's seed-0 ``certify`` reference.
+    128-row gate no longer guards cost (s_of takes about 0.08 s on the
+    169-wide noise-free cavity block and on its cube, one BLAS thread);
+    it stays because taking the s-path on that block raises the cavity's
+    k = 3 tau_max, which would move the benchmark's seed-0 ``certify``
+    reference.
     """
     from .spectral import k_step_operators
 

@@ -23,9 +23,9 @@ class SizeGuardError(OneShotError):
 
 
 class EigensolverError(OneShotError):
-    """A nonsymmetric eigensolver (dense QR, ARPACK Arnoldi, or the QZ
-    solve of the s(T) level-set pencil) failed, or the level set found no
-    certificate."""
+    """A nonsymmetric eigensolver (dense QR, ARPACK Arnoldi, or the LU
+    solve and standard eigensolve of the Cayley-transformed s(T)
+    level-set pencil) failed, or the level set found no certificate."""
 
 
 class SpecParseError(OneShotError):

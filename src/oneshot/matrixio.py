@@ -8,6 +8,10 @@ Output is byte-reproducible for fixed inputs.
 
 from __future__ import annotations
 
+import io
+import os
+from itertools import chain, islice
+
 import numpy as np
 
 from .errors import OneShotError
@@ -47,29 +51,55 @@ def write_matrix(path, array):
         fh.writelines(lines)
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    lines = text.split("\n")
-    header = lines[0].split()
+#: Characters of whole lines that the reader splits and converts at a time.
+READ_CHUNK = 1 << 16
+
+
+def _parse_stream(fh, length: int) -> np.ndarray:
+    """The matrix in a text stream of at most ``length`` characters,
+    converted about READ_CHUNK characters at a time into one array."""
+    first = fh.readline().rstrip("\n")
+    header = first.split()
     if len(header) != 4 or header[0] != HEADER_MAGIC or header[1] != FORMAT_VERSION:
-        raise MatrixFormatError(f"bad header: {lines[0]!r}")
+        raise MatrixFormatError(f"bad header: {first!r}")
     try:
         rows, cols = int(header[2]), int(header[3])
     except ValueError as exc:
-        raise MatrixFormatError(f"bad dimensions in header: {lines[0]!r}") from exc
-    values = " ".join(lines[1:]).split()
-    if len(values) != rows * cols:
-        raise MatrixFormatError(
-            f"expected {rows * cols} entries, found {len(values)}")
-    try:
-        flat = np.array([float(v) for v in values])
-    except ValueError as exc:
-        raise MatrixFormatError(f"non-numeric entry: {exc}") from exc
+        raise MatrixFormatError(f"bad dimensions in header: {first!r}") from exc
+    size, found = rows * cols, 0
+
+    def entries(lines):
+        nonlocal found
+        tokens = "".join(lines).split()
+        found += len(tokens)
+        return tokens
+
+    stream = chain.from_iterable(map(entries, iter(lambda: fh.readlines(READ_CHUNK), [])))
+    flat, error = None, None
+    # each entry takes a character and a separator, so a header promising
+    # more than the text can hold fails the count below without allocating
+    if 0 <= size <= (length + 1) // 2:
+        try:
+            flat = np.fromiter(map(float, islice(stream, size)), dtype=float, count=size)
+        except ValueError as exc:  # a non-numeric entry, or fewer than size
+            error = exc
+    for _ in stream:  # count the entries left over
+        pass
+    if found != size:
+        raise MatrixFormatError(f"expected {size} entries, found {found}")
+    if error is not None:
+        raise MatrixFormatError(f"non-numeric entry: {error}") from error
     return flat.reshape(rows, cols)
 
 
+def parse_matrix(text: str) -> np.ndarray:
+    return _parse_stream(io.StringIO(text), len(text))
+
+
 def read_matrix(path) -> np.ndarray:
+    """Read the container in chunks of lines, without holding the whole text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+        return _parse_stream(fh, os.fstat(fh.fileno()).st_size)
 
 
 def read_vector(path) -> np.ndarray:

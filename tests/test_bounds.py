@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
@@ -170,11 +171,51 @@ SOUNDNESS_CASES = {
 }
 
 
+#: Level-set inputs that stress the Cayley-transformed eigensolve beyond
+#: SOUNDNESS_CASES: a norm that is constant on the circle (L - pole R is
+#: nearly singular at every level), norms that peak at both z = +1 and
+#: z = -1, a Jordan block near -1 and the benchmark's B itself.
+CAYLEY_CASES = {
+    "bench_B": lambda _: random_problem(n_u=128, n_sigma=6, n_g=32, rng=0).B,
+    "nilpotent_shift": lambda _: np.eye(8, k=1),
+    "peaks_at_both_poles": lambda _: np.diag([0.8, -0.8, 0.3]),
+    "peaks_at_both_poles_coupled": lambda _: np.diag([0.8, -0.8]) + 0.1 * np.eye(2, k=1),
+    "jordan_at_minus_0.9": lambda _: -0.9 * np.eye(6) + np.eye(6, k=1),
+    **{f"sweep{seed}": lambda _, seed=seed: random_contraction(seed) for seed in range(24)},
+}
+
+
+def random_contraction(seed):
+    """A dense n x n matrix, 2 <= n < 40, scaled to rho in [0.3, 0.99)."""
+    rng = np.random.default_rng(9000 + seed)
+    n = int(rng.integers(2, 40))
+    G = rng.standard_normal((n, n))
+    return rng.uniform(0.3, 0.99) * G / spectral_radius(G)
+
+
+def qz_crossing_angles(T, gamma):
+    """The crossing angles of s_of's level gamma from the QZ solve of the
+    2n pencil [[T, I/gamma], [0, I]] - z [[I, 0], [I/gamma, T^T]], kept as
+    the oracle of the Cayley-transformed eigensolve."""
+    n = T.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    alpha, beta = scipy.linalg.eigvals(np.block([[T, eye / gamma], [zero, eye]]),
+                                       np.block([[eye, zero], [eye / gamma, T.T]]),
+                                       homogeneous_eigvals=True)
+    size_a, size_b = np.abs(alpha), np.abs(beta)
+    unit = (size_b > 0.0) & (np.abs(size_a - size_b) <= bounds.S_OF_UNIT_TOL * size_b)
+    return np.unique(np.abs(np.angle(alpha[unit] * np.conj(beta[unit]))))
+
+
 @pytest.fixture(scope="module")
-def oracle():
-    """name -> (T, grid_s_of(T)), each case computed once per module."""
+def cavity_block():
     spec = load_spec(os.path.join(CONFIG_DIR, "exp_noise_free.cfg"))
-    cavity_block = generate(spec.cavity).problem.B  # 169 wide
+    return generate(spec.cavity).problem.B  # 169 wide
+
+
+@pytest.fixture(scope="module")
+def oracle(cavity_block):
+    """name -> (T, grid_s_of(T)), each case computed once per module."""
     cache = {}
 
     def get(name):
@@ -187,24 +228,26 @@ def oracle():
 
 @pytest.fixture(scope="module")
 def bench_s_call():
-    """The number of matrices s_of hands to np.linalg.svd and the number
-    of pencil solves it makes on B^3 of the benchmark's s-path problem."""
+    """The number of matrices s_of hands to np.linalg.svd and the shapes
+    of the matrices it hands to the level-set eigensolve, called without a
+    second matrix (a standard problem, not a pencil), on B^3 of the
+    benchmark's s-path problem."""
     T = bench_T(0)
-    svd, eigvals, counted, pencils = np.linalg.svd, bounds.eigvals, [], []
+    svd, eigvals, counted, eigensolves = np.linalg.svd, bounds.eigvals, [], []
 
     def counting_svd(a, *args, **kwargs):
         counted.append(1 if a.ndim == 2 else a.shape[0])
         return svd(a, *args, **kwargs)
 
-    def counting_eigvals(*args, **kwargs):
-        pencils.append(1)
-        return eigvals(*args, **kwargs)
+    def counting_eigvals(a, b=None, **kwargs):
+        eigensolves.append(a.shape if b is None else "pencil")
+        return eigvals(a, b, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "svd", counting_svd)
         patch.setattr(bounds, "eigvals", counting_eigvals)
         s_of(T)
-    return sum(counted), len(pencils)
+    return sum(counted), eigensolves
 
 
 class TestSOf:
@@ -243,9 +286,10 @@ class TestSOf:
 
     def test_bench_work_is_a_few_solves(self, bench_s_call):
         # the doubling grid handed 1 + 513 + 512 matrices to the SVD here
-        svd_matrices, pencil_solves = bench_s_call
+        svd_matrices, eigensolves = bench_s_call
         assert svd_matrices <= 32
-        assert pencil_solves <= 6
+        assert 1 <= len(eigensolves) <= 6
+        assert set(eigensolves) == {(256, 256)}
 
     # exact floats of the grid oracle: how its angles are scheduled must not move it
     @pytest.mark.parametrize("make_T, expected", [
@@ -281,8 +325,35 @@ class TestSOf:
         assert grid <= value
         assert value <= (1.0 + 3.0 * bounds.S_OF_REL_TOL) * polished_s_of(T, grid)
 
+    @pytest.mark.parametrize("name", [*SOUNDNESS_CASES, *CAYLEY_CASES])
+    def test_cayley_eigensolve_matches_qz(self, cavity_block, name):
+        # every level s_of visits has the QZ crossing set, up to sqrt(eps):
+        # how far a rounding-size perturbation moves a pair of eigenvalues
+        # at a tangency; s_of run on the QZ crossings returns the same level
+        T = {**SOUNDNESS_CASES, **CAYLEY_CASES}[name](cavity_block)
+        levels, cayley = [], bounds._crossing_angles
+
+        def recording(matrix, gamma, pole):
+            theta = cayley(matrix, gamma, pole)
+            levels.append((gamma, theta))
+            return theta
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_crossing_angles", recording)
+            value = s_of(T)
+        for gamma, theta in levels:
+            qz = qz_crossing_angles(T, gamma)
+            assert (len(theta) == 0) == (len(qz) == 0)
+            if len(theta):
+                gap = np.abs(theta[:, None] - qz[None, :])
+                assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_crossing_angles",
+                          lambda T, gamma, pole: qz_crossing_angles(T, gamma))
+            assert abs(value - s_of(T)) <= 1e-12 * value
+
     def test_no_certificate_within_the_cap(self, monkeypatch):
-        # a failed pencil eigensolve raises the same error (test_cli)
+        # a failed level-set eigensolve raises the same error (test_cli)
         monkeypatch.setattr(bounds, "S_OF_MAX_ITER", 0)
         with pytest.raises(EigensolverError, match="certificate"):
             s_of(contraction(74))

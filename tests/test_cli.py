@@ -297,24 +297,29 @@ class TestBoundsAndCertify:
         captured = capsys.readouterr()
         assert "Arnoldi" in captured.err and captured.out == ""
 
-    def test_s_of_failure_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
-        # an 81-wide block takes the s(B^k) path by default
+    def test_s_of_failure_is_numerical_failure(self, tmp_path, capsys):
+        # an 81-wide block takes the s(B^k) path by default; both LAPACK
+        # steps of the level-set eigensolve (the LU solve and the eigvals
+        # call) map to EigensolverError
         manifest = tmp_path / "coarse.cfg"
         manifest.write_text(format_manifest(small_config(mesh_h=0.4,
                                                          sigma_subdivision=(1, 1))))
         assert main(["generate", "--spec", str(manifest), "--out",
                      str(tmp_path / "out"), "--quiet"]) == 0
 
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("QZ iteration failed")
+        for step, message in (("eigvals", "eig algorithm did not converge"),
+                              ("solve", "Matrix is singular.")):
+            def failing(*args, message=message, **kwargs):
+                raise np.linalg.LinAlgError(message)
 
-        monkeypatch.setattr(bounds, "eigvals", failing)
-        with pytest.raises(EigensolverError):
-            bound_report_for(load_problem(tmp_path / "out")[0], alpha=1e-3, k=3)
-        capsys.readouterr()
-        assert main(["bounds", "--problem", str(tmp_path / "out"), "--k", "3"]) == 3
-        captured = capsys.readouterr()
-        assert "numerical failure" in captured.err and captured.out == ""
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bounds, step, failing)
+                with pytest.raises(EigensolverError, match=message):
+                    bound_report_for(load_problem(tmp_path / "out")[0], alpha=1e-3, k=3)
+                capsys.readouterr()
+                assert main(["bounds", "--problem", str(tmp_path / "out"), "--k", "3"]) == 3
+            captured = capsys.readouterr()
+            assert "numerical failure" in captured.err and captured.out == ""
 
 
 @pytest.fixture(scope="module")

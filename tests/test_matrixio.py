@@ -1,13 +1,55 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oneshot import matrixio
 from oneshot.matrixio import (MatrixFormatError, format_matrix, parse_matrix,
                               read_matrix, read_vector, write_matrix)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def whole_text_parse(text):
+    """The parser that joined and split the whole text at once, kept as the
+    oracle of the chunked reader."""
+    lines = text.split("\n")
+    header = lines[0].split()
+    if len(header) != 4 or header[0] != "oneshot-matrix" or header[1] != "v1":
+        raise MatrixFormatError(f"bad header: {lines[0]!r}")
+    try:
+        rows, cols = int(header[2]), int(header[3])
+    except ValueError as exc:
+        raise MatrixFormatError(f"bad dimensions in header: {lines[0]!r}") from exc
+    values = " ".join(lines[1:]).split()
+    if len(values) != rows * cols:
+        raise MatrixFormatError(
+            f"expected {rows * cols} entries, found {len(values)}")
+    try:
+        flat = np.array([float(v) for v in values])
+    except ValueError as exc:
+        raise MatrixFormatError(f"non-numeric entry: {exc}") from exc
+    return flat.reshape(rows, cols)
+
+
+def outcome(parse, source):
+    """The array's shape and bytes, or the type and text of the error."""
+    try:
+        array = parse(source)
+    except (MatrixFormatError, ValueError) as exc:
+        return type(exc), str(exc)
+    return array.shape, array.tobytes()
+
+
+HEADERS = ["oneshot-matrix v1 2 2", "oneshot-matrix v1 1 3", "oneshot-matrix v1 0 2",
+           "oneshot-matrix v1 3 -1", "oneshot-matrix v1 100000 100000",
+           "oneshot-matrix v1 2 x", "oneshot-matrix v2 1 1", "oneshot-matrix v1 1",
+           " oneshot-matrix\tv1 1 2 ", ""]
+TOKENS = ["1", "-2.5", "3.1415926535897931e+00", "nan", "-inf", "1_0", "abc", "0x1p3",
+          " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028"]
 
 
 class TestContainer:
@@ -70,6 +112,40 @@ class TestContainer:
     def test_rejects_non_numeric(self):
         with pytest.raises(MatrixFormatError):
             parse_matrix("oneshot-matrix v1 1 2\n1 abc\n")
+
+    @given(header=st.sampled_from(HEADERS), newline=st.sampled_from(["\n", "\r\n", ""]),
+           tokens=st.lists(st.sampled_from(TOKENS), max_size=12),
+           chunk=st.sampled_from([1, 5, matrixio.READ_CHUNK]))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_whole_text_parser(self, tmp_path, header, newline, tokens, chunk):
+        # same arrays to the bit, same errors to the letter, wherever the
+        # chunks end; the file is read with universal newlines, as the
+        # whole-text reader read it
+        text = header + newline + "".join(tokens)
+        path = tmp_path / "m.txt"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as fh:
+            expected = outcome(whole_text_parse, fh.read())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrixio, "READ_CHUNK", chunk)
+            assert outcome(parse_matrix, text) == outcome(whole_text_parse, text)
+            assert outcome(read_matrix, path) == expected
+
+    def test_reading_holds_no_copy_of_the_text(self, tmp_path, rng):
+        # the whole-text reader peaked at about 21 times the array here; a
+        # chunk of text and its tokens take about 6 READ_CHUNK
+        matrix = rng.standard_normal((300, 300))
+        path = tmp_path / "m.txt"
+        write_matrix(path, matrix)
+        tracemalloc.start()
+        try:
+            loaded = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, matrix)
+        assert peak <= matrix.nbytes + 16 * matrixio.READ_CHUNK
 
     def test_vector_reader_rejects_matrices(self, tmp_path):
         path = tmp_path / "m.txt"
