@@ -20,9 +20,10 @@ analysis it implements:
   the multiplier gamma_1, gamma_2 or gamma_3 used by that case.
 * ``marden_quadratic_inside`` is the classical criterion for both roots
   of z^2 + a1 z + a0 to lie strictly inside the unit circle.
-* ``sufficient_tau_one_step`` / ``sufficient_tau_k_step`` assemble the
-  case bounds into a TauBoundReport whose tau_max is the final certified
-  step bound; ``bound_report_for`` feeds them the norms of a problem.
+* ``sufficient_tau_k_step`` assembles the case bounds of the k-step
+  scheme, k >= 1, into a TauBoundReport whose tau_max is the final
+  certified step bound; ``bound_report_for`` feeds it the norms of a
+  problem.
 
 Where a bound comes in two flavours (a closed form in ||B|| valid for
 ||B|| < 1, and an s(B^k)-based form valid whenever rho(B) < 1), both are
@@ -60,8 +61,8 @@ class CaseParameters:
         C2 = sqrt(2) + 1/(2 sin(theta0/2)) - 1
         C3 = sqrt(c)/delta0 - 1
 
-    with c > delta0^2, so all three are positive.  The multi-step bound
-    path additionally requires theta0 strictly below pi/4.
+    with c > delta0^2, so all three are positive.  The bounds for k >= 2
+    additionally require theta0 strictly below pi/4.
     """
 
     theta0: float = math.pi / 8
@@ -271,16 +272,8 @@ def marden_quadratic_inside(a0: float, a1: float) -> bool:
 # the case-bound formulas
 # ----------------------------------------------------------------------
 
-def _phi(params: CaseParameters, b: float):
-    """One-step complex-case polynomials in b = ||B|| (valid for b < 1)."""
-    phi1 = 4.0 * b * b
-    phi2 = (1.0 + b) ** 2 * (1.0 - b) ** 2 / (2.0 * math.sin(0.5 * params.theta0))
-    phi3 = (2.0 * params.c / params.delta0) * b * b
-    return phi1, phi2, phi3
-
-
 def _psi(params: CaseParameters, b: float, k: int):
-    """Multi-step complex-case polynomials in b = ||B|| (valid for b < 1).
+    """k-step complex-case polynomials in b = ||B|| (valid for b < 1).
 
     With w = 1 - k b^{k-1} + (k-1) b^k (which vanishes at k = 1, so the
     k = 1 specialization drops every ||X_k||-driven term):
@@ -367,50 +360,6 @@ def _assemble(k, alpha, norm_B, norm_M, norm_H, s_Bk, bound_real, cases,
         binding_case=binding, parameters=params, **extra)
 
 
-def sufficient_tau_one_step(norm_B: float, norm_M: float, norm_H: float,
-                            s_B: float | None = None, alpha: float = 0.0,
-                            params: CaseParameters | None = None) -> TauBoundReport:
-    """Certified step bound for the semi-implicit one-step scheme (k = 1).
-
-    Real candidate eigenvalues impose no restriction at k = 1, so
-    bound_real is unbounded.  For B = 0 (norm_B == 0) the three complex
-    cases are replaced by the exact quadratic criterion, giving
-    tau_max = 1/(||H||^2 ||M||^2 - alpha) when that is positive and no
-    restriction otherwise.  Otherwise each complex case uses the closed
-    (1 - ||B||)-power form when ||B|| < 1 and the s(B)-based form when
-    ``s_B`` is supplied; when both apply, the larger (both are
-    sufficient) is reported.
-    """
-    params = params or DEFAULT_PARAMETERS
-    _check_alpha(alpha)
-    hm2 = (norm_H * norm_M) ** 2
-    bound_real = math.inf
-
-    if norm_B == 0.0:
-        bound_b_zero = _inv_or_inf(hm2 - alpha)
-        return _assemble(1, alpha, norm_B, norm_M, norm_H, s_B, bound_real,
-                         (None, None, None), bound_b_zero, params)
-
-    use_closed = norm_B < 1.0
-    use_s = s_B is not None
-    if not use_closed and not use_s:
-        raise ValueError("norm_B >= 1: the s(B)-based path needs s_B")
-
-    forms = []
-    if use_closed:
-        prefactor = hm2 / (1.0 - norm_B) ** 4
-        forms.append([prefactor * phi_i for phi_i in _phi(params, norm_B)])
-    if use_s:
-        base = hm2 * s_B ** 4
-        sin_half = math.sin(0.5 * params.theta0)
-        forms.append((base * 4.0 * norm_B ** 2,
-                      base * (1.0 + 2.0 * norm_B) ** 2 / (2.0 * sin_half),
-                      base * (2.0 * params.c / params.delta0) * norm_B ** 2))
-    cases = _best_cases(forms, alpha, (params.C1, params.C2, params.C3))
-    return _assemble(1, alpha, norm_B, norm_M, norm_H, s_B, bound_real,
-                     cases, None, params)
-
-
 def sufficient_tau_k_step(norm_B: float, norm_M: float, norm_H: float,
                           alpha: float, k: int,
                           params: CaseParameters | None = None, *,
@@ -425,15 +374,26 @@ def sufficient_tau_k_step(norm_B: float, norm_M: float, norm_H: float,
     ||X_k|| and s(B^k).  When both paths apply, each case reports the
     larger bound.  The real-eigenvalue bound carries ``- alpha/2`` in its
     denominator, so regularization relaxes it; it never binds below the
-    complex cases.  This path requires theta0 strictly below pi/4.
+    complex cases.  For k >= 2 theta0 must lie strictly below pi/4.
+
+    At k = 1, w = 0 and X_1 = 0 remove every ||X_k||-driven term: real
+    eigenvalues impose no restriction, and the cos(2 theta0) term that
+    rules out theta0 = pi/4 for k >= 2 is multiplied by an exact 0, so
+    theta0 = pi/4 is allowed.  For B = 0 at k = 1 the three complex cases
+    are replaced by the exact quadratic criterion, tau_max = 1/(||H||^2
+    ||M||^2 - alpha) when that is positive and no restriction otherwise;
+    the s-based inputs are then unused and not reported.
     """
     params = params or DEFAULT_PARAMETERS
     k = positive_int("k", k)
     _check_alpha(alpha)
-    if not params.theta0 < math.pi / 4:
-        raise ValueError("the multi-step bounds require theta0 < pi/4 strictly")
+    if k > 1 and not params.theta0 < math.pi / 4:
+        raise ValueError("the bounds for k >= 2 require theta0 < pi/4 strictly")
 
     hm2 = (norm_H * norm_M) ** 2
+    if k == 1 and norm_B == 0.0:
+        return _assemble(1, alpha, norm_B, norm_M, norm_H, None, math.inf,
+                         (None, None, None), _inv_or_inf(hm2 - alpha), params)
     use_closed = norm_B < 1.0
     s_inputs = (norm_Bk, norm_Tk, norm_Xk, s_Bk)
     use_s = all(v is not None for v in s_inputs)
@@ -481,18 +441,17 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
                      use_s_path: bool | None = None) -> TauBoundReport:
     """TauBoundReport for a concrete problem.
 
-    Computes the operator norms from the problem; k = 1 dispatches to the
-    one-step bounds (with the exact B = 0 criterion when B vanishes),
-    k >= 2 to the multi-step bounds.  ``use_s_path`` additionally feeds
-    the s(B^k)-based forms (the level-set bound on s(B^k) plus the norms
-    of B^k, T_k and X_k, all on the stored block).  The default (None)
-    enables that path when it is required (||B|| >= 1) or the block has at
-    most 128 rows, whatever n_blocks is; pass True/False to force.  The
-    128-row gate no longer guards cost (s_of takes about 0.08 s on the
-    169-wide noise-free cavity block and on its cube, one BLAS thread);
-    it stays because taking the s-path on that block raises the cavity's
-    k = 3 tau_max, which would move the benchmark's seed-0 ``certify``
-    reference.
+    Computes the operator norms from the problem and hands them to
+    ``sufficient_tau_k_step``.  ``use_s_path`` additionally feeds the
+    s(B^k)-based forms (the level-set bound on s(B^k) plus the norms of
+    B^k, T_k and X_k, all on the stored block; at k = 1, T_1 = I, X_1 = 0
+    and B^1 = B).  The default (None) enables that path when it is
+    required (||B|| >= 1) or the block has at most 128 rows, whatever
+    n_blocks is; pass True/False to force.  The 128-row gate no longer
+    guards cost (s_of takes about 0.08 s on the 169-wide noise-free cavity
+    block and on its cube, one BLAS thread); it stays because taking the
+    s-path on that block raises the cavity's k = 3 tau_max, which would
+    move the benchmark's seed-0 ``certify`` reference.
     """
     from .spectral import k_step_operators
 
@@ -501,10 +460,6 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     norm_B, norm_M, norm_H = problem.norm_B, problem.norm_M, problem.norm_H
     if use_s_path is None:
         use_s_path = norm_B >= 1.0 or problem.B.shape[0] <= 128
-    if k == 1:
-        s_B = s_of(problem.B) if use_s_path and norm_B > 0.0 else None
-        return sufficient_tau_one_step(norm_B, norm_M, norm_H, s_B=s_B,
-                                       alpha=alpha, params=params)
     extras = {}
     if use_s_path:
         ops = k_step_operators(problem, k)

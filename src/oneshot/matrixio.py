@@ -66,6 +66,8 @@ def _parse_stream(fh, length: int) -> np.ndarray:
         rows, cols = int(header[2]), int(header[3])
     except ValueError as exc:
         raise MatrixFormatError(f"bad dimensions in header: {first!r}") from exc
+    if rows < 0 or cols < 0:
+        raise MatrixFormatError(f"bad dimensions in header: {first!r}")
     size, found = rows * cols, 0
 
     def entries(lines):
@@ -78,7 +80,7 @@ def _parse_stream(fh, length: int) -> np.ndarray:
     flat, error = None, None
     # each entry takes a character and a separator, so a header promising
     # more than the text can hold fails the count below without allocating
-    if 0 <= size <= (length + 1) // 2:
+    if size <= (length + 1) // 2:
         try:
             flat = np.fromiter(map(float, islice(stream, size)), dtype=float, count=size)
         except ValueError as exc:  # a non-numeric entry, or fewer than size

@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 from oneshot import (CaseParameters, EigensolverError, LinearInverseProblem,
                      ProblemAssumptionError, bounds, certify, gamma_select,
                      marden_quadratic_inside, pq_decompose, random_problem,
-                     s_of, sufficient_tau_k_step, sufficient_tau_one_step)
+                     s_of, sufficient_tau_k_step)
 from oneshot import problem as problem_module
 from oneshot.bounds import (_psi, bound_report_for, report_csv_header,
                             report_csv_row)
@@ -526,34 +526,103 @@ class TestMarden:
             assert marden_quadratic_inside(a0, a1) == (mod < 1.0)
 
 
+def one_step_phi(params, b):
+    """The one-step complex-case polynomials in b = ||B|| (b < 1).  Case 3
+    lacks the k-step factor sin(theta0/2) of ``_psi``."""
+    phi1 = 4.0 * b * b
+    phi2 = (1.0 + b) ** 2 * (1.0 - b) ** 2 / (2.0 * math.sin(0.5 * params.theta0))
+    phi3 = (2.0 * params.c / params.delta0) * b * b
+    return phi1, phi2, phi3
+
+
+def one_step_oracle(norm_B, norm_M, norm_H, s_B=None, alpha=0.0, params=None):
+    """(case1, case2, case3, tau_max) of the dedicated one-step bounds that
+    preceded the k-step routine at k = 1: the closed (1 - ||B||)^4 form for
+    ||B|| < 1 and the s(B)-based form when s_B is given, the larger of the
+    two per case.  Real eigenvalues impose no restriction at k = 1."""
+    params = params or CaseParameters()
+    hm2 = (norm_H * norm_M) ** 2
+    b = norm_B
+    forms = []
+    if b < 1.0:
+        forms.append([hm2 / (1.0 - b) ** 4 * phi for phi in one_step_phi(params, b)])
+    if s_B is not None:
+        base = hm2 * s_B ** 4
+        forms.append((base * 4.0 * b ** 2,
+                      base * (1.0 + 2.0 * b) ** 2 / (2.0 * math.sin(0.5 * params.theta0)),
+                      base * (2.0 * params.c / params.delta0) * b ** 2))
+    cases = tuple(max(1.0 / d if d > 0.0 else math.inf
+                      for d in (term + C * alpha for term in terms))
+                  for C, terms in zip((params.C1, params.C2, params.C3), zip(*forms)))
+    return (*cases, min(cases))
+
+
+def k1_s_inputs(norm_B, s_B):
+    """The s-path inputs at k = 1: B^1 = B, T_1 = I, X_1 = 0."""
+    return dict(norm_Bk=norm_B, norm_Tk=1.0, norm_Xk=0.0, s_Bk=s_B)
+
+
 class TestOneStepBounds:
     def test_phi1_value(self):
-        from oneshot.bounds import _phi
-        phi1, _, _ = _phi(CaseParameters(), 0.5)
-        assert np.isclose(phi1, 1.0)
+        psi1, _, _ = _psi(CaseParameters(), 0.5, 1)
+        assert psi1 == one_step_phi(CaseParameters(), 0.5)[0] == 1.0
 
     def test_b_zero_exact_bound(self):
-        report = sufficient_tau_one_step(0.0, 2.0, 3.0, alpha=0.0)
+        report = sufficient_tau_k_step(0.0, 2.0, 3.0, alpha=0.0, k=1)
         assert np.isclose(report.tau_max, 1.0 / 36.0)
         assert report.binding_case == "b_zero"
         assert math.isinf(report.bound_real)
         assert report.bound_case1 is None
 
     def test_b_zero_unbounded_when_alpha_dominates(self):
-        report = sufficient_tau_one_step(0.0, 1.0, 1.0, alpha=2.0)
+        report = sufficient_tau_k_step(0.0, 1.0, 1.0, alpha=2.0, k=1)
         assert math.isinf(report.tau_max)
         assert "unbounded" in report_csv_row(report)
 
+    def test_b_zero_leaves_the_s_inputs_unused(self):
+        report = sufficient_tau_k_step(0.0, 2.0, 3.0, alpha=0.0, k=1,
+                                       **k1_s_inputs(0.0, 1.0))
+        assert report.binding_case == "b_zero" and report.s_Bk is None
+
     def test_needs_s_when_not_contractive_in_norm(self):
         with pytest.raises(ValueError):
-            sufficient_tau_one_step(1.5, 1.0, 1.0)
-        report = sufficient_tau_one_step(1.5, 1.0, 1.0, s_B=4.0)
+            sufficient_tau_k_step(1.5, 1.0, 1.0, alpha=0.0, k=1)
+        report = sufficient_tau_k_step(1.5, 1.0, 1.0, alpha=0.0, k=1,
+                                       **k1_s_inputs(1.5, 4.0))
         assert report.tau_max > 0
 
     def test_uses_larger_of_closed_and_s_forms(self):
-        closed = sufficient_tau_one_step(0.5, 1.0, 1.0)
-        s_tight = sufficient_tau_one_step(0.5, 1.0, 1.0, s_B=1.05)
+        closed = sufficient_tau_k_step(0.5, 1.0, 1.0, alpha=0.0, k=1)
+        s_tight = sufficient_tau_k_step(0.5, 1.0, 1.0, alpha=0.0, k=1,
+                                        **k1_s_inputs(0.5, 1.05))
         assert s_tight.tau_max >= closed.tau_max
+
+    @pytest.mark.parametrize("theta0", [np.pi / 8, np.pi / 4])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.1])
+    @pytest.mark.parametrize("forms", ["closed", "s", "both"])
+    def test_at_least_the_one_step_oracle(self, forms, alpha, theta0):
+        # seeded random norms, with 1 <= s(B) <= 1/(1 - ||B||) where ||B|| < 1
+        rng = np.random.default_rng(1700)
+        params = CaseParameters(theta0, 1.0)
+        eps = np.finfo(float).eps
+        for _ in range(40):
+            norm_M, norm_H = rng.uniform(0.1, 5.0, 2)
+            if forms == "s":
+                norm_B = float(rng.uniform(1.0, 3.0))
+                s_B = float(rng.uniform(1.0, 10.0))
+            else:
+                norm_B = float(rng.uniform(0.01, 0.99))
+                s_B = float(rng.uniform(1.0, 1.0 / (1.0 - norm_B)))
+            s_B = None if forms == "closed" else s_B
+            extra = {} if s_B is None else k1_s_inputs(norm_B, s_B)
+            report = sufficient_tau_k_step(norm_B, norm_M, norm_H, alpha, 1,
+                                           params=params, **extra)
+            case1, case2, _, tau_max = one_step_oracle(norm_B, norm_M, norm_H,
+                                                       s_B, alpha, params)
+            assert report.tau_max >= tau_max * (1.0 - 8.0 * eps)
+            assert math.isclose(report.bound_case1, case1, rel_tol=1e-14)
+            assert math.isclose(report.bound_case2, case2, rel_tol=1e-14)
+            assert math.isinf(report.bound_real)
 
     def test_soundness_on_random_instances(self, rng):
         # 50 random problems: certificates hold at every tau <= tau_max
@@ -572,7 +641,7 @@ class TestNonFiniteAlpha:
     def test_one_step_rejects(self, alpha):
         for norm_B in (0.0, 0.5):
             with pytest.raises(ValueError, match="alpha"):
-                sufficient_tau_one_step(norm_B, 1.0, 1.0, alpha=alpha)
+                sufficient_tau_k_step(norm_B, 1.0, 1.0, alpha, 1)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_k_step_rejects(self, alpha):
@@ -588,14 +657,14 @@ class TestNonFiniteAlpha:
 
 class TestKStepBounds:
     def test_psi_reduces_to_phi_at_k1(self):
-        from oneshot.bounds import _phi
         params = CaseParameters()
+        sin_half = math.sin(0.5 * params.theta0)
         for b in (0.1, 0.5, 0.9):
             psi1, psi2, psi3 = _psi(params, b, 1)
-            phi1, phi2, phi3 = _phi(params, b)
+            phi1, phi2, phi3 = one_step_phi(params, b)
             assert np.isclose(psi1, phi1)
             assert np.isclose(psi2, phi2)
-            assert psi3 <= phi3 + 1e-12  # k-step case-3 keeps a sin factor
+            assert np.isclose(psi3, phi3 * sin_half)  # k-step case-3 keeps a sin factor
 
     def test_psi1_documented_value(self):
         psi1, _, _ = _psi(CaseParameters(), 0.5, 2)
@@ -603,10 +672,11 @@ class TestKStepBounds:
         assert np.isclose(psi1, expected)
 
     def test_k1_prefactor_matches_one_step(self):
-        one = sufficient_tau_one_step(0.5, 1.2, 0.8, alpha=0.0)
+        case1, case2, case3, _ = one_step_oracle(0.5, 1.2, 0.8, alpha=0.0)
         multi = sufficient_tau_k_step(0.5, 1.2, 0.8, alpha=0.0, k=1)
-        assert np.isclose(one.bound_case1, multi.bound_case1)
-        assert np.isclose(one.bound_case2, multi.bound_case2)
+        assert np.isclose(case1, multi.bound_case1)
+        assert np.isclose(case2, multi.bound_case2)
+        assert np.isclose(case3 / math.sin(np.pi / 16), multi.bound_case3)
 
     def test_real_bound_relaxes_with_alpha(self):
         lo = sufficient_tau_k_step(0.5, 1.0, 1.0, alpha=0.0, k=3)
@@ -628,9 +698,26 @@ class TestKStepBounds:
 
     def test_theta0_strictness(self):
         params = CaseParameters(theta0=np.pi / 4)
-        sufficient_tau_one_step(0.5, 1.0, 1.0, params=params)  # allowed at k = 1
-        with pytest.raises(ValueError):
+        # allowed at k = 1, where w = 0 and X_1 = 0 cancel the cos(2 theta0) term
+        for extra in ({}, k1_s_inputs(0.5, 2.0)):
+            report = sufficient_tau_k_step(0.5, 1.0, 1.0, alpha=0.0, k=1,
+                                           params=params, **extra)
+            assert 0.0 < report.tau_max < math.inf
+        with pytest.raises(ValueError, match="theta0"):
             sufficient_tau_k_step(0.5, 1.0, 1.0, alpha=0.0, k=2, params=params)
+
+    @pytest.mark.parametrize("use_s_path", [False, True])
+    def test_theta0_quarter_pi_at_problem_level(self, use_s_path):
+        p = make_problem(91, norm_b=0.6)
+        params = CaseParameters(theta0=math.pi / 4)
+        report = bound_report_for(p, alpha=1e-3, k=1, params=params,
+                                  use_s_path=use_s_path)
+        fields = (report.tau_max, report.bound_case1, report.bound_case2,
+                  report.bound_case3)
+        assert all(math.isfinite(value) and value > 0.0 for value in fields)
+        assert math.isinf(report.bound_real)
+        with pytest.raises(ValueError, match="theta0"):
+            bound_report_for(p, alpha=1e-3, k=2, params=params, use_s_path=use_s_path)
 
     def test_soundness_on_random_instances(self, rng):
         for seed in range(30):
@@ -674,8 +761,11 @@ class TestShearedSoundness:
         for seed in range(8):
             p = self.sheared_problem(1300 + seed)
             assert p.norm_B > 1.0 and p.rho_B < 1.0
-            report = sufficient_tau_one_step(p.norm_B, p.norm_M, p.norm_H,
-                                             s_B=s_of(p.B), alpha=1e-3)
+            report = bound_report_for(p, alpha=1e-3, k=1)
+            assert report.s_Bk == s_of(p.B)  # forced s path, on B^1 = B
+            *_, oracle = one_step_oracle(p.norm_B, p.norm_M, p.norm_H,
+                                         s_B=report.s_Bk, alpha=1e-3)
+            assert report.tau_max >= oracle * (1.0 - 8.0 * np.finfo(float).eps)
             assert 1e-12 < report.tau_max < math.inf
             for tau in (report.tau_max, report.tau_max / 5):
                 assert certify(p, tau, 1e-3, 1).spectral_radius < 1.0
@@ -692,7 +782,7 @@ class TestShearedSoundness:
 
 class TestReportCsv:
     def test_header_and_row_shape(self):
-        report = sufficient_tau_one_step(0.5, 1.0, 1.0, s_B=2.0, alpha=1e-3)
+        report = sufficient_tau_k_step(0.5, 1.0, 1.0, 1e-3, 1, **k1_s_inputs(0.5, 2.0))
         header = report_csv_header()
         row = report_csv_row(report)
         assert len(header.split(",")) == len(row.split(","))
@@ -718,8 +808,8 @@ class TestReportCsv:
          "0.001328531183846354,case2,0.39269908169872414,1.0"),
         ("both", 1e-3, 1, None, None,
          "1,0.001,0.6,3.3561657681188377,4.749008307579365,1.5121641473902752,unbounded,"
-         "0.0005228161571657272,9.599595843915328e-05,0.00023235505268027787,,"
-         "9.599595843915328e-05,case2,0.39269908169872414,1.0"),
+         "0.0005228161571657272,9.599595843915331e-05,0.0011910114274177365,,"
+         "9.599595843915331e-05,case2,0.39269908169872414,1.0"),
         ("both", 1e-3, 4, (0.3, 0.2), None,
          "4,0.001,0.6,3.3561657681188377,4.749008307579365,1.0085437612360775,"
          "0.004567145395318225,0.00299618245630827,0.00042443112429343727,"
@@ -730,7 +820,7 @@ class TestReportCsv:
          "0.00012629000978736456,case2,0.39269908169872414,1.0"),
         ("sheared", 1e-3, 1, (0.3, 0.2), None,
          "1,0.001,1.7387031652502947,3.280357653450909,3.271142548555653,3.308181452521214,"
-         "unbounded,5.9963986058127084e-06,1.0810350718230585e-06,1.6019654239967235e-06,,"
+         "unbounded,5.996398605812708e-06,1.0810350718230585e-06,1.071992350761604e-05,,"
          "1.0810350718230585e-06,case2,0.3,0.2"),
         ("sheared", 1e-4, 3, None, None,
          "3,0.0001,1.7387031652502947,3.280357653450909,3.271142548555653,1.2204167966164043,"

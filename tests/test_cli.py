@@ -269,6 +269,38 @@ class TestBoundsAndCertify:
         write_matrix(bad_dir / "M.txt", M[:-1])
         assert main(["bounds", "--problem", str(bad_dir)]) == 3
 
+    def test_theta0_quarter_pi_only_at_k1(self, problem_dir, capsys):
+        capsys.readouterr()
+        quarter_pi = repr(math.pi / 4)
+        assert main(["bounds", "--problem", str(problem_dir), "--k", "1",
+                     "--theta0", quarter_pi]) == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert 0.0 < float(fields["tau_max"]) < math.inf
+        assert fields["theta0"] == quarter_pi
+        assert main(["bounds", "--problem", str(problem_dir), "--k", "2",
+                     "--theta0", quarter_pi]) == 2
+        captured = capsys.readouterr()
+        assert "theta0" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("signs", [("-", "-"), ("-", ""), ("", "-")])
+    def test_negative_header_dimensions_are_validation_errors(self, problem_dir, tmp_path,
+                                                              capsys, signs):
+        # H's own dimensions with signs flipped; both negative used to fail
+        # in reshape with numpy's "can only specify one unknown dimension"
+        bad_dir = tmp_path / "bad"
+        shutil.copytree(problem_dir, bad_dir)
+        path = bad_dir / "H.txt"
+        header, entries = path.read_text().split("\n", 1)
+        rows, cols = header.split()[2:]
+        bad_header = f"oneshot-matrix v1 {signs[0]}{rows} {signs[1]}{cols}"
+        path.write_text(f"{bad_header}\n{entries}")
+        capsys.readouterr()
+        assert main(["bounds", "--problem", str(bad_dir)]) == 2
+        captured = capsys.readouterr()
+        assert f"bad dimensions in header: {bad_header!r}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("args", [
         ("bounds", "--alpha", "nan", "--k", "3"),
         ("bounds", "--alpha", "nan", "--k", "1"),

@@ -24,6 +24,8 @@ def whole_text_parse(text):
         rows, cols = int(header[2]), int(header[3])
     except ValueError as exc:
         raise MatrixFormatError(f"bad dimensions in header: {lines[0]!r}") from exc
+    if rows < 0 or cols < 0:
+        raise MatrixFormatError(f"bad dimensions in header: {lines[0]!r}")
     values = " ".join(lines[1:]).split()
     if len(values) != rows * cols:
         raise MatrixFormatError(
@@ -104,6 +106,17 @@ class TestContainer:
             parse_matrix("not-a-matrix v1 2 2\n1 2\n3 4\n")
         with pytest.raises(MatrixFormatError):
             parse_matrix("oneshot-matrix v2 1 1\n1\n")
+
+    @pytest.mark.parametrize("dims", ["-28 -169", "-28 169", "28 -169"])
+    def test_rejects_negative_dimensions(self, dims):
+        # -28 x -169 entries used to reach reshape, which failed with numpy's
+        # "can only specify one unknown dimension"
+        entries = " ".join(["1"] * (28 * 169 if dims == "-28 -169" else 0))
+        text = f"oneshot-matrix v1 {dims}\n{entries}\n"
+        message = f"bad dimensions in header: 'oneshot-matrix v1 {dims}'"
+        with pytest.raises(MatrixFormatError) as info:
+            parse_matrix(text)
+        assert str(info.value) == message
 
     def test_rejects_wrong_count(self):
         with pytest.raises(MatrixFormatError, match="entries"):
