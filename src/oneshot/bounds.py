@@ -383,20 +383,30 @@ def sufficient_tau_k_step(norm_B: float, norm_M: float, norm_H: float,
     are replaced by the exact quadratic criterion, tau_max = 1/(||H||^2
     ||M||^2 - alpha) when that is positive and no restriction otherwise;
     the s-based inputs are then unused and not reported.
+
+    Every norm and s-input must be finite and >= 0, and the four s-inputs
+    come all together or not at all; otherwise ValueError names them.
     """
     params = params or DEFAULT_PARAMETERS
     k = positive_int("k", k)
     _check_alpha(alpha)
     if k > 1 and not params.theta0 < math.pi / 4:
         raise ValueError("the bounds for k >= 2 require theta0 < pi/4 strictly")
+    s_inputs = dict(norm_Bk=norm_Bk, norm_Tk=norm_Tk, norm_Xk=norm_Xk, s_Bk=s_Bk)
+    for name, value in dict(norm_B=norm_B, norm_M=norm_M, norm_H=norm_H, **s_inputs).items():
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    missing = [name for name, value in s_inputs.items() if value is None]
+    if 0 < len(missing) < len(s_inputs):
+        raise ValueError("the s-based path needs norm_Bk, norm_Tk, norm_Xk and s_Bk "
+                         f"together; missing {', '.join(missing)}")
 
     hm2 = (norm_H * norm_M) ** 2
     if k == 1 and norm_B == 0.0:
         return _assemble(1, alpha, norm_B, norm_M, norm_H, None, math.inf,
                          (None, None, None), _inv_or_inf(hm2 - alpha), params)
     use_closed = norm_B < 1.0
-    s_inputs = (norm_Bk, norm_Tk, norm_Xk, s_Bk)
-    use_s = all(v is not None for v in s_inputs)
+    use_s = not missing
     if not use_closed and not use_s:
         raise ValueError(
             "norm_B >= 1: supply norm_Bk, norm_Tk, norm_Xk and s_Bk for the s-based path")

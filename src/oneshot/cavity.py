@@ -34,6 +34,14 @@ A11_II and A1_II, and only the outputs and the resonance block are dense.
 Lengths in the configuration (mesh size, domain half-width, inclusion
 geometry, source radius) are expressed in wavelengths lambda =
 2 pi sqrt(sigma0_bar) / omega.
+
+A cavity manifest is the header line ``oneshot-cavity v1`` followed by
+``key = value`` lines, one per CavityConfig field (``_CAVITY_CODECS``);
+it is the [cavity] section of an experiment spec under its own header.
+``read_document`` reads both, ``document_lines`` writes both: ``#``
+starts a comment anywhere on a line, and an unknown key, a line without
+``=``, a bad value or a key given twice is a SpecParseError (a
+ValueError) naming the line and the key.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
 
-from .errors import ProblemAssumptionError
+from .errors import ProblemAssumptionError, SpecParseError
 from .matrixio import write_matrix
 from .problem import LinearInverseProblem, Objective, from_block_columns, positive_int
 
@@ -122,6 +130,11 @@ class CavityConfig:
                                             for inc in self.inclusion_layout):
             raise ValueError("inclusion_layout must list (center_x, center_y, edge) "
                              "squares with edge > 0")
+        for name in ("sigma_exact", "sigma_init"):
+            try:
+                self.per_inclusion(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         object.__setattr__(self, "sigma_subdivision", (sx, sy))
 
     @property
@@ -139,7 +152,7 @@ class CavityConfig:
         if arr.size == 1:
             return np.full(n, float(arr[0]))
         if arr.size != n:
-            raise ValueError(f"expected a scalar or {n} per-inclusion values")
+            raise ValueError(f"expected a scalar or {n} per-inclusion values, got {arr.size}")
         return arr.astype(float)
 
 
@@ -389,14 +402,16 @@ def multi_source_objective(cavity: GeneratedCavity, alpha: float,
 
 
 # ----------------------------------------------------------------------
-# manifest + container export
+# plain-text documents (cavity manifest, experiment spec) + container export
 # ----------------------------------------------------------------------
 
 _MANIFEST_MAGIC = "oneshot-cavity v1"
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _list_codec(parse, fmt):
+    """(parse, format) of a comma-separated list of values."""
+    return (lambda text: tuple(parse(v) for v in map(str.strip, text.split(",")) if v),
+            lambda values: ",".join(map(fmt, values)))
 
 
 def _bool(text):
@@ -406,7 +421,7 @@ def _bool(text):
 
 
 def _scalar_or_floats(text):
-    values = _floats(text)
+    values = _FLOATS[0](text)
     return values[0] if len(values) == 1 else values
 
 
@@ -418,16 +433,18 @@ def _int_pair(text):
 _FLOAT = (float, repr)
 _INT = (int, str)
 _BOOL = (_bool, lambda v: str(v).lower())
-_PER_INCLUSION = (_scalar_or_floats, lambda v: ",".join(repr(float(x)) for x in np.atleast_1d(v)))
+_FLOATS = _list_codec(float, lambda v: repr(float(v)))
+_INTS = _list_codec(int, str)
+_PER_INCLUSION = (_scalar_or_floats, lambda v: _FLOATS[1](np.atleast_1d(v)))
 
 #: (parse, format) of the manifest value of every CavityConfig field, in
 #: field order; the order is that of the canonical manifest lines.
 _CAVITY_CODECS = {
     "omega": _FLOAT, "sigma0_bar": _FLOAT, "delta": _FLOAT, "mesh_h": _FLOAT,
     "domain_radius": _FLOAT,
-    "inclusion_layout": (lambda text: tuple(map(_floats, filter(str.strip, text.split(";")))),
-                         lambda layout: ";".join(",".join(map(repr, inc)) for inc in layout)),
-    "sigma_subdivision": (_int_pair, lambda sub: ",".join(map(str, sub))),
+    "inclusion_layout": (lambda text: tuple(map(_FLOATS[0], filter(str.strip, text.split(";")))),
+                         lambda layout: ";".join(map(_FLOATS[1], layout))),
+    "sigma_subdivision": (_int_pair, _INTS[1]),
     "n_sources": _INT,
     "source_radius": (lambda text: float(text) if text else None,
                       lambda r: "" if r is None else repr(r)),
@@ -437,9 +454,48 @@ _CAVITY_CODECS = {
 }
 
 
-def cavity_config_lines(config: CavityConfig) -> list:
-    """The canonical ``key = value`` lines describing a configuration."""
-    return [f"{key} = {fmt(getattr(config, key))}" for key, (_, fmt) in _CAVITY_CODECS.items()]
+def read_document(text: str, codecs: dict) -> dict:
+    """Read ``key = value`` lines into {section: {key: value}}.
+
+    ``codecs`` maps every section name to its {key: (parse, format)}
+    table; entries before any ``[section]`` header belong to section None.
+    ``#`` starts a comment anywhere on a line.  An unknown section or key,
+    a line without ``=``, a bad value and a key given twice in one section
+    raise SpecParseError (a ValueError) carrying the line number.
+    """
+    values, seen, section = {name: {} for name in codecs}, {}, None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in codecs:
+                raise SpecParseError(f"unknown section [{section}]", line=lineno)
+            continue
+        if "=" not in line:
+            raise SpecParseError(f"expected 'key = value', got {line!r}", line=lineno)
+        if section not in codecs:
+            raise SpecParseError("entry before any [section] header", line=lineno)
+        key, _, value = (part.strip() for part in line.partition("="))
+        where = "" if section is None else f" in [{section}]"
+        if key not in codecs[section]:
+            raise SpecParseError(f"unknown key {key!r}{where}", line=lineno)
+        if (section, key) in seen:
+            raise SpecParseError(f"key {key!r}{where} given twice, on lines "
+                                 f"{seen[section, key]} and {lineno}", line=lineno)
+        seen[section, key] = lineno
+        try:
+            values[section][key] = codecs[section][key][0](value)
+        except ValueError as exc:
+            raise SpecParseError(f"bad value for {key!r}: {exc}", line=lineno) from exc
+    return values
+
+
+def document_lines(obj, codecs: dict, skip=()) -> list:
+    """The canonical ``key = value`` lines of the attributes of obj named in codecs."""
+    return [f"{key} = {fmt(getattr(obj, key))}" for key, (_, fmt) in codecs.items()
+            if key not in skip]
 
 
 def format_manifest(config: CavityConfig, mesh: MeshSummary | None = None) -> str:
@@ -447,37 +503,20 @@ def format_manifest(config: CavityConfig, mesh: MeshSummary | None = None) -> st
     if mesh is not None:
         lines += [f"# n_u={mesh.n_u} n_sigma={mesh.n_sigma} n_g={mesh.n_g}",
                   f"# cells_per_side={mesh.cells_per_side} h={mesh.h!r}"]
-    lines += cavity_config_lines(config)
-    return "\n".join(lines) + "\n"
-
-
-def parse_cavity_value(key: str, value: str):
-    """Parse one manifest / experiment-document cavity entry.
-
-    Raises KeyError for an unknown key and ValueError for a bad value.
-    """
-    return _CAVITY_CODECS[key][0](value)
+    return "\n".join(lines + document_lines(config, _CAVITY_CODECS)) + "\n"
 
 
 def parse_manifest(text: str) -> CavityConfig:
-    """Parse a cavity manifest; a bad line raises ValueError naming its key and line."""
-    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.split("\n"), start=1)
-             if line.strip()]
-    if not lines or lines[0][1] != _MANIFEST_MAGIC:
+    """Parse a cavity manifest: its header line, then the [cavity] entries.
+
+    A bad line raises a ValueError naming its key and line.
+    """
+    lines = [line.split("#", 1)[0].strip() for line in text.split("\n")]
+    header = next((i for i, line in enumerate(lines) if line), 0)
+    if lines[header] != _MANIFEST_MAGIC:
         raise ValueError(f"not a cavity manifest (expected header {_MANIFEST_MAGIC!r})")
-    kwargs = {}
-    for lineno, line in lines[1:]:
-        if line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        try:
-            kwargs[key] = parse_cavity_value(key, value.strip())
-        except KeyError:
-            raise ValueError(f"line {lineno}: unknown manifest key {key!r}") from None
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return CavityConfig(**kwargs)
+    lines[header] = ""
+    return CavityConfig(**read_document("\n".join(lines), {None: _CAVITY_CODECS})[None])
 
 
 def export_cavity(cavity: GeneratedCavity, directory):

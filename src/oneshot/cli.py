@@ -22,8 +22,7 @@ from .bounds import (DEFAULT_PARAMETERS, CaseParameters, bound_report_for,
 from .cavity import (CavityConfig, export_cavity, generate, load_problem,
                      parse_manifest)
 from .errors import (EigensolverError, OneShotError, ProblemAssumptionError,
-                     SingularSystemError, SizeGuardError, SpecParseError,
-                     SpecValidationError)
+                     SingularSystemError, SizeGuardError, SpecValidationError)
 from .experiments import load_spec, run_experiment
 from .matrixio import MatrixFormatError
 from .spectral import (SIZE_GUARD, certificate_csv_header,
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"oneshot: file not found: {exc.filename or exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (SpecParseError, SpecValidationError, MatrixFormatError, ValueError) as exc:
+    except (SpecValidationError, MatrixFormatError, ValueError) as exc:
         print(f"oneshot: validation error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
     except (ProblemAssumptionError, SingularSystemError, SizeGuardError,

@@ -28,8 +28,8 @@ class EigensolverError(OneShotError):
     level-set pencil) failed, or the level set found no certificate."""
 
 
-class SpecParseError(OneShotError):
-    """An experiment document failed to parse.
+class SpecParseError(OneShotError, ValueError):
+    """An experiment spec or a cavity manifest failed to parse.
 
     Carries the 1-based line number of the offending line.
     """

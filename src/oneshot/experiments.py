@@ -1,13 +1,17 @@
 """Experiment harness: parse sweep documents, run them, emit CSV.
 
 An experiment document is plain text with ``[section]`` headers and
-``key = value`` pairs (``#`` starts a comment).  The sections are
-[experiment], [cavity] (any CavityConfig key, as in the cavity manifest),
-[sweep] (comma-separated lists) and [run].  One table (``_SPEC_KEYS``)
-maps every [experiment], [sweep] and [run] key to the parser of its value
-and its canonical formatter, as the cavity codec table does for [cavity];
-parsing, the manifest and the per-kind key rules all read it.  Unknown
-sections or keys are hard errors carrying the line number.  Every run
+``key = value`` pairs (``#`` starts a comment anywhere on a line).  The
+sections are [experiment], [cavity] (any CavityConfig key, as in the
+cavity manifest), [sweep] (comma-separated lists) and [run].  One table
+(``_SPEC_KEYS``) maps every key of every section to the parser of its
+value and its canonical formatter; [cavity] is the cavity manifest's
+codec table and the lists share its codecs.  ``cavity.read_document``
+parses a document against it and ``cavity.document_lines`` writes it, as
+they do the manifest; parsing, the reproduction manifest and the
+per-kind key rules all read the table.  An unknown section or key, a
+line without ``=``, a bad value and a key given twice in one section are
+SpecParseErrors carrying the line number.  Every run
 kind is one sweep: the cavity variants are the product, in that order, of
 whichever of noise_levels, mesh_hs and deltas are non-empty (an empty
 list keeps the [cavity] value), and every variant runs every (scheme,
@@ -39,10 +43,11 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .bounds import bound_report_for, report_csv_header, report_csv_row
-from .cavity import (CavityConfig, cavity_config_lines, generate,
-                     multi_source_objective, parse_cavity_value, with_noise_level)
+from .cavity import (_CAVITY_CODECS, _FLOAT, _FLOATS, _INT, _INTS, CavityConfig,
+                     _list_codec, document_lines, generate, multi_source_objective,
+                     read_document, with_noise_level)
 from .descent import RunConfig, SchemeKind, format_trace_csv, run
-from .errors import SpecParseError, SpecValidationError
+from .errors import SpecValidationError
 from .problem import positive_int
 from .spectral import certificate_csv_header, certificate_csv_row, certify
 
@@ -67,27 +72,16 @@ _REQUIRED_AXIS = {ExperimentKind.NoiseStudy: "noise_levels",
                   ExperimentKind.DeltaDependence: "deltas"}
 
 
-def _split_list(value):
-    return [v.strip() for v in value.split(",") if v.strip()]
-
-
-#: (parse, format) of a comma-separated list of floats.
-_FLOATS = (lambda text: tuple(float(v) for v in _split_list(text)),
-           lambda values: ",".join(repr(float(v)) for v in values))
-
-#: Every key of the [experiment], [sweep] and [run] sections, in canonical
-#: order, with the parser of its document value and the formatter of its
-#: ExperimentSpec field ([cavity] keys use the cavity manifest codecs).
+#: Every key of the [experiment], [cavity], [sweep] and [run] sections, in
+#: canonical order, with the parser of its document value and the formatter
+#: of its ExperimentSpec field ([cavity]: of its CavityConfig field).
 _SPEC_KEYS = {
     "experiment": {"kind": (str, lambda kind: kind.value), "output_dir": (str, str)},
-    "sweep": {"schemes": (lambda text: tuple(_split_list(text)),
-                          lambda schemes: ",".join(s.value for s in schemes)),
-              "taus": _FLOATS,
-              "ks": (lambda text: tuple(int(v) for v in _split_list(text)),
-                     lambda ks: ",".join(map(str, ks))),
-              "alphas": _FLOATS, "noise_levels": _FLOATS, "mesh_hs": _FLOATS,
-              "deltas": _FLOATS},
-    "run": {"max_outer": (int, str), "tol_cost": (float, repr), "tol_step": (float, repr)},
+    "cavity": _CAVITY_CODECS,
+    "sweep": {"schemes": _list_codec(str, lambda scheme: scheme.value),
+              "taus": _FLOATS, "ks": _INTS, "alphas": _FLOATS,
+              "noise_levels": _FLOATS, "mesh_hs": _FLOATS, "deltas": _FLOATS},
+    "run": {"max_outer": _INT, "tol_cost": _FLOAT, "tol_step": _FLOAT},
 }
 
 #: The [sweep] keys each table kind reads, all of them required.  A table
@@ -177,32 +171,9 @@ class ExperimentSpec:
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse an experiment document; unknown keys and sections are errors."""
-    section = None
-    fields, cavity = {}, {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section != "cavity" and section not in _SPEC_KEYS:
-                raise SpecParseError(f"unknown section [{section}]", line=lineno)
-            continue
-        if "=" not in line:
-            raise SpecParseError(f"expected 'key = value', got {line!r}", line=lineno)
-        if section is None:
-            raise SpecParseError("entry before any [section] header", line=lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        try:
-            if section == "cavity":
-                cavity[key] = parse_cavity_value(key, value)
-            else:
-                fields[key] = _SPEC_KEYS[section][key][0](value)
-        except KeyError:
-            raise SpecParseError(f"unknown key {key!r} in [{section}]", line=lineno) from None
-        except ValueError as exc:
-            raise SpecParseError(f"bad value for {key!r}: {exc}", line=lineno) from exc
+    sections = read_document(text, _SPEC_KEYS)
+    cavity = sections.pop("cavity")
+    fields = {key: value for entries in sections.values() for key, value in entries.items()}
     if "kind" not in fields:
         raise SpecValidationError("missing required key 'kind' in [experiment]")
     try:
@@ -224,13 +195,8 @@ def serialize_spec(spec: ExperimentSpec) -> str:
     A table kind's manifest omits the keys it rejects.
     """
     rejected = _kind_keys(spec.kind)[1]
-
-    def lines(section):
-        return [f"{key} = {fmt(getattr(spec, key))}"
-                for key, (_, fmt) in _SPEC_KEYS[section].items() if key not in rejected]
-
-    sections = [("experiment", lines("experiment")), ("cavity", cavity_config_lines(spec.cavity)),
-                ("sweep", lines("sweep")), ("run", lines("run"))]
+    sections = [(name, document_lines(spec.cavity if name == "cavity" else spec, codecs, rejected))
+                for name, codecs in _SPEC_KEYS.items()]
     return "\n\n".join(f"[{name}]\n" + "\n".join(body) for name, body in sections if body) + "\n"
 
 

@@ -655,6 +655,37 @@ class TestNonFiniteAlpha:
             bound_report_for(make_problem(90), alpha=alpha, k=k)
 
 
+S_INPUTS = dict(norm_Bk=0.125, norm_Tk=1.75, norm_Xk=2.5, s_Bk=1.2)
+
+
+class TestBadNormInputs:
+    # a nan, inf or negative norm must not turn into an "unbounded" tau_max,
+    # nor may an s-input the s-based path cannot use be echoed in the report
+    @pytest.mark.parametrize("name", ["norm_B", "norm_M", "norm_H", *S_INPUTS])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+    @pytest.mark.parametrize("norm_B, k", [(0.0, 1), (0.5, 1), (0.5, 3)])
+    def test_rejects_non_finite_or_negative(self, name, value, norm_B, k):
+        inputs = dict(norm_B=norm_B, norm_M=0.5, norm_H=1.0, **S_INPUTS)
+        inputs[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            sufficient_tau_k_step(alpha=0.0, k=k, **inputs)
+
+    @pytest.mark.parametrize("given", [("norm_Bk",), ("norm_Tk", "s_Bk"),
+                                       ("norm_Bk", "norm_Tk", "norm_Xk")])
+    @pytest.mark.parametrize("norm_B, k", [(0.0, 1), (0.5, 3), (1.5, 3)])
+    def test_rejects_a_partial_set_of_s_inputs(self, given, norm_B, k):
+        missing = ", ".join(name for name in S_INPUTS if name not in given)
+        with pytest.raises(ValueError, match=f"missing {missing}$"):
+            sufficient_tau_k_step(norm_B, 0.5, 1.0, 0.0, k,
+                                  **{name: S_INPUTS[name] for name in given})
+
+    def test_zero_and_full_inputs_still_pass(self):
+        zeros = sufficient_tau_k_step(0.0, 0.0, 0.0, 0.0, 1)
+        assert zeros.tau_max == math.inf and zeros.binding_case == "real"
+        full = sufficient_tau_k_step(0.5, 0.5, 1.0, 0.0, 3, **S_INPUTS)
+        assert full.s_Bk == S_INPUTS["s_Bk"] and math.isfinite(full.tau_max)
+
+
 class TestKStepBounds:
     def test_psi_reduces_to_phi_at_k1(self):
         params = CaseParameters()

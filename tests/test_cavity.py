@@ -221,6 +221,15 @@ class TestGenerate:
         with pytest.raises(ValueError, match="inclusion_layout"):
             small_config(inclusion_layout=((-1.0, -1.0, 0.5), inclusion))
 
+    # generate would find the wrong length only after the resonance eigensolve
+    @pytest.mark.parametrize("name", ["sigma_exact", "sigma_init"])
+    @pytest.mark.parametrize("value", [(), (9.0, 11.0), (9.0, 10.0, 11.0, 12.0)])
+    def test_per_inclusion_values_must_match_the_layout(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: expected a scalar or 3 "
+                                             f"per-inclusion values, got {len(value)}$"):
+            CavityConfig(**{name: value})
+        assert getattr(CavityConfig(**{name: (9.0, 10.0, 11.0)}), name) == (9.0, 10.0, 11.0)
+
     @pytest.mark.parametrize("name, value", [
         ("n_sources", 2.5), ("n_sources", True), ("n_sources", 0),
         ("boundary_subsample", 1.5), ("sigma_subdivision", (2.5, 1)),

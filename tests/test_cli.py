@@ -209,6 +209,19 @@ def test_bad_inclusion_geometry_fails_before_any_output(tmp_path, capsys, layout
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["sigma_exact", "sigma_init"])
+@pytest.mark.parametrize("value", ["9,10,11", ""])
+def test_per_inclusion_length_fails_before_any_output(tmp_path, capsys, key, value):
+    # both cavities have two inclusions
+    for command, text in (("generate", format_manifest(small_config())), ("run", TINY_SPEC)):
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(with_cavity_value(text, key, value))
+        out = tmp_path / f"{command}_out"
+        assert main([command, "--spec", str(path), "--out", str(out), "--quiet"]) == 2
+        assert f"{key}: expected a scalar or 2 per-inclusion values" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBoundsAndCertify:
     def test_bounds_to_file(self, problem_dir, tmp_path, capsys):
         out = tmp_path / "bounds.csv"

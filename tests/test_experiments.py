@@ -5,7 +5,7 @@ import pytest
 
 from oneshot import SpecParseError, SpecValidationError
 from oneshot import experiments
-from oneshot.cavity import generate
+from oneshot.cavity import CavityConfig, generate, parse_manifest
 from oneshot.experiments import (ExperimentKind, ExperimentSpec, _cells, _kind_keys,
                                  parse_spec, run_experiment, serialize_spec)
 from conftest import spy
@@ -178,6 +178,61 @@ class TestParseSpec:
     def test_comments_ignored(self):
         spec = parse_spec(MINIMAL.replace("taus = 0.01", "taus = 0.01  # step"))
         assert spec.taus == (0.01,)
+
+    @pytest.mark.parametrize("lines", ["taus = 0.01", "\n[sweep]\ntaus = 0.02"])
+    def test_duplicated_key_names_both_lines(self, lines):
+        text = MINIMAL + lines + "\n"
+        first, second = MINIMAL.split("\n").index("taus = 0.01") + 1, text.count("\n")
+        with pytest.raises(SpecParseError, match=rf"^line {second}: key 'taus' in \[sweep\] "
+                                                 rf"given twice, on lines {first} and {second}$"):
+            parse_spec(text)
+
+
+#: A [cavity] body, lines 2 to 7 of both documents built from it.
+CAVITY_BODY = """\
+mesh_h = 0.2857142857142857
+n_sources = 2  # two incident fields
+inclusion_layout = -1,-1,0.5;1,0.5,0.5
+sigma_subdivision = 1,1
+# a comment line
+rng_seed = 3
+"""
+
+
+def as_manifest(body):
+    return "oneshot-cavity v1\n" + body
+
+
+def as_spec(body):
+    return "[cavity]\n" + body + "\n[experiment]\nkind = BoundReport\n\n[sweep]\nks = 1\n"
+
+
+class TestOneReader:
+    """A manifest and a spec's [cavity] section are read by the same code."""
+
+    def test_same_config(self):
+        expected = CavityConfig(mesh_h=0.2857142857142857, n_sources=2, rng_seed=3,
+                                inclusion_layout=((-1, -1, 0.5), (1, 0.5, 0.5)),
+                                sigma_subdivision=(1, 1), delta=0.02)
+        body = CAVITY_BODY + "delta = 0.02  # contrast\n"
+        assert parse_manifest(as_manifest(body)) == expected
+        assert parse_spec(as_spec(body)).cavity == expected
+
+    @pytest.mark.parametrize("line, message", [
+        ("delta = abc", "bad value for 'delta': could not convert string to float: 'abc'"),
+        ("delta 0.02", "expected 'key = value', got 'delta 0.02'"),
+        ("rng_seed = 4  # again", "key 'rng_seed'{where} given twice, on lines 7 and 8"),
+        ("rng_sed = 4", "unknown key 'rng_sed'{where}"),
+    ])
+    def test_same_errors(self, line, message):
+        body = CAVITY_BODY + line + "\n"
+        with pytest.raises(ValueError) as from_manifest:
+            parse_manifest(as_manifest(body))
+        with pytest.raises(SpecParseError) as from_spec:
+            parse_spec(as_spec(body))
+        assert str(from_manifest.value) == "line 8: " + message.format(where="")
+        assert str(from_spec.value) == "line 8: " + message.format(where=" in [cavity]")
+        assert from_manifest.value.line == from_spec.value.line == 8
 
 
 @pytest.fixture(scope="module")
