@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import eigvals, solve
 
 from .errors import EigensolverError, ProblemAssumptionError, SingularSystemError
-from .problem import LinearInverseProblem, contracts, operator_norm, positive_int
+from .problem import LinearInverseProblem, contracts, finite_real, operator_norm, positive_int
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -71,8 +71,7 @@ class CaseParameters:
     def __post_init__(self):
         if not 0.0 < self.theta0 <= math.pi / 4:
             raise ValueError(f"theta0 must lie in (0, pi/4], got {self.theta0}")
-        if not 0.0 < self.delta0 < math.inf:
-            raise ValueError(f"delta0 must be finite and > 0, got {self.delta0}")
+        finite_real("delta0", self.delta0, strict=True)
 
     @property
     def c(self) -> float:
@@ -312,11 +311,6 @@ def _best_cases(forms, alpha: float, constants):
                  for C, terms in zip(constants, zip(*forms)))
 
 
-def _check_alpha(alpha: float):
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-
-
 @dataclass(frozen=True)
 class TauBoundReport:
     """The certified sufficient bounds and the final tau_max = min of them.
@@ -389,13 +383,13 @@ def sufficient_tau_k_step(norm_B: float, norm_M: float, norm_H: float,
     """
     params = params or DEFAULT_PARAMETERS
     k = positive_int("k", k)
-    _check_alpha(alpha)
+    finite_real("alpha", alpha)
     if k > 1 and not params.theta0 < math.pi / 4:
         raise ValueError("the bounds for k >= 2 require theta0 < pi/4 strictly")
     s_inputs = dict(norm_Bk=norm_Bk, norm_Tk=norm_Tk, norm_Xk=norm_Xk, s_Bk=s_Bk)
     for name, value in dict(norm_B=norm_B, norm_M=norm_M, norm_H=norm_H, **s_inputs).items():
-        if value is not None and not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if value is not None:
+            finite_real(name, value)
     missing = [name for name, value in s_inputs.items() if value is None]
     if 0 < len(missing) < len(s_inputs):
         raise ValueError("the s-based path needs norm_Bk, norm_Tk, norm_Xk and s_Bk "
@@ -466,12 +460,13 @@ def bound_report_for(problem: LinearInverseProblem, alpha: float, k: int,
     from .spectral import k_step_operators
 
     k = positive_int("k", k)
-    _check_alpha(alpha)
+    finite_real("alpha", alpha)
     norm_B, norm_M, norm_H = problem.norm_B, problem.norm_M, problem.norm_H
     if use_s_path is None:
         use_s_path = norm_B >= 1.0 or problem.B.shape[0] <= 128
     extras = {}
-    if use_s_path:
+    # at k = 1 a zero B takes the exact criterion, which reads no s-input
+    if use_s_path and not (k == 1 and norm_B == 0.0):
         ops = k_step_operators(problem, k)
         extras = dict(norm_Bk=operator_norm(ops.Bk), norm_Tk=operator_norm(ops.T),
                       norm_Xk=operator_norm(ops.X), s_Bk=s_of(ops.Bk))

@@ -57,10 +57,15 @@ import scipy.special
 
 from .errors import ProblemAssumptionError, SpecParseError
 from .matrixio import write_matrix
-from .problem import LinearInverseProblem, Objective, from_block_columns, positive_int
+from .problem import LinearInverseProblem, Objective, finite_real, from_block_columns, positive_int
 
 #: Relative smallest-singular-value threshold for the resonance check.
 RESONANCE_TOL = 1e-8
+
+#: The real-valued CavityConfig fields, all bounded below by 0, and whether
+#: the bound is strict.
+REAL_FIELDS = {"omega": True, "sigma0_bar": True, "delta": False, "mesh_h": True,
+               "domain_radius": True, "noise_level": False, "data_scale": True}
 
 
 @dataclass(frozen=True)
@@ -102,26 +107,18 @@ class CavityConfig:
     def __post_init__(self):
         object.__setattr__(self, "inclusion_layout",
                            tuple(tuple(float(v) for v in inc) for inc in self.inclusion_layout))
-        numbers = [(name, getattr(self, name)) for name in (
-            "omega", "sigma0_bar", "delta", "mesh_h", "domain_radius", "noise_level",
-            "data_scale", "source_radius", "sigma_exact", "sigma_init")]
-        for name, value in numbers + [("inclusion_layout", sum(self.inclusion_layout, ()))]:
+        for name, strict in REAL_FIELDS.items():
+            finite_real(name, getattr(self, name), strict=strict)
+        arrays = [(name, getattr(self, name)) for name in (
+            "source_radius", "sigma_exact", "sigma_init")]
+        for name, value in arrays + [("inclusion_layout", sum(self.inclusion_layout, ()))]:
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("omega", "sigma0_bar", "mesh_h", "domain_radius"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
         for name in ("n_sources", "boundary_subsample"):
             positive_int(name, getattr(self, name))
         seed = self.rng_seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
-        if not self.data_scale > 0:
-            raise ValueError("data_scale must be > 0")
         if not self.effective_source_radius > self.domain_radius:
             raise ValueError("source_radius must be > domain_radius "
                              "(the sources sit strictly outside the domain)")

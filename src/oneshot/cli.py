@@ -7,7 +7,8 @@ Subcommands:
     bounds     problem directory -> TauBoundReport CSV
     certify    problem directory + (tau, alpha, k) -> certificate CSV
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
+Exit codes: 0 success, 1 usage error, 2 validation error (any
+ValueError: a bad argument, spec, manifest or matrix file), 3 numerical
 failure.
 """
 
@@ -22,9 +23,8 @@ from .bounds import (DEFAULT_PARAMETERS, CaseParameters, bound_report_for,
 from .cavity import (CavityConfig, export_cavity, generate, load_problem,
                      parse_manifest)
 from .errors import (EigensolverError, OneShotError, ProblemAssumptionError,
-                     SingularSystemError, SizeGuardError, SpecValidationError)
+                     SingularSystemError, SizeGuardError)
 from .experiments import load_spec, run_experiment
-from .matrixio import MatrixFormatError
 from .spectral import (SIZE_GUARD, certificate_csv_header,
                        certificate_csv_row, certify, spectrum, spectrum_csv)
 
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"oneshot: file not found: {exc.filename or exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (SpecValidationError, MatrixFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"oneshot: validation error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
     except (ProblemAssumptionError, SingularSystemError, SizeGuardError,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OneShotError, SingularSystemError
-from .problem import (IterationState, Objective, cost, fixed_point_sweep,
+from .problem import (IterationState, Objective, cost, finite_real, fixed_point_sweep,
                       gradient, positive_int, regularized_solution,
                       solve_adjoint_exact, solve_state_exact)
 
@@ -90,12 +90,11 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", SchemeKind(self.scheme))
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        finite_real("tau", self.tau, strict=True)
         object.__setattr__(self, "k", positive_int("k", self.k))
         object.__setattr__(self, "max_outer", positive_int("max_outer", self.max_outer))
-        if not (0 <= self.tol_cost < math.inf and 0 <= self.tol_step < math.inf):
-            raise ValueError("tolerances must be finite and >= 0")
+        finite_real("tol_cost", self.tol_cost)
+        finite_real("tol_step", self.tol_step)
 
 
 @dataclass(frozen=True)

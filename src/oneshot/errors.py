@@ -1,7 +1,10 @@
 """Exception hierarchy for the oneshot package.
 
 Distinguishing argument problems from broken mathematical assumptions lets
-callers (in particular the CLI) map failures to the right exit code.
+callers (in particular the CLI) map failures to the right exit code.  A
+bad argument is a ValueError (exit 2) wherever it is found: a scalar out
+of range, a spec or manifest (SpecParseError, SpecValidationError) or a
+matrix file (``matrixio.MatrixFormatError``).  The rest exit 3.
 """
 
 
@@ -11,7 +14,8 @@ class OneShotError(Exception):
 
 class ProblemAssumptionError(OneShotError):
     """A standing assumption is violated (rho(B) >= 1, rank-deficient
-    parameter-to-data map, inconsistent dimensions, non-finite entries)."""
+    parameter-to-data map, inconsistent dimensions, non-finite entries);
+    a scalar argument out of range, such as alpha < 0, is a ValueError."""
 
 
 class SingularSystemError(OneShotError):
@@ -41,5 +45,5 @@ class SpecParseError(OneShotError, ValueError):
         super().__init__(message)
 
 
-class SpecValidationError(OneShotError):
+class SpecValidationError(OneShotError, ValueError):
     """A parsed experiment document failed validation; names the field."""

@@ -37,18 +37,17 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import os
 from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .bounds import bound_report_for, report_csv_header, report_csv_row
-from .cavity import (_CAVITY_CODECS, _FLOAT, _FLOATS, _INT, _INTS, CavityConfig,
+from .cavity import (_CAVITY_CODECS, _FLOAT, _FLOATS, _INT, _INTS, REAL_FIELDS, CavityConfig,
                      _list_codec, document_lines, generate, multi_source_objective,
                      read_document, with_noise_level)
 from .descent import RunConfig, SchemeKind, format_trace_csv, run
 from .errors import SpecValidationError
-from .problem import positive_int
+from .problem import finite_real, positive_int
 from .spectral import certificate_csv_header, certificate_csv_row, certify
 
 
@@ -78,11 +77,17 @@ _REQUIRED_AXIS = {ExperimentKind.NoiseStudy: "noise_levels",
 _SPEC_KEYS = {
     "experiment": {"kind": (str, lambda kind: kind.value), "output_dir": (str, str)},
     "cavity": _CAVITY_CODECS,
-    "sweep": {"schemes": _list_codec(str, lambda scheme: scheme.value),
+    "sweep": {"schemes": _list_codec(SchemeKind, lambda scheme: scheme.value),
               "taus": _FLOATS, "ks": _INTS, "alphas": _FLOATS,
               "noise_levels": _FLOATS, "mesh_hs": _FLOATS, "deltas": _FLOATS},
     "run": {"max_outer": _INT, "tol_cost": _FLOAT, "tol_step": _FLOAT},
 }
+
+#: The real-valued [sweep] lists and [run] keys, all bounded below by 0, and
+#: whether the bound is strict; a cavity axis has the bound of its field, so
+#: every cavity variant of a valid spec is a valid CavityConfig.
+_REAL_KEYS = {"taus": True, "alphas": False, "tol_cost": False, "tol_step": False,
+              **{key: REAL_FIELDS[name] for key, name in _CAVITY_AXES}}
 
 #: The [sweep] keys each table kind reads, all of them required.  A table
 #: kind tabulates the [cavity] itself and runs no iterations, so it rejects
@@ -138,23 +143,13 @@ class ExperimentSpec:
             if not getattr(self, name):
                 raise SpecValidationError(
                     f"experiment kind {self.kind.value} requires a non-empty {name!r}")
-        for name, codec in _SPEC_KEYS["sweep"].items():
-            if codec is _FLOATS and not all(math.isfinite(v) for v in getattr(self, name)):
-                raise SpecValidationError(f"{name} contains a non-finite value")
-        if any(t <= 0 for t in self.taus):
-            raise SpecValidationError("taus must be positive")
+        for name, strict in _REAL_KEYS.items():
+            values = getattr(self, name)
+            for value in values if name in _SPEC_KEYS["sweep"] else (values,):
+                finite_real(name, value, strict=strict, error=SpecValidationError)
         for k in self.ks:
             positive_int("ks", k, SpecValidationError)
-        if any(a < 0 for a in self.alphas):
-            raise SpecValidationError("alphas must be non-negative")
-        for name in ("tol_cost", "tol_step"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise SpecValidationError(f"{name} must be finite and non-negative")
         positive_int("max_outer", self.max_outer, SpecValidationError)
-        try:
-            self.cavity_variants()
-        except ValueError as exc:
-            raise SpecValidationError(str(exc)) from exc
 
     def cavity_variants(self) -> list:
         """The [cavity] with every combination of the listed axis values."""

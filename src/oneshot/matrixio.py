@@ -20,7 +20,7 @@ HEADER_MAGIC = "oneshot-matrix"
 FORMAT_VERSION = "v1"
 
 
-class MatrixFormatError(OneShotError):
+class MatrixFormatError(OneShotError, ValueError):
     """Malformed matrix container file."""
 
 

@@ -43,7 +43,11 @@ of the block (``k_step_operators``), with M and F folded into them, are
 cached on the problem like A, once per k; from k = 3 on ``sweeps``
 applies k sweeps in their closed form, three block products per call.
 Problems and objectives are immutable and safe to share across threads;
-every operation here is a pure function of its inputs.
+every operation here is a pure function of its inputs.  ``positive_int``
+(k, the counts) and ``finite_real`` (tau, alpha, the tolerances, the
+norms, the cavity scalars) check every scalar argument of the package: a
+bool is rejected, and the error, ValueError unless the caller names
+another class, names the argument.
 """
 
 from __future__ import annotations
@@ -75,6 +79,15 @@ def positive_int(name, value, error=ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def finite_real(name, value, strict=False, error=ValueError) -> float:
+    """value as a float if it is a finite real >= 0 (> 0 when ``strict``);
+    a bool, a non-real, NaN, +-inf or a smaller value raises error."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        if np.isfinite(value) and (value > 0 if strict else value >= 0):
+            return float(value)
+    raise error(f"{name} must be finite and {'>' if strict else '>='} 0, got {value!r}")
 
 
 def to_block_columns(x, n_blocks: int) -> np.ndarray:
@@ -320,10 +333,8 @@ class Objective:
                 f"g has shape {g.shape}, expected ({self.problem.n_g},)")
         if not np.isfinite(g).all():
             raise ProblemAssumptionError("g contains non-finite entries")
-        if not 0.0 <= self.alpha < np.inf:
-            raise ProblemAssumptionError(f"alpha must be finite and >= 0, got {self.alpha}")
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", finite_real("alpha", self.alpha))
 
     @cached_property
     def _g_tilde(self) -> np.ndarray:

@@ -51,7 +51,6 @@ part of the iteration (no F, no data).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -61,7 +60,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import EigensolverError, SingularSystemError, SizeGuardError
 # KStepOperators is re-exported; bounds imports k_step_operators from here
-from .problem import KStepOperators, LinearInverseProblem, k_step_operators, sweeps  # noqa: F401
+from .problem import (KStepOperators, LinearInverseProblem, finite_real,  # noqa: F401
+                      k_step_operators, sweeps)
 
 #: Largest block dimension (2 n_u + n_sigma) whose full spectrum
 #: ``spectrum`` computes densely.
@@ -113,10 +113,8 @@ def apply_iteration_matrix(problem: LinearInverseProblem, x, tau: float,
 
 
 def _check_step(tau: float, alpha: float):
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    finite_real("tau", tau, strict=True)
+    finite_real("alpha", alpha)
 
 
 @dataclass(frozen=True, eq=False)

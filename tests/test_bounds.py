@@ -811,6 +811,11 @@ class TestShearedSoundness:
                 assert certify(p, report.tau_max, 1e-4, k).spectral_radius < 1.0
 
 
+#: The pinned bounds row of the B = 0 problem at k = 1 and alpha = 0.
+ZERO_K1_ROW = ("1,0.0,0.0,2.8911881441104885,4.757371062774742,,unbounded,,,,"
+               "0.005285830568437273,0.005285830568437273,b_zero,0.39269908169872414,1.0")
+
+
 class TestReportCsv:
     def test_header_and_row_shape(self):
         report = sufficient_tau_k_step(0.5, 1.0, 1.0, 1e-3, 1, **k1_s_inputs(0.5, 2.0))
@@ -827,12 +832,25 @@ class TestReportCsv:
         assert report.s_Bk is not None and report.norm_Xk is not None
         assert report.tau_max > 0
 
+    @staticmethod
+    def zero_problem():
+        p = make_problem(81, n_u=6)
+        return LinearInverseProblem(np.zeros((6, 6)), p.M, p.H, p.F)
+
+    def test_zero_block_at_k1_builds_no_s_inputs(self, monkeypatch):
+        # the exact B = 0 criterion reads no s-input, so none is computed
+        s_calls = spy(monkeypatch, bounds, "s_of")
+        p = self.zero_problem()
+        report = bound_report_for(p, 0.0, 1, use_s_path=True)
+        assert s_calls == [] and "_k_step" not in p.__dict__  # no k-step operators
+        assert report_csv_row(report) == ZERO_K1_ROW
+        bound_report_for(p, 0.0, 3, use_s_path=True)
+        assert len(s_calls) == 1  # from k = 2 on the s-path still runs
+
     # exact rows over both forms, the s form alone, the closed form alone,
     # B = 0, k = 1 and k >= 2: how the cases are assembled must not move a bound
     @pytest.mark.parametrize("problem, alpha, k, params, use_s_path, expected", [
-        ("zero", 0.0, 1, None, None,
-         "1,0.0,0.0,2.8911881441104885,4.757371062774742,,unbounded,,,,"
-         "0.005285830568437273,0.005285830568437273,b_zero,0.39269908169872414,1.0"),
+        ("zero", 0.0, 1, None, None, ZERO_K1_ROW),
         ("zero", 0.1, 3, None, None,
          "3,0.1,0.0,2.8911881441104885,4.757371062774742,1.0,0.00528722793799012,"
          "0.003737068072271922,0.001328531183846354,0.002491027261634039,,"
@@ -863,8 +881,7 @@ class TestReportCsv:
         # the rows were recorded with the grid estimate of s
         monkeypatch.setattr(bounds, "s_of", grid_s_of)
         if problem == "zero":
-            p = make_problem(81, n_u=6)
-            p = LinearInverseProblem(np.zeros((6, 6)), p.M, p.H, p.F)
+            p = self.zero_problem()
         elif problem == "both":
             p = make_problem(80, norm_b=0.6)
         else:

@@ -100,6 +100,15 @@ class TestRunAndSweep:
         assert code == 2
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
+    def test_unknown_scheme_names_its_line_and_key(self, tmp_path, capsys):
+        spec = tmp_path / "exp.cfg"
+        spec.write_text(TINY_SPEC.replace("schemes = KStepOneShot", "schemes = UsualGD,Foo"))
+        lineno = spec.read_text().split("\n").index("schemes = UsualGD,Foo") + 1
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
+        assert f"line {lineno}: bad value for 'schemes': 'Foo'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["tol_cost = nan", "tol_step = nan"])
     def test_non_finite_tolerance_is_validation_error(self, tmp_path, line):
         spec = tmp_path / "exp.cfg"

@@ -107,7 +107,7 @@ class TestParseSpec:
             ExperimentSpec(kind=kind, taus=taus, max_outer=5)
 
     def test_validation_rules(self):
-        with pytest.raises(SpecValidationError, match="positive"):
+        with pytest.raises(SpecValidationError, match="^taus must be finite and > 0, got -1.0$"):
             parse_spec(MINIMAL.replace("taus = 0.01", "taus = -1.0"))
         bad_k = MINIMAL + "ks = 0\n"
         with pytest.raises(SpecValidationError, match="ks"):
@@ -186,6 +186,14 @@ class TestParseSpec:
         with pytest.raises(SpecParseError, match=rf"^line {second}: key 'taus' in \[sweep\] "
                                                  rf"given twice, on lines {first} and {second}$"):
             parse_spec(text)
+
+    def test_unknown_scheme_names_its_line_and_key(self):
+        text = MINIMAL.replace("schemes = UsualGD", "schemes = UsualGD,Foo")
+        lineno = text.split("\n").index("schemes = UsualGD,Foo") + 1
+        with pytest.raises(SpecParseError, match=rf"^line {lineno}: bad value for 'schemes': "
+                                                 "'Foo' is not a valid SchemeKind$") as excinfo:
+            parse_spec(text)
+        assert excinfo.value.line == lineno
 
 
 #: A [cavity] body, lines 2 to 7 of both documents built from it.

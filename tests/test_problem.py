@@ -508,7 +508,7 @@ class TestConstruction:
     @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
     def test_objective_rejects_bad_alpha(self, alpha):
         p = make_problem(28)
-        with pytest.raises(ProblemAssumptionError, match="alpha must be finite"):
+        with pytest.raises(ValueError, match="alpha must be finite"):
             Objective(p, np.zeros(p.n_g), alpha)
 
     def test_arrays_are_immutable(self):
