@@ -20,6 +20,14 @@ Gradient descent carries u and p through its steps unchanged; ``run``
 fills the final state's u and p with one exact state and adjoint solve at
 the final sigma (the k = infinity state).
 
+``step`` and ``run`` apply one step rule, ``_step_rule``.  ``run`` checks
+its start once, binds the rule's constants once and carries plain arrays,
+building an ``IterationState`` for the final state only.  A one-shot run
+on a problem with a ``modal_twin`` steps the twin (the problem in the
+eigenbasis of B, where a sweep multiplies by the eigenvalues elementwise):
+u0 and p0 go into its coordinates at the start and the final u and p come
+back, while sigma, and so every trace row, stays that of the problem.
+
 At alpha = 0 the explicit and implicit updates coincide exactly.
 The run loop records one trace row per outer iteration and stops on an
 iteration cap, a cost tolerance, a relative step tolerance, or a
@@ -33,12 +41,13 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OneShotError, SingularSystemError
-from .problem import (IterationState, Objective, cost, finite_real, fixed_point_sweep,
-                      gradient, positive_int, regularized_solution,
+from .problem import (IterationState, LinearInverseProblem, Objective, cost, finite_real,
+                      fixed_point_sweep, gradient, positive_int, regularized_solution,
                       solve_adjoint_exact, solve_state_exact)
 
 #: Cost level beyond which a run is declared diverged.
@@ -163,6 +172,43 @@ def format_trace_csv(trace: ConvergenceTrace, deterministic_wall=True) -> str:
 # one step (a pure function state -> state)
 # ----------------------------------------------------------------------
 
+class _Iterate(NamedTuple):
+    """The (sigma, u, p) that ``run`` carries between steps, unchecked."""
+
+    sigma: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
+
+
+def _step_rule(objective: Objective, problem: LinearInverseProblem, scheme: SchemeKind,
+               tau: float, k: int):
+    """The step rule of ``step`` with its constants bound: a function from a
+    state carrying sigma, u and p to the next ``_Iterate``, with no checks.
+
+    The one-shot sweeps run on ``problem``: the objective's own problem, or
+    its modal twin with u and p in the twin's coordinates.
+    """
+    one_shot, implicit = scheme.is_one_shot, scheme.is_implicit
+    g, shrink, tau_alpha = objective.g, 1.0 + tau * objective.alpha, tau * objective.alpha
+    if one_shot:
+        M_T = problem.M.T
+    else:
+        A, g_tilde = objective.problem.reduced_operator(), objective.shifted_data()
+
+    def advance(state) -> _Iterate:
+        sigma = state.sigma
+        Mp = M_T @ state.p if one_shot else A.T @ (A @ sigma - g_tilde)
+        if implicit:
+            sigma_new = (sigma - tau * Mp) / shrink
+        else:
+            sigma_new = sigma - tau * Mp - tau_alpha * sigma
+        if not one_shot:
+            return _Iterate(sigma_new, state.u, state.p)
+        return _Iterate(sigma_new, *fixed_point_sweep(problem, state, sigma_new, g, k))
+
+    return advance
+
+
 def step(objective: Objective, state: IterationState, scheme: SchemeKind,
          tau: float, k: int = 1) -> IterationState:
     """One outer iteration of ``scheme`` (the table in the module docstring).
@@ -170,21 +216,8 @@ def step(objective: Objective, state: IterationState, scheme: SchemeKind,
     ``k`` is ignored by gradient descent, which returns the incoming u and p
     unchanged: its M* p comes from the reduced operator, not from them.
     """
-    problem = objective.problem
-    if scheme.is_one_shot:
-        Mp = problem.M.T @ state.p
-    else:
-        A = problem.reduced_operator()
-        Mp = A.T @ (A @ state.sigma - objective.shifted_data())
-    if scheme.is_implicit:
-        sigma_new = (state.sigma - tau * Mp) / (1.0 + tau * objective.alpha)
-    else:
-        sigma_new = state.sigma - tau * Mp - tau * objective.alpha * state.sigma
-    if scheme.is_one_shot:
-        u, p = fixed_point_sweep(problem, state, sigma_new, objective.g, k)
-    else:
-        u, p = state.u, state.p
-    return IterationState(sigma_new, u, p, fresh=True)
+    return IterationState(*_step_rule(objective, objective.problem, scheme, tau, k)(state),
+                          fresh=True)
 
 
 def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
@@ -196,19 +229,28 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
     record for n = 0 (the starting point).  A gradient-descent run's final
     state holds the exact u and p at its final sigma, unless that sigma is
     non-finite or too large for the state solve.
+
+    A one-shot run on a problem with a ``modal_twin`` steps the twin: u0
+    and p0 go into its coordinates once, and the final u and p come back.
+    The sigma iterates, and so every trace row, equal those of repeated
+    ``step`` calls in exact arithmetic.
     """
     problem = objective.problem
-    state = IterationState.zero(problem, config.sigma0, config.u0, config.p0)
+    scheme, tau, k = config.scheme, config.tau, config.k
+    start = IterationState.zero(problem, config.sigma0, config.u0, config.p0)
+    twin = problem.modal_twin() if scheme.is_one_shot else None
+    u, p = (start.u, start.p) if twin is None else twin.to_modal(start.u, start.p)
+    state = _Iterate(start.sigma, u, p)
+    advance = _step_rule(objective, problem if twin is None else twin.problem, scheme, tau, k)
     try:
         sigma_ref = regularized_solution(objective)
         ref_norm = float(np.linalg.norm(sigma_ref))
     except OneShotError:
         sigma_ref, ref_norm = None, 0.0
 
-    inner_per_outer = config.k if config.scheme.is_one_shot else 1
+    inner_per_outer = k if scheme.is_one_shot else 1
 
-    trace = ConvergenceTrace(scheme=config.scheme, tau=config.tau,
-                             k=config.k if config.scheme.is_one_shot else 1)
+    trace = ConvergenceTrace(scheme=scheme, tau=tau, k=inner_per_outer)
     t0 = time.perf_counter()
 
     def record(n, state):
@@ -230,7 +272,7 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
     status = RunStatus.MAX_OUTER
     for n in range(1, config.max_outer + 1):
         prev_sigma = state.sigma
-        state = step(objective, state, config.scheme, config.tau, config.k)
+        state = advance(state)
         if not np.isfinite(state.sigma).all() or not np.isfinite(state.u).all() \
                 or not np.isfinite(state.p).all():
             # Leave a finite-cost guard row out: the iterate itself is unusable.
@@ -254,13 +296,15 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
                 status = RunStatus.TOL_STEP
                 break
 
-    if not config.scheme.is_one_shot and np.isfinite(state.sigma).all():
+    sigma, u, p = state
+    if twin is not None:
+        u, p = twin.from_modal(u, p)
+    elif not scheme.is_one_shot and np.isfinite(sigma).all():
         try:
-            u = solve_state_exact(problem, state.sigma)
-            state = IterationState(state.sigma, u, solve_adjoint_exact(problem, u, objective.g),
-                                   fresh=True)
+            exact_u = solve_state_exact(problem, sigma)
+            u, p = exact_u, solve_adjoint_exact(problem, exact_u, objective.g)
         except SingularSystemError:
             pass  # a diverged sigma overflowed the solve: keep the carried u, p
     trace.status = status
-    trace.final_state = state
+    trace.final_state = IterationState(sigma, u, p, fresh=True)
     return trace

@@ -253,6 +253,7 @@ def eigen_equation_residual(problem: LinearInverseProblem, lam: complex, y,
     eigenvector).  lambda must stay away from Spec(B^k): values within
     1e-8 * ||B||^k of that spectrum are rejected.
     """
+    _check_step(tau, alpha)
     y = np.asarray(y, dtype=complex)
     if y.shape != (problem.n_sigma,):
         raise ValueError(f"y has shape {y.shape}, expected ({problem.n_sigma},)")

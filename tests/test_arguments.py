@@ -17,7 +17,8 @@ import pytest
 
 from oneshot import (CaseParameters, CavityConfig, Objective, RunConfig, SchemeKind,
                      SpecParseError, SpecValidationError, bound_report_for, certify,
-                     iteration_matrix_semi_implicit, spectrum, sufficient_tau_k_step)
+                     eigen_equation_residual, iteration_matrix_semi_implicit, spectrum,
+                     sufficient_tau_k_step)
 from oneshot.cavity import format_manifest
 from oneshot.cli import main
 from oneshot.experiments import parse_spec
@@ -26,6 +27,7 @@ from test_cavity import small_config
 from test_experiments import MINIMAL
 
 PROBLEM = make_problem(4)
+UNIT_Y = np.eye(PROBLEM.n_sigma)[0]
 S_INPUTS = dict(norm_Bk=0.125, norm_Tk=1.75, norm_Xk=2.5, s_Bk=1.2)
 
 
@@ -79,6 +81,10 @@ ENTRIES = [
      lambda v: iteration_matrix_semi_implicit(PROBLEM, v, 0.0, 2)),
     ("iteration_matrix_semi_implicit", "alpha", False,
      lambda v: iteration_matrix_semi_implicit(PROBLEM, 0.1, v, 2)),
+    ("eigen_equation_residual", "tau", True,
+     lambda v: eigen_equation_residual(PROBLEM, 2.0, UNIT_Y, v, 0.0, 2)),
+    ("eigen_equation_residual", "alpha", False,
+     lambda v: eigen_equation_residual(PROBLEM, 2.0, UNIT_Y, 0.1, v, 2)),
     ("bound_report_for", "alpha", False, lambda v: bound_report_for(PROBLEM, v, 3)),
     *(("sufficient_tau_k_step", name, False, norms_call(name))
       for name in ("alpha", "norm_B", "norm_M", "norm_H", *S_INPUTS)),
@@ -97,6 +103,9 @@ def bad_values(strict):
 CASES = [pytest.param(entry, call, name, strict, value, id=f"{entry}-{name}-{value!r}")
          for entry, name, strict, call in ENTRIES for value in bad_values(strict)
          if not (entry == "parse_spec" and name in CAVITY_STRICT and value is True)]
+# an int beyond the float range, which float() cannot convert
+CASES.append(pytest.param("RunConfig", ENTRIES[0][3], "tau", True, 10 ** 400,
+                          id="RunConfig-tau-10**400"))
 
 
 @pytest.mark.parametrize("entry, call, name, strict, value", CASES)
