@@ -29,7 +29,12 @@ stacked only).  One scipy.sparse assembly routine builds the stiffness
 and mass matrices and, applied to the incident fields, each column c of A2
 (the stiffness matrix of sigma cell c's triangles).  The matrices stay
 sparse, SuperLU (scipy.sparse.linalg.splu) factors the interior blocks
-A11_II and A1_II, and only the outputs and the resonance block are dense.
+A11_II and A1_II, and only the outputs, the resonance block and K_rand_II
+are dense.  The problem keeps the dense K_rand_II that B is solved from as
+its ``symmetrizer``: it is symmetric positive definite and K_rand_II B =
+-delta K_rand_II A11_II^{-1} K_rand_II is symmetric, so a one-shot run
+finds the eigenbasis of B from one symmetric eigensolve.  An exported
+problem does not store it, so a loaded one sweeps densely.
 
 Lengths in the configuration (mesh size, domain half-width, inclusion
 geometry, source radius) are expressed in wavelengths lambda =
@@ -291,8 +296,8 @@ def generate(config: CavityConfig) -> GeneratedCavity:
     sampled boundary rows of H, are sliced out.  SuperLU factors A11_II
     and A1_II once each: the first gives B = -delta A11_II^{-1} K_rand_II
     and M, the second the incident fields and the normalize_data
-    rescaling.  Only the outputs B, M, H and, for the resonance check,
-    A11_II are dense.
+    rescaling.  Only the outputs B, M, H, K_rand_II (the problem's
+    ``symmetrizer``) and, for the resonance check, A11_II are dense.
     """
     lam = config.wavelength
     R = config.domain_radius * lam
@@ -324,7 +329,8 @@ def generate(config: CavityConfig) -> GeneratedCavity:
 
     # single-source operator blocks
     lu = scipy.sparse.linalg.splu(A11_II.tocsc())
-    B_single = -config.delta * lu.solve(K_rand[interior][:, interior].toarray())
+    K_rand_II = K_rand[interior][:, interior].toarray()
+    B_single = -config.delta * lu.solve(K_rand_II)
 
     # incident fields u0 (A1 u0 = 0 inside, Y0 traces on the boundary)
     sources = _source_positions(config)
@@ -350,7 +356,7 @@ def generate(config: CavityConfig) -> GeneratedCavity:
         A = from_block_columns(H_single @ lu1.solve(A2_I), m)
         H_single *= config.data_scale / np.linalg.norm(A, 2)
     problem = LinearInverseProblem(B=B_single, M=M, H=H_single,
-                                   F=np.zeros(m * n1), n_blocks=m)
+                                   F=np.zeros(m * n1), n_blocks=m, symmetrizer=K_rand_II)
     g_clean = problem.reduced_operator() @ exact
     g_noisy = _noisy(g_clean, config.noise_level, rng)
 

@@ -20,13 +20,15 @@ Gradient descent carries u and p through its steps unchanged; ``run``
 fills the final state's u and p with one exact state and adjoint solve at
 the final sigma (the k = infinity state).
 
-``step`` and ``run`` apply one step rule, ``_step_rule``.  ``run`` checks
+``step`` and ``run`` apply one step rule, ``_step_rule``, which checks
+nothing: ``step`` checks its state against the problem, and ``run`` checks
 its start once, binds the rule's constants once and carries plain arrays,
 building an ``IterationState`` for the final state only.  A one-shot run
-on a problem with a ``modal_twin`` steps the twin (the problem in the
-eigenbasis of B, where a sweep multiplies by the eigenvalues elementwise):
-u0 and p0 go into its coordinates at the start and the final u and p come
-back, while sigma, and so every trace row, stays that of the problem.
+on a problem with a ``modal_twin`` (a cavity, whose ``symmetrizer`` gives
+the eigenbasis of B from one symmetric eigensolve) steps the twin, where
+a sweep multiplies by the eigenvalues elementwise: u0 and p0 go into its
+coordinates at the start and the final u and p come back, while sigma,
+and so every trace row, stays that of the problem.
 
 At alpha = 0 the explicit and implicit updates coincide exactly.
 The run loop records one trace row per outer iteration and stops on an
@@ -46,9 +48,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OneShotError, SingularSystemError
-from .problem import (IterationState, LinearInverseProblem, Objective, cost, finite_real,
-                      fixed_point_sweep, gradient, positive_int, regularized_solution,
-                      solve_adjoint_exact, solve_state_exact)
+from .problem import (IterationState, LinearInverseProblem, Objective, _checked_sigma,
+                      _checked_state, cost, finite_real, fixed_point_sweep, gradient,
+                      positive_int, regularized_solution, solve_adjoint_exact,
+                      solve_state_exact)
 
 #: Cost level beyond which a run is declared diverged.
 DIVERGENCE_GUARD = 1e12
@@ -214,10 +217,14 @@ def step(objective: Objective, state: IterationState, scheme: SchemeKind,
     """One outer iteration of ``scheme`` (the table in the module docstring).
 
     ``k`` is ignored by gradient descent, which returns the incoming u and p
-    unchanged: its M* p comes from the reduced operator, not from them.
+    unchanged: its M* p comes from the reduced operator, not from them.  A
+    sigma, u or p that does not fit the problem raises
+    ProblemAssumptionError for every scheme.
     """
-    return IterationState(*_step_rule(objective, objective.problem, scheme, tau, k)(state),
-                          fresh=True)
+    problem = objective.problem
+    state = _checked_state(problem, state)
+    _checked_sigma(problem, state.sigma)
+    return IterationState(*_step_rule(objective, problem, scheme, tau, k)(state), fresh=True)
 
 
 def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:

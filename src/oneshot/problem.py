@@ -42,13 +42,16 @@ by the state and the (transposed) adjoint equation.  The k-step operators
 of the block (``k_step_operators``), with M and F folded into them, are
 cached on the problem like A, once per k; from k = 3 on ``sweeps``
 applies k sweeps in their closed form, three block products per call.
-A diagonal B (``B_diag``) is applied elementwise instead.  Where B has a
-real spectrum and V diag(lam) V^-1 reproduces it to rounding, as on every
-cavity (B = -delta A11^-1 K_rand is similar to a symmetric matrix),
-``modal_twin`` gives the same problem in the eigenbasis V of B, cached
-like A: its block is diag(lam), so its sweeps cost O(n m) per block up to
-k = 2 and one block product (U_k) in closed form, and a one-shot run steps
-it in place of the problem.
+A diagonal B (``B_diag``) is applied elementwise instead, and its k-step
+operators are built elementwise.  A problem may carry a ``symmetrizer``:
+a symmetric positive definite S with S B symmetric, as the cavity's
+K_rand is for B = -delta A11^-1 K_rand.  From it, ``modal_twin`` gives
+the same problem in the eigenbasis V of B, built by one Cholesky
+factorization of S and one symmetric eigensolve and cached like A: its
+block is diag(lam), so its sweeps cost O(n m) per block up to k = 2 and
+one block product (U_k) in closed form, and a one-shot run steps it in
+place of the problem.  A problem without a symmetrizer (loaded from
+files, random or user-built) has no twin and sweeps densely.
 Problems and objectives are immutable and safe to share across threads;
 every operation here is a pure function of its inputs.  ``positive_int``
 (k, the counts) and ``finite_real`` (tau, alpha, the tolerances, the
@@ -140,10 +143,10 @@ def spectral_radius(x) -> float:
 
 #: Largest ||V diag(lam) V^-1 - B||_1 / ||B||_1 at which ``modal_twin``
 #: accepts the eigendecomposition of B.  A backward-stable eigensolver with a
-#: well-conditioned V stays within a few n eps (9e-15 to 4e-14 on the shipped
-#: 169- and 361-wide blocks, where kappa(V) <= 2.9); an error far above that
-#: means V is close to singular, and sweeps in its basis would not track the
-#: dense sweeps.
+#: well-conditioned V stays within a few n eps (3e-15 to 5e-15 on the shipped
+#: 169- and 361-wide blocks, where kappa(V) <= 2.8); an error far above that
+#: means S B is not symmetric or V is close to singular, and sweeps in its
+#: basis would not track the dense sweeps.
 MODAL_BACKWARD_TOL = 1e-11
 
 
@@ -200,6 +203,10 @@ class LinearInverseProblem:
     n_blocks : int, optional
         Number of diagonal copies of B and H, so n_u = n_blocks * n and
         n_g = n_blocks * m.
+    symmetrizer : (n, n) array, optional
+        An exactly symmetric S with S B symmetric; when S is also positive
+        definite, ``modal_twin`` builds the eigenbasis of B from it.  Only
+        its shape, finiteness and symmetry are checked here.
     """
 
     B: np.ndarray
@@ -207,6 +214,7 @@ class LinearInverseProblem:
     H: np.ndarray
     F: np.ndarray
     n_blocks: int = 1
+    symmetrizer: np.ndarray | None = None
 
     def __post_init__(self):
         B = _readonly(self.B, ndim=2, name="B")
@@ -229,6 +237,15 @@ class LinearInverseProblem:
                 raise ProblemAssumptionError(f"{name} contains non-finite entries")
         for name, arr in (("B", B), ("M", M), ("H", H), ("F", F)):
             object.__setattr__(self, name, arr)
+        if self.symmetrizer is not None:
+            S = _readonly(self.symmetrizer, ndim=2, name="symmetrizer")
+            if S.shape != (n, n):
+                raise ProblemAssumptionError(f"symmetrizer has shape {S.shape}, expected {(n, n)}")
+            if not np.isfinite(S).all():
+                raise ProblemAssumptionError("symmetrizer contains non-finite entries")
+            if not np.array_equal(S, S.T):
+                raise ProblemAssumptionError("symmetrizer must be exactly symmetric")
+            object.__setattr__(self, "symmetrizer", S)
 
         if not contracts(B):
             raise ProblemAssumptionError(
@@ -351,24 +368,36 @@ class LinearInverseProblem:
         """This problem in the eigenbasis of its block B, or None.
 
         The twin is built on first use and cached, when B is not diagonal
-        already, ``scipy.linalg.eig`` finds only real eigenvalues lam, and
-        V diag(lam) V^-1 reproduces B within ``MODAL_BACKWARD_TOL``.  A
-        complex spectrum (a Gaussian B) or a near-defective B gives None.
+        already and the problem has a ``symmetrizer`` S.  S = L L* by
+        Cholesky; C = L* B L^-* is then symmetric (L^-1 (S B) L^-*), so one
+        symmetric eigensolve C = Q diag(lam) Q* gives B = V diag(lam) V^-1
+        with V = L^-* Q and V^-1 = Q* L* (Golub & Van Loan, Matrix
+        Computations, Sec. 8.7), the columns of V scaled to unit norm.  No
+        symmetrizer, an S that is not positive definite, or a V diag(lam)
+        V^-1 that misses B by more than ``MODAL_BACKWARD_TOL`` (S B not
+        symmetric) gives None.
         """
         return self._modal
 
     @cached_property
     def _modal(self) -> ModalTwin | None:
-        if self.B_diag is not None:
+        if self.B_diag is not None or self.symmetrizer is None:
             return None
-        lam, V = scipy.linalg.eig(self.B, check_finite=False)
-        if np.any(lam.imag):
-            return None
-        lam = lam.real
         try:
-            V_inv = np.linalg.inv(V)
-        except np.linalg.LinAlgError:
+            L = scipy.linalg.cholesky(self.symmetrizer, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError:
             return None
+        # C = L* (B L^-*), with B L^-* = (L^-1 B*)*; eigh reads its lower triangle
+        C = L.T @ scipy.linalg.solve_triangular(L, self.B.T, lower=True,
+                                                check_finite=False).T
+        lam, Q = scipy.linalg.eigh(C, driver="evd", overwrite_a=True, check_finite=False)
+        del C
+        V = scipy.linalg.solve_triangular(L, Q, trans="T", lower=True, check_finite=False)
+        V_inv = (L @ Q).T
+        del L, Q
+        scale = np.linalg.norm(V, axis=0)
+        V /= scale
+        V_inv *= scale[:, None]
         # ||V diag(lam) V^-1 - B||_1, with one n x n temporary besides the product
         residual = np.matmul(V * lam, V_inv)
         residual -= self.B
@@ -382,7 +411,8 @@ class LinearInverseProblem:
         twin.__dict__.update(
             B=_readonly(np.diag(lam), copy=False), M=_readonly(self.apply(V_inv, self.M)),
             H=_readonly(self.H @ V, copy=False), F=_readonly(self.apply(V_inv, self.F)),
-            n_blocks=self.n_blocks, B_diag=_readonly(lam, copy=False), _modal=None)
+            n_blocks=self.n_blocks, symmetrizer=None, B_diag=_readonly(lam, copy=False),
+            _modal=None)
         return ModalTwin(twin, _readonly(V, copy=False), _readonly(V_inv, copy=False))
 
 
@@ -523,6 +553,18 @@ class KStepOperators:
     k: int
 
 
+def _binary_power(lam, k: int) -> np.ndarray:
+    """lam**k elementwise, multiplied in the order of ``np.linalg.matrix_power``'s
+    binary powering, so it equals the diagonal of matrix_power(diag(lam), k)."""
+    z = result = None
+    while k:
+        z = lam if z is None else z * z
+        k, bit = divmod(k, 2)
+        if bit:
+            result = z if result is None else result * z
+    return result
+
+
 def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
     """The k-step operators of the block, built once per (problem, k).
 
@@ -532,31 +574,49 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
 
     from T_1 = I, U_1 = H*H, X_1 = 0.  B^k comes from
     ``np.linalg.matrix_power``, not from the recurrence's B^j, which
-    associates the products differently.  The result is cached on the
-    problem, so the sweeps, the certificate and the bounds read one object.
+    associates the products differently.  On a diagonal B (``B_diag``) the
+    products with B, B^j and T_k are elementwise; each drops only exact
+    zero terms of its dense sum, so the operators equal the dense build
+    bit for bit.  The result is cached on the problem, so the sweeps, the
+    certificate and the bounds read one object.
     """
     k = positive_int("k", k)
     cache = problem.__dict__.setdefault("_k_step", {})
     cached = cache.get(k)
     if cached is not None:
         return cached
-    B, H, M, F = problem.B, problem.H, problem.M, problem.F
+    B, H, M, F, lam = problem.B, problem.H, problem.M, problem.F, problem.B_diag
     n = B.shape[0]
-    eye = np.eye(n)
     HtH = H.T @ H
-    T = eye.copy()
     U = HtH.copy()
     X = np.zeros((n, n))
-    B_pow = eye  # B^j for the U recurrence
-    for _ in range(k - 1):
-        X = X + U
-        B_pow = B_pow @ B
-        U = B.T @ U + HtH @ B_pow
-        T = eye + B @ T
-    W = np.vstack([problem.apply(T, M), problem.apply(X, M)])
-    c = np.concatenate([problem.apply(T, F), problem.apply(X, F)])
-    ops = KStepOperators(*(_readonly(a, copy=False) for a in (
-        T, U, X, np.linalg.matrix_power(B, k), H @ T, W, c)), k=k)
+    if lam is None:
+        eye = np.eye(n)
+        T = eye.copy()
+        B_pow = eye  # B^j for the U recurrence
+        for _ in range(k - 1):
+            X = X + U
+            B_pow = B_pow @ B
+            U = B.T @ U + HtH @ B_pow
+            T = eye + B @ T
+        Bk = np.linalg.matrix_power(B, k)
+        W = np.vstack([problem.apply(T, M), problem.apply(X, M)])
+        c = np.concatenate([problem.apply(T, F), problem.apply(X, F)])
+        HT = H @ T
+    else:
+        t = np.ones(n)  # the diagonals of T_j and B^j
+        lam_pow = t
+        for _ in range(k - 1):
+            X = X + U
+            lam_pow = lam_pow * lam
+            U = lam[:, None] * U + HtH * lam_pow
+            t = 1.0 + lam * t
+        T, Bk = np.diag(t), np.diag(_binary_power(lam, k))
+        t_stacked = np.tile(t, problem.n_blocks)
+        W = np.vstack([t_stacked[:, None] * M, problem.apply(X, M)])
+        c = np.concatenate([t_stacked * F, problem.apply(X, F)])
+        HT = H * t
+    ops = KStepOperators(*(_readonly(a, copy=False) for a in (T, U, X, Bk, HT, W, c)), k=k)
     # a concurrent builder of the same k may have stored its equal copy first
     return cache.setdefault(k, ops)
 

@@ -396,6 +396,16 @@ class TestRun:
         with pytest.raises(ProblemAssumptionError, match="expected \\(8,\\)"):
             run(obj, config)
 
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    @pytest.mark.parametrize("n_sigma, n_u, expected", [(3, 3, "\\(8,\\)"), (6, 8, "\\(3,\\)"),
+                                                        (6, 3, "expected")])
+    def test_step_rejects_a_state_that_does_not_fit(self, scheme, n_sigma, n_u, expected):
+        obj = make_objective(40)
+        assert (obj.problem.n_sigma, obj.problem.n_u) == (3, 8)
+        state = IterationState(np.zeros(n_sigma), np.zeros(n_u), np.zeros(n_u))
+        with pytest.raises(ProblemAssumptionError, match=expected):
+            step(obj, state, scheme, 0.01, k=2)
+
     @pytest.mark.parametrize("field", ["tau", "tol_cost", "tol_step"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_config_rejected(self, field, value):

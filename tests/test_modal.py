@@ -1,21 +1,21 @@
 """The modal twin of a problem, with the dense path as its oracle.
 
-A problem whose block B has a real spectrum and a well-conditioned
-eigenvector matrix V gets a twin in the eigenbasis of B: sweeps there
-multiply by the eigenvalues elementwise, and a one-shot ``run`` steps the
-twin.  Both are checked against the dense sweeps and repeated dense
-``step`` calls, on a stacked problem whose B = S D S^-1 is not symmetric
-and on a small generated cavity.
+A problem with a symmetrizer (a symmetric positive definite P with P B
+symmetric) gets a twin in the eigenbasis of B: sweeps there multiply by
+the eigenvalues elementwise, and a one-shot ``run`` steps the twin.  Both
+are checked against the dense sweeps and repeated dense ``step`` calls,
+on a stacked problem whose B = S D S^-1 is not symmetric and on a small
+generated cavity.
 """
 
 import numpy as np
 import pytest
 
-from oneshot import (IterationState, LinearInverseProblem, Objective, RunConfig, SchemeKind,
-                     cost, gradient, regularized_solution, run, step)
+from oneshot import (IterationState, LinearInverseProblem, Objective, ProblemAssumptionError,
+                     RunConfig, SchemeKind, cost, gradient, regularized_solution, run, step)
 from oneshot import descent
-from oneshot.cavity import generate, multi_source_objective
-from oneshot.problem import MODAL_BACKWARD_TOL, sweeps
+from oneshot.cavity import export_cavity, generate, load_problem, multi_source_objective
+from oneshot.problem import MODAL_BACKWARD_TOL, k_step_operators, sweeps
 from conftest import make_problem, stacked_and_kron_twin
 from test_cavity import small_config
 from test_problem import loop_sweeps
@@ -27,13 +27,36 @@ ONE_SHOT = [SchemeKind.KStepOneShot, SchemeKind.SemiImplicitKStepOneShot]
 
 
 def similar_to_diagonal(seed, n_blocks=3, n=7, n_sigma=4, m=5):
-    """A stacked problem with B = S D S^-1: real spectrum, B not symmetric."""
+    """A stacked problem with B = S D S^-1: real spectrum, B not symmetric.
+
+    Its symmetrizer is P = S^-* S^-1, made exactly symmetric: P B = S^-* D S^-1.
+    """
     rng = np.random.default_rng(seed)
     S = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-    B = S @ np.diag(rng.uniform(-0.6, 0.6, n)) @ np.linalg.inv(S)
+    S_inv = np.linalg.inv(S)
+    B = S @ np.diag(rng.uniform(-0.6, 0.6, n)) @ S_inv
+    P = S_inv.T @ S_inv
     return LinearInverseProblem(B, rng.standard_normal((n_blocks * n, n_sigma)),
                                 rng.standard_normal((m, n)),
-                                rng.standard_normal(n_blocks * n), n_blocks=n_blocks)
+                                rng.standard_normal(n_blocks * n), n_blocks=n_blocks,
+                                symmetrizer=0.5 * (P + P.T))
+
+
+def dense_k_step_operators(problem, k):
+    """The k-step recurrences with dense products, as ``k_step_operators``
+    builds them for a B that is not diagonal."""
+    B, H, M, F = problem.B, problem.H, problem.M, problem.F
+    eye = np.eye(B.shape[0])
+    HtH = H.T @ H
+    T, U, X, B_pow = eye.copy(), HtH.copy(), np.zeros_like(B), eye
+    for _ in range(k - 1):
+        X = X + U
+        B_pow = B_pow @ B
+        U = B.T @ U + HtH @ B_pow
+        T = eye + B @ T
+    return dict(T=T, U=U, X=X, Bk=np.linalg.matrix_power(B, k), HT=H @ T,
+                W=np.vstack([problem.apply(T, M), problem.apply(X, M)]),
+                c=np.concatenate([problem.apply(T, F), problem.apply(X, F)]))
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +71,18 @@ def objective(request, cavity):
         return multi_source_objective(cavity, alpha=1e-4)
     problem = similar_to_diagonal(70)
     return Objective(problem, np.random.default_rng(71).standard_normal(problem.n_g), 1e-2)
+
+
+def record_sweep_problems(monkeypatch):
+    """The problem of every ``fixed_point_sweep`` call that ``descent`` makes."""
+    seen, real = [], descent.fixed_point_sweep
+
+    def recording(sweep_problem, *args):
+        seen.append(sweep_problem)
+        return real(sweep_problem, *args)
+
+    monkeypatch.setattr(descent, "fixed_point_sweep", recording)
+    return seen
 
 
 def rel_close(ours, oracle, rel=REL):
@@ -98,12 +133,50 @@ class TestTwin:
             assert np.any(np.linalg.eigvals(problem.B).imag != 0)
             assert problem.B_diag is None and problem.modal_twin() is None
 
+    def test_no_symmetrizer_gives_no_twin(self, objective):
+        problem = objective.problem
+        bare = LinearInverseProblem(problem.B, problem.M, problem.H, problem.F,
+                                    n_blocks=problem.n_blocks)
+        assert bare.symmetrizer is None and bare.modal_twin() is None
+
     def test_defective_block_has_no_twin(self):
-        # a Jordan block: eig finds the double eigenvalue 0.5, but its V is
-        # singular, so V diag(lam) V^-1 cannot reproduce B
+        # a Jordan block, with the identity as a (false) symmetrizer: I B is
+        # not symmetric, so V diag(lam) V^-1 cannot reproduce B
         problem = LinearInverseProblem(np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2),
-                                       np.eye(2), np.ones(2))
+                                       np.eye(2), np.ones(2), symmetrizer=np.eye(2))
         assert problem.modal_twin() is None
+
+    def test_false_symmetrizer_gives_no_twin_and_dense_sweeps(self, monkeypatch):
+        # a Gaussian B with the identity: positive definite, but I B is not symmetric
+        base = make_problem(78)
+        problem = LinearInverseProblem(base.B, base.M, base.H, base.F, symmetrizer=np.eye(8))
+        assert problem.modal_twin() is None
+        objective = Objective(problem, np.random.default_rng(79).standard_normal(problem.n_g))
+        seen = record_sweep_problems(monkeypatch)
+        run(objective, RunConfig(SchemeKind.KStepOneShot, tau_for(objective), k=2,
+                                 max_outer=3))
+        assert seen and all(p is problem for p in seen)
+
+    def test_indefinite_symmetrizer_gives_no_twin(self):
+        # -P B is symmetric too, but -P has no Cholesky factor
+        problem = similar_to_diagonal(80)
+        flipped = LinearInverseProblem(problem.B, problem.M, problem.H, problem.F,
+                                       n_blocks=problem.n_blocks,
+                                       symmetrizer=-problem.symmetrizer)
+        assert problem.modal_twin() is not None and flipped.modal_twin() is None
+
+    @pytest.mark.parametrize("symmetrizer, message", [
+        (np.array([[2.0, 1.0], [0.0, 2.0]]), "exactly symmetric"),
+        (np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]), "exactly symmetric"),
+        (np.eye(3), "shape"),
+        (np.ones(2), "2-dimensional"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+    ])
+    def test_bad_symmetrizer_is_rejected_at_construction(self, symmetrizer, message):
+        with pytest.raises(ProblemAssumptionError, match=f"symmetrizer.*{message}"):
+            LinearInverseProblem(0.5 * np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2),
+                                 np.eye(2), np.ones(2), symmetrizer=symmetrizer)
 
     def test_diagonal_block_sweeps_elementwise_without_twin(self):
         rng = np.random.default_rng(76)
@@ -124,6 +197,14 @@ class TestTwin:
         for k, oracle in expected.items():
             for ours, want in zip(sweeps(problem, u, p, sigma, g, k), oracle):
                 assert rel_close(ours, want, 1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
+def test_k_step_operators_of_the_twin_equal_the_dense_build(objective, k):
+    twin = objective.problem.modal_twin().problem
+    ops = k_step_operators(twin, k)
+    for name, dense in dense_k_step_operators(twin, k).items():
+        assert np.array_equal(getattr(ops, name), dense), name
 
 
 class TestRunOnTwin:
@@ -171,22 +252,35 @@ class TestRunOnTwin:
 
     def test_one_shot_runs_step_the_twin(self, objective, monkeypatch):
         problem = objective.problem
-        seen = []
-        real = descent.fixed_point_sweep
-
-        def recording(sweep_problem, *args):
-            seen.append(sweep_problem)
-            return real(sweep_problem, *args)
-
-        monkeypatch.setattr(descent, "fixed_point_sweep", recording)
+        seen = record_sweep_problems(monkeypatch)
         run(objective, RunConfig(SchemeKind.KStepOneShot, tau_for(objective), k=2,
                                  max_outer=3))
         assert seen and all(p is problem.modal_twin().problem for p in seen)
 
+    def test_loaded_cavity_has_no_twin_and_runs_like_the_generated_one(self, cavity,
+                                                                        tmp_path):
+        export_cavity(cavity, tmp_path)
+        loaded, g_clean, _ = load_problem(tmp_path)
+        assert loaded.symmetrizer is None and loaded.modal_twin() is None
+        assert cavity.problem.modal_twin() is not None
+        objectives = (multi_source_objective(cavity, alpha=1e-4),
+                      Objective(loaded, g_clean, 1e-4))
+        config = RunConfig(SchemeKind.SemiImplicitKStepOneShot, tau_for(objectives[0]), k=3,
+                           max_outer=40, sigma0=cavity.init_sigma)
+        generated, dense = (run(o, config) for o in objectives)
+        assert generated.status is dense.status
+        assert len(generated.records) == len(dense.records)
+        for ours, oracle in zip(generated.records, dense.records):
+            assert ours.cost == pytest.approx(oracle.cost, rel=REL)
+        for name in ("sigma", "u", "p"):
+            assert rel_close(getattr(generated.final_state, name),
+                             getattr(dense.final_state, name))
+
     def test_gradient_descent_builds_no_twin(self, objective):
         problem = objective.problem
         fresh = LinearInverseProblem(problem.B, problem.M, problem.H, problem.F,
-                                     n_blocks=problem.n_blocks)
+                                     n_blocks=problem.n_blocks,
+                                     symmetrizer=problem.symmetrizer)
         fresh_objective = Objective(fresh, objective.g, objective.alpha)
         for scheme in (SchemeKind.UsualGD, SchemeKind.SemiImplicitGD):
             run(fresh_objective, RunConfig(scheme, tau_for(objective), max_outer=3))
