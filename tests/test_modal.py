@@ -236,11 +236,10 @@ class TestRunOnTwin:
 
     @pytest.mark.parametrize("factor, status", [(0.5, "tol_cost"), (50.0, "diverged")])
     def test_stop_rules_match_the_dense_run(self, objective, factor, status):
-        # the same problem without its twin runs the dense sweeps
+        # the same problem without a symmetrizer has no twin and runs the dense sweeps
         problem = objective.problem
         dense = LinearInverseProblem(problem.B, problem.M, problem.H, problem.F,
                                      n_blocks=problem.n_blocks)
-        dense.__dict__["_modal"] = None
         dense_objective = Objective(dense, objective.g, objective.alpha)
         floor = cost(objective, regularized_solution(objective))
         level = floor + 1e-2 * (cost(objective, np.zeros(problem.n_sigma)) - floor)
