@@ -42,8 +42,8 @@ by the state and the (transposed) adjoint equation.  The k-step operators
 of the block (``k_step_operators``), with M and F folded into them, are
 cached on the problem like A, once per k; from k = 3 on ``sweeps``
 applies k sweeps in their closed form, three block products per call.
-A diagonal B (``B_diag``) is applied elementwise instead, and its k-step
-operators are built elementwise.  A problem may carry a ``symmetrizer``:
+A diagonal B (``B_diag``) is applied elementwise instead.  A problem
+may carry a ``symmetrizer``:
 a symmetric positive definite S with S B symmetric, as the cavity's
 K_rand is for B = -delta A11^-1 K_rand.  From it, ``modal_twin`` gives
 the same problem in the eigenbasis V of B, built by one Cholesky
@@ -553,18 +553,6 @@ class KStepOperators:
     k: int
 
 
-def _binary_power(lam, k: int) -> np.ndarray:
-    """lam**k elementwise, multiplied in the order of ``np.linalg.matrix_power``'s
-    binary powering, so it equals the diagonal of matrix_power(diag(lam), k)."""
-    z = result = None
-    while k:
-        z = lam if z is None else z * z
-        k, bit = divmod(k, 2)
-        if bit:
-            result = z if result is None else result * z
-    return result
-
-
 def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
     """The k-step operators of the block, built once per (problem, k).
 
@@ -574,49 +562,31 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
 
     from T_1 = I, U_1 = H*H, X_1 = 0.  B^k comes from
     ``np.linalg.matrix_power``, not from the recurrence's B^j, which
-    associates the products differently.  On a diagonal B (``B_diag``) the
-    products with B, B^j and T_k are elementwise; each drops only exact
-    zero terms of its dense sum, so the operators equal the dense build
-    bit for bit.  The result is cached on the problem, so the sweeps, the
-    certificate and the bounds read one object.
+    associates the products differently.  The result is cached on the
+    problem, so the sweeps, the certificate and the bounds read one object.
     """
     k = positive_int("k", k)
     cache = problem.__dict__.setdefault("_k_step", {})
     cached = cache.get(k)
     if cached is not None:
         return cached
-    B, H, M, F, lam = problem.B, problem.H, problem.M, problem.F, problem.B_diag
+    B, H, M, F = problem.B, problem.H, problem.M, problem.F
     n = B.shape[0]
+    eye = np.eye(n)
     HtH = H.T @ H
+    T = eye.copy()
     U = HtH.copy()
     X = np.zeros((n, n))
-    if lam is None:
-        eye = np.eye(n)
-        T = eye.copy()
-        B_pow = eye  # B^j for the U recurrence
-        for _ in range(k - 1):
-            X = X + U
-            B_pow = B_pow @ B
-            U = B.T @ U + HtH @ B_pow
-            T = eye + B @ T
-        Bk = np.linalg.matrix_power(B, k)
-        W = np.vstack([problem.apply(T, M), problem.apply(X, M)])
-        c = np.concatenate([problem.apply(T, F), problem.apply(X, F)])
-        HT = H @ T
-    else:
-        t = np.ones(n)  # the diagonals of T_j and B^j
-        lam_pow = t
-        for _ in range(k - 1):
-            X = X + U
-            lam_pow = lam_pow * lam
-            U = lam[:, None] * U + HtH * lam_pow
-            t = 1.0 + lam * t
-        T, Bk = np.diag(t), np.diag(_binary_power(lam, k))
-        t_stacked = np.tile(t, problem.n_blocks)
-        W = np.vstack([t_stacked[:, None] * M, problem.apply(X, M)])
-        c = np.concatenate([t_stacked * F, problem.apply(X, F)])
-        HT = H * t
-    ops = KStepOperators(*(_readonly(a, copy=False) for a in (T, U, X, Bk, HT, W, c)), k=k)
+    B_pow = eye  # B^j for the U recurrence
+    for _ in range(k - 1):
+        X = X + U
+        B_pow = B_pow @ B
+        U = B.T @ U + HtH @ B_pow
+        T = eye + B @ T
+    W = np.vstack([problem.apply(T, M), problem.apply(X, M)])
+    c = np.concatenate([problem.apply(T, F), problem.apply(X, F)])
+    ops = KStepOperators(*(_readonly(a, copy=False) for a in (
+        T, U, X, np.linalg.matrix_power(B, k), H @ T, W, c)), k=k)
     # a concurrent builder of the same k may have stored its equal copy first
     return cache.setdefault(k, ops)
 

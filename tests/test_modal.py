@@ -15,7 +15,7 @@ from oneshot import (IterationState, LinearInverseProblem, Objective, ProblemAss
                      RunConfig, SchemeKind, cost, gradient, regularized_solution, run, step)
 from oneshot import descent
 from oneshot.cavity import export_cavity, generate, load_problem, multi_source_objective
-from oneshot.problem import MODAL_BACKWARD_TOL, k_step_operators, sweeps
+from oneshot.problem import MODAL_BACKWARD_TOL, sweeps
 from conftest import make_problem, stacked_and_kron_twin
 from test_cavity import small_config
 from test_problem import loop_sweeps
@@ -41,22 +41,6 @@ def similar_to_diagonal(seed, n_blocks=3, n=7, n_sigma=4, m=5):
                                 rng.standard_normal(n_blocks * n), n_blocks=n_blocks,
                                 symmetrizer=0.5 * (P + P.T))
 
-
-def dense_k_step_operators(problem, k):
-    """The k-step recurrences with dense products, as ``k_step_operators``
-    builds them for a B that is not diagonal."""
-    B, H, M, F = problem.B, problem.H, problem.M, problem.F
-    eye = np.eye(B.shape[0])
-    HtH = H.T @ H
-    T, U, X, B_pow = eye.copy(), HtH.copy(), np.zeros_like(B), eye
-    for _ in range(k - 1):
-        X = X + U
-        B_pow = B_pow @ B
-        U = B.T @ U + HtH @ B_pow
-        T = eye + B @ T
-    return dict(T=T, U=U, X=X, Bk=np.linalg.matrix_power(B, k), HT=H @ T,
-                W=np.vstack([problem.apply(T, M), problem.apply(X, M)]),
-                c=np.concatenate([problem.apply(T, F), problem.apply(X, F)]))
 
 
 @pytest.fixture(scope="module")
@@ -128,28 +112,26 @@ class TestTwin:
         # M~* p~ = M* p: the sigma update reads the same adjoint term
         assert rel_close(twin.problem.M.T @ twin.to_modal(u, p)[1], problem.M.T @ p)
 
-    def test_complex_spectrum_has_no_twin(self):
-        for problem in (make_problem(74), stacked_and_kron_twin(75)[0]):
-            assert np.any(np.linalg.eigvals(problem.B).imag != 0)
-            assert problem.B_diag is None and problem.modal_twin() is None
-
     def test_no_symmetrizer_gives_no_twin(self, objective):
         problem = objective.problem
         bare = LinearInverseProblem(problem.B, problem.M, problem.H, problem.F,
                                     n_blocks=problem.n_blocks)
-        assert bare.symmetrizer is None and bare.modal_twin() is None
+        # a B with a complex spectrum has no symmetrizer to give
+        complex_spectrum = (make_problem(74), stacked_and_kron_twin(75)[0])
+        assert all(np.any(np.linalg.eigvals(q.B).imag != 0) for q in complex_spectrum)
+        for q in (bare, *complex_spectrum):
+            assert q.symmetrizer is None and q.B_diag is None and q.modal_twin() is None
 
-    def test_defective_block_has_no_twin(self):
-        # a Jordan block, with the identity as a (false) symmetrizer: I B is
-        # not symmetric, so V diag(lam) V^-1 cannot reproduce B
-        problem = LinearInverseProblem(np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2),
-                                       np.eye(2), np.ones(2), symmetrizer=np.eye(2))
-        assert problem.modal_twin() is None
-
-    def test_false_symmetrizer_gives_no_twin_and_dense_sweeps(self, monkeypatch):
-        # a Gaussian B with the identity: positive definite, but I B is not symmetric
-        base = make_problem(78)
-        problem = LinearInverseProblem(base.B, base.M, base.H, base.F, symmetrizer=np.eye(8))
+    @pytest.mark.parametrize("block", ["gaussian", "jordan"])
+    def test_false_symmetrizer_gives_no_twin_and_dense_sweeps(self, block, monkeypatch):
+        # the identity is positive definite, but I B is not symmetric for a
+        # Gaussian B, and V diag(lam) V^-1 cannot reproduce a Jordan block
+        if block == "gaussian":
+            base = make_problem(78)
+            B, M, H, F = base.B, base.M, base.H, base.F
+        else:
+            B, M, H, F = np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2), np.eye(2), np.ones(2)
+        problem = LinearInverseProblem(B, M, H, F, symmetrizer=np.eye(B.shape[0]))
         assert problem.modal_twin() is None
         objective = Objective(problem, np.random.default_rng(79).standard_normal(problem.n_g))
         seen = record_sweep_problems(monkeypatch)
@@ -198,13 +180,6 @@ class TestTwin:
             for ours, want in zip(sweeps(problem, u, p, sigma, g, k), oracle):
                 assert rel_close(ours, want, 1e-12)
 
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
-def test_k_step_operators_of_the_twin_equal_the_dense_build(objective, k):
-    twin = objective.problem.modal_twin().problem
-    ops = k_step_operators(twin, k)
-    for name, dense in dense_k_step_operators(twin, k).items():
-        assert np.array_equal(getattr(ops, name), dense), name
 
 
 class TestRunOnTwin:
