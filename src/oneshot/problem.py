@@ -43,9 +43,9 @@ of the block (``k_step_operators``), with M and F folded into them, are
 cached on the problem like A, once per k; from k = 3 on ``sweeps``
 applies k sweeps in their closed form, three block products per call.
 A diagonal B (``B_diag``) is applied elementwise instead.  A problem
-may carry a ``symmetrizer``:
-a symmetric positive definite S with S B symmetric, as the cavity's
-K_rand is for B = -delta A11^-1 K_rand.  From it, ``modal_twin`` gives
+may carry a ``symmetrizer``: a symmetric positive definite S with S B
+symmetric, as the cavity's K_rand is for B = -delta A11^-1 K_rand.
+From it, ``modal_twin`` gives
 the same problem in the eigenbasis V of B, built by one Cholesky
 factorization of S and one symmetric eigensolve and cached like A: its
 block is diag(lam), so its sweeps cost O(n m) per block up to k = 2 and
