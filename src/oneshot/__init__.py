@@ -7,7 +7,8 @@ from .bounds import (CaseParameters, TauBoundReport, bound_report_for,
                      s_of, sufficient_tau_k_step)
 from .cavity import (CavityConfig, GeneratedCavity, export_cavity, generate,
                      load_problem, multi_source_objective)
-from .descent import ConvergenceTrace, RunConfig, RunStatus, SchemeKind, run, step
+from .descent import (ConvergenceTrace, RunConfig, RunStatus, SchemeKind, run, run_columns,
+                      step)
 from .errors import (EigensolverError, OneShotError, ProblemAssumptionError,
                      SingularSystemError, SizeGuardError, SpecParseError,
                      SpecValidationError)

@@ -1,12 +1,12 @@
 """One step rule for the four coupled iteration schemes, and their run loop.
 
-The four schemes are the corners of two choices, made by one function
-``step``.  The adjoint term M* p that drives the sigma update is either
-exact at the incoming sigma (gradient descent) or M* applied to the
-carried adjoint iterate, followed by exactly k warm-started fixed-point
-sweeps with the new sigma (one-shot).  Gradient descent is the k = infinity
-limit of the sweeps, where M* p(sigma) = A* (A sigma - g_tilde) with the
-cached reduced operator A, so its step solves nothing.  The Tikhonov term
+The four schemes are the corners of two choices.  The adjoint term M* p
+that drives the sigma update is either exact at the incoming sigma
+(gradient descent) or M* applied to the carried adjoint iterate, followed
+by exactly k warm-started fixed-point sweeps with the new sigma
+(one-shot).  Gradient descent is the k = infinity limit of the sweeps,
+where M* p(sigma) = A* (A sigma - g_tilde) with the cached reduced
+operator A, so its step solves nothing.  The Tikhonov term
 is treated explicitly or implicitly:
 
     explicit        sigma' = sigma - tau M* p - tau alpha sigma
@@ -16,17 +16,24 @@ is treated explicitly or implicitly:
     explicit        UsualGD                         KStepOneShot
     implicit        SemiImplicitGD                  SemiImplicitKStepOneShot
 
-Gradient descent carries u and p through its steps unchanged; ``run``
-fills the final state's u and p with one exact state and adjoint solve at
-the final sigma (the k = infinity state).
+Gradient descent carries u and p through its steps unchanged; the run
+loop fills the final state's u and p with one exact state and adjoint
+solve at the final sigma (the k = infinity state).
 
-``step`` and ``run`` apply one step rule, ``_step_rule``, which checks
-nothing: ``step`` checks its state against the problem, and ``run`` checks
-its start once, binds the rule's constants once and carries plain arrays,
-building an ``IterationState`` for the final state only.  A one-shot run
-on a problem with a ``modal_twin`` (a cavity, whose ``symmetrizer`` gives
-the eigenbasis of B from one symmetric eigensolve) steps the twin, where
-a sweep multiplies by the eigenvalues elementwise: u0 and p0 go into its
+One run loop, ``run_columns``, steps a batch of columns: (objective,
+config) pairs on one problem with one scheme and one k, as the rows of one
+stack, so each step costs a few stacked products however many columns
+run.  ``run`` is a batch of one.  The loop checks every start once and
+carries plain arrays; ``step`` applies the same products to a stack of
+one and checks its state.  Each step forms the cost of every running
+column from one residual stack sigma A* - g_tilde, which the stop rules
+read and gradient descent reuses as its A* (A sigma - g_tilde); the
+gradient norms and sigma errors of the trace come after the loop.  The
+one-shot sweeps go through ``fixed_point_sweep``, once per step for the
+whole stack.  A one-shot batch on a problem with a ``modal_twin`` (a
+cavity, whose ``symmetrizer`` gives the eigenbasis of B from one
+symmetric eigensolve) steps the twin, built once per problem, where a
+sweep multiplies by the eigenvalues elementwise: u0 and p0 go into its
 coordinates at the start and the final u and p come back, while sigma,
 and so every trace row, stays that of the problem.
 
@@ -48,13 +55,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OneShotError, SingularSystemError
-from .problem import (IterationState, LinearInverseProblem, Objective, _checked_sigma,
-                      _checked_state, cost, finite_real, fixed_point_sweep, gradient,
-                      positive_int, regularized_solution, solve_adjoint_exact,
-                      solve_state_exact)
+from .problem import (IterationState, Objective, _checked_sigma, _checked_state,
+                      finite_real, fixed_point_sweep, positive_int, regularized_solution,
+                      row_dots, solve_adjoint_exact, solve_state_exact)
 
 #: Cost level beyond which a run is declared diverged.
 DIVERGENCE_GUARD = 1e12
+
+#: Trace rows per stacked product when the gradient norms and errors are
+#: computed after the loop; it bounds the (rows, n_g) residual temporary.
+ROWS_PER_PRODUCT = 64
 
 
 class SchemeKind(str, enum.Enum):
@@ -109,7 +119,7 @@ class RunConfig:
         finite_real("tol_step", self.tol_step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One completed outer iteration (n = 0 is the starting point)."""
 
@@ -155,19 +165,19 @@ class ConvergenceTrace:
         return iter(self.records)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+#: One trace row: n, cost, grad_norm, rel_err_sigma, acc_inner, wall_ms,
+#: status.  "%.16e" % x is the text of f"{x:.16e}", inf, nan and -0.0 included.
+_TRACE_ROW = "%d,%.16e,%.16e,%s,%d,%s,%s"
 
 
 def format_trace_csv(trace: ConvergenceTrace, deterministic_wall=True) -> str:
     lines = ["n,cost,grad_norm,rel_err_sigma,acc_inner,wall_ms,status"]
     status = trace.status.value if trace.status is not None else ""
     for rec in trace.records:
-        rel = "" if rec.rel_err_sigma is None else _fmt(rec.rel_err_sigma)
-        wall = "0" if deterministic_wall else _fmt(rec.wall_ms)
-        lines.append(
-            f"{rec.n},{_fmt(rec.cost)},{_fmt(rec.grad_norm)},{rel},"
-            f"{rec.acc_inner},{wall},{status}")
+        rel = "" if rec.rel_err_sigma is None else "%.16e" % rec.rel_err_sigma
+        wall = "0" if deterministic_wall else "%.16e" % rec.wall_ms
+        lines.append(_TRACE_ROW % (rec.n, rec.cost, rec.grad_norm, rel, rec.acc_inner, wall,
+                                   status))
     return "\n".join(lines) + "\n"
 
 
@@ -176,40 +186,19 @@ def format_trace_csv(trace: ConvergenceTrace, deterministic_wall=True) -> str:
 # ----------------------------------------------------------------------
 
 class _Iterate(NamedTuple):
-    """The (sigma, u, p) that ``run`` carries between steps, unchecked."""
+    """The (sigma, u, p) stacks that the run loop hands to ``fixed_point_sweep``."""
 
     sigma: np.ndarray
     u: np.ndarray
     p: np.ndarray
 
 
-def _step_rule(objective: Objective, problem: LinearInverseProblem, scheme: SchemeKind,
-               tau: float, k: int):
-    """The step rule of ``step`` with its constants bound: a function from a
-    state carrying sigma, u and p to the next ``_Iterate``, with no checks.
-
-    The one-shot sweeps run on ``problem``: the objective's own problem, or
-    its modal twin with u and p in the twin's coordinates.
-    """
-    one_shot, implicit = scheme.is_one_shot, scheme.is_implicit
-    g, shrink, tau_alpha = objective.g, 1.0 + tau * objective.alpha, tau * objective.alpha
-    if one_shot:
-        M_T = problem.M.T
-    else:
-        A, g_tilde = objective.problem.reduced_operator(), objective.shifted_data()
-
-    def advance(state) -> _Iterate:
-        sigma = state.sigma
-        Mp = M_T @ state.p if one_shot else A.T @ (A @ sigma - g_tilde)
-        if implicit:
-            sigma_new = (sigma - tau * Mp) / shrink
-        else:
-            sigma_new = sigma - tau * Mp - tau_alpha * sigma
-        if not one_shot:
-            return _Iterate(sigma_new, state.u, state.p)
-        return _Iterate(sigma_new, *fixed_point_sweep(problem, state, sigma_new, g, k))
-
-    return advance
+def _next_sigma(implicit: bool, sigma, Mp, tau, tau_alpha, shrink):
+    """The sigma update of the table in the module docstring, for a stack of
+    sigmas; the constants are scalars or (c, 1) columns."""
+    if implicit:
+        return (sigma - tau * Mp) / shrink
+    return sigma - tau * Mp - tau_alpha * sigma
 
 
 def step(objective: Objective, state: IterationState, scheme: SchemeKind,
@@ -219,99 +208,222 @@ def step(objective: Objective, state: IterationState, scheme: SchemeKind,
     ``k`` is ignored by gradient descent, which returns the incoming u and p
     unchanged: its M* p comes from the reduced operator, not from them.  A
     sigma, u or p that does not fit the problem raises
-    ProblemAssumptionError for every scheme.
+    ProblemAssumptionError for every scheme.  The products are those of a
+    ``run_columns`` batch of one column.
     """
     problem = objective.problem
     state = _checked_state(problem, state)
     _checked_sigma(problem, state.sigma)
-    return IterationState(*_step_rule(objective, problem, scheme, tau, k)(state), fresh=True)
+    sigma, tau_alpha = state.sigma[None], tau * objective.alpha
+    if scheme.is_one_shot:
+        Mp = state.p[None] @ problem.M
+    else:
+        residual = sigma @ problem._A_T - objective.shifted_data()
+        Mp = residual @ problem.reduced_operator()
+    sigma = _next_sigma(scheme.is_implicit, sigma, Mp, tau, tau_alpha, 1.0 + tau_alpha)[0]
+    if not scheme.is_one_shot:
+        return IterationState(sigma, state.u, state.p, fresh=True)
+    return IterationState(sigma, *fixed_point_sweep(problem, state, sigma, objective.g, k),
+                          fresh=True)
 
+
+# ----------------------------------------------------------------------
+# the run loop over a batch of columns
+# ----------------------------------------------------------------------
 
 def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
-    """Run one scheme to termination, recording a trace row per iteration.
+    """Run one scheme to termination, recording a trace row per iteration:
+    ``run_columns`` on a batch of one column (see there)."""
+    return run_columns([(objective, config)])[0]
 
-    Stop conditions, checked in this order after every step: divergence
-    guard (non-finite iterates or cost above 1e12), cost tolerance,
-    relative step tolerance, iteration cap.  The trace always contains a
-    record for n = 0 (the starting point).  A gradient-descent run's final
-    state holds the exact u and p at its final sigma, unless that sigma is
-    non-finite or too large for the state solve.
 
-    A one-shot run on a problem with a ``modal_twin`` steps the twin: u0
+def run_columns(columns) -> list[ConvergenceTrace]:
+    """Run a batch of columns, (objective, config) pairs, each to termination.
+
+    The columns share one problem, one scheme and one k; tau, alpha, g, the
+    start and the stop rules may differ.  Every start is checked before any
+    column steps, and a batch that mixes problems, schemes or k raises
+    ValueError.  Each step moves every running column as one row of a
+    stack, and a column leaves the stack when it stops, so a diverged
+    column is stepped no further.  The result holds one trace per column,
+    in order; a column's trace matches that of a batch of its own up to
+    rounding, since stacked products sum in another order.
+
+    Stop conditions, checked per column in this order after every step:
+    divergence guard (non-finite iterates or cost above 1e12), cost
+    tolerance, relative step tolerance, iteration cap.  Every trace
+    contains a record for n = 0 (the starting point).  The loop computes
+    every cost, which the stop rules read, and keeps the sigma rows; the
+    gradient norms and relative errors of all rows come after the loop,
+    from one stacked product per column, formed row by row as ``gradient``
+    forms them.  A gradient-descent column's final state holds the exact u
+    and p at its final sigma, unless that sigma is non-finite or too large
+    for the state solve.
+
+    One-shot columns on a problem with a ``modal_twin`` step the twin: u0
     and p0 go into its coordinates once, and the final u and p come back.
     The sigma iterates, and so every trace row, equal those of repeated
     ``step`` calls in exact arithmetic.
     """
-    problem = objective.problem
-    scheme, tau, k = config.scheme, config.tau, config.k
-    start = IterationState.zero(problem, config.sigma0, config.u0, config.p0)
-    twin = problem.modal_twin() if scheme.is_one_shot else None
-    u, p = (start.u, start.p) if twin is None else twin.to_modal(start.u, start.p)
-    state = _Iterate(start.sigma, u, p)
-    advance = _step_rule(objective, problem if twin is None else twin.problem, scheme, tau, k)
-    try:
-        sigma_ref = regularized_solution(objective)
-        ref_norm = float(np.linalg.norm(sigma_ref))
-    except OneShotError:
-        sigma_ref, ref_norm = None, 0.0
+    columns = list(columns)
+    if not columns:
+        return []
+    objectives, configs = zip(*columns)
+    problem, scheme, k = objectives[0].problem, configs[0].scheme, configs[0].k
+    if any(o.problem is not problem for o in objectives) \
+            or any(c.scheme is not scheme or c.k != k for c in configs):
+        raise ValueError("the columns of a batch must share one problem, scheme and k")
+    starts = [IterationState.zero(problem, c.sigma0, c.u0, c.p0) for c in configs]
 
-    inner_per_outer = k if scheme.is_one_shot else 1
-
-    trace = ConvergenceTrace(scheme=scheme, tau=tau, k=inner_per_outer)
-    t0 = time.perf_counter()
-
-    def record(n, state):
-        # sqrt(x @ x) is np.linalg.norm of a 1-D float array, bit for bit
-        j = cost(objective, state.sigma)
-        grad = gradient(objective, state.sigma)
-        gnorm = math.sqrt(grad @ grad)
-        if sigma_ref is None:
-            rel = None
-        else:
-            diff = state.sigma - sigma_ref
-            err = math.sqrt(diff @ diff)
-            rel = err / ref_norm if ref_norm > 0 else err
-        wall = (time.perf_counter() - t0) * 1e3
-        trace.records.append(TraceRecord(n, j, gnorm, rel, inner_per_outer * n, wall))
-        return j
-
-    record(0, state)
-    status = RunStatus.MAX_OUTER
-    for n in range(1, config.max_outer + 1):
-        prev_sigma = state.sigma
-        state = advance(state)
-        if not np.isfinite(state.sigma).all() or not np.isfinite(state.u).all() \
-                or not np.isfinite(state.p).all():
-            # Leave a finite-cost guard row out: the iterate itself is unusable.
-            trace.records.append(TraceRecord(
-                n, float("inf"), float("inf"), None, inner_per_outer * n,
-                (time.perf_counter() - t0) * 1e3))
-            status = RunStatus.DIVERGED
-            break
-        j = record(n, state)
-        if not math.isfinite(j) or j > DIVERGENCE_GUARD:
-            status = RunStatus.DIVERGED
-            break
-        if j <= config.tol_cost:
-            status = RunStatus.TOL_COST
-            break
-        # The step test arms at n >= 2: a one-shot scheme started from the
-        # default p^0 = 0 leaves sigma unchanged on its very first update.
-        if n >= 2 and config.tol_step > 0:
-            step_size = float(np.linalg.norm(state.sigma - prev_sigma))
-            if step_size <= config.tol_step * (1.0 + float(np.linalg.norm(prev_sigma))):
-                status = RunStatus.TOL_STEP
-                break
-
-    sigma, u, p = state
+    one_shot, implicit = scheme.is_one_shot, scheme.is_implicit
+    inner_per_outer = k if one_shot else 1
+    twin = problem.modal_twin() if one_shot else None
+    sweep_problem = problem if twin is None else twin.problem
+    A, A_T, M = problem.reduced_operator(), problem._A_T, sweep_problem.M
+    S = np.array([start.sigma for start in starts])
+    U, P = np.array([start.u for start in starts]), np.array([start.p for start in starts])
     if twin is not None:
-        u, p = twin.from_modal(u, p)
-    elif not scheme.is_one_shot and np.isfinite(sigma).all():
-        try:
-            exact_u = solve_state_exact(problem, sigma)
-            u, p = exact_u, solve_adjoint_exact(problem, exact_u, objective.g)
-        except SingularSystemError:
-            pass  # a diverged sigma overflowed the solve: keep the carried u, p
-    trace.status = status
-    trace.final_state = IterationState(sigma, u, p, fresh=True)
-    return trace
+        U, P = twin.to_modal(U, P)
+    G = np.array([o.g for o in objectives])
+    G_tilde = np.array([o.shifted_data() for o in objectives])
+    alpha = np.array([o.alpha for o in objectives])
+    tau = np.array([c.tau for c in configs])[:, None]
+    tau_alpha = tau * alpha[:, None]
+    shrink, half_alpha = 1.0 + tau_alpha, 0.5 * alpha
+    references = {}
+    for o in objectives:
+        if id(o) not in references:
+            try:
+                sigma_ref = regularized_solution(o)
+                references[id(o)] = (sigma_ref, float(np.linalg.norm(sigma_ref)))
+            except OneShotError:
+                references[id(o)] = None
+
+    t0 = time.perf_counter()
+    R = S @ A_T - G_tilde
+    J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
+    walls = [(time.perf_counter() - t0) * 1e3]
+    ids = list(range(len(columns)))  # the column of each row of the stack
+    # the sigma and cost rows of every step, in segments between departures
+    segments, sigmas, costs = [], [S], [J]
+    ends, finals = {}, {}
+    soonest_cap = min(c.max_outer for c in configs)
+    step_rule = any(c.tol_step > 0 for c in configs)
+    for n in range(1, max(c.max_outer for c in configs) + 1):
+        prev = S
+        Mp = P @ M if one_shot else R @ A
+        S = _next_sigma(implicit, S, Mp, tau, tau_alpha, shrink)
+        if one_shot:
+            U, P = fixed_point_sweep(sweep_problem, _Iterate(S, U, P), S, G, k)
+        R = S @ A_T - G_tilde
+        J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
+        walls.append((time.perf_counter() - t0) * 1e3)
+        sigmas.append(S)
+        costs.append(J)
+        js = J.tolist()
+        # a finite cost within the tolerances means a finite sigma
+        if n < soonest_cap and not (step_rule and n >= 2) \
+                and all(configs[i].tol_cost < j <= DIVERGENCE_GUARD for i, j in zip(ids, js)) \
+                and (not one_shot or np.isfinite(U).all() and np.isfinite(P).all()):
+            continue
+        finite = (np.isfinite(S).all(1) & np.isfinite(U).all(1) & np.isfinite(P).all(1)).tolist()
+        keep = []
+        for pos, (i, j) in enumerate(zip(ids, js)):
+            config = configs[i]
+            status, guard_row = _stop_status(config, n, j, finite[pos], S[pos], prev[pos])
+            if status is None:
+                keep.append(pos)
+            else:
+                ends[i] = (status, n, guard_row)
+                finals[i] = (S[pos], U[pos], P[pos])
+        if len(keep) < len(ids):
+            segments.append((ids, sigmas, costs))
+            if not keep:
+                break
+            ids = [ids[pos] for pos in keep]
+            S, U, P, R, G, G_tilde, tau, tau_alpha, shrink, half_alpha = (
+                x[keep] for x in (S, U, P, R, G, G_tilde, tau, tau_alpha, shrink, half_alpha))
+            sigmas, costs = [], []
+            soonest_cap = min(configs[i].max_outer for i in ids)
+
+    rows = {i: [] for i in range(len(columns))}
+    for seg_ids, seg_sigmas, seg_costs in segments:
+        seg_sigmas, seg_costs = np.stack(seg_sigmas), np.stack(seg_costs)
+        for pos, i in enumerate(seg_ids):
+            rows[i].append((seg_sigmas[:, pos], seg_costs[:, pos]))
+    if twin is not None:
+        u_final, p_final = twin.from_modal(np.array([finals[i][1] for i in rows]),
+                                           np.array([finals[i][2] for i in rows]))
+    traces = []
+    for i, (objective, config) in enumerate(columns):
+        status, n_end, guard_row = ends[i]
+        count = n_end + 1 - guard_row
+        sigma_rows = np.concatenate([sig for sig, _ in rows[i]])[:count]
+        cost_rows = np.concatenate([cst for _, cst in rows[i]])[:count].tolist()
+        trace = ConvergenceTrace(scheme=scheme, tau=config.tau, k=inner_per_outer)
+        trace.records = _records(objective, references[id(objective)], sigma_rows, cost_rows,
+                                 walls, inner_per_outer)
+        if guard_row:
+            # the iterate itself is unusable, so the row records no finite cost
+            trace.records.append(TraceRecord(n_end, math.inf, math.inf, None,
+                                             inner_per_outer * n_end, walls[n_end]))
+        sigma, u, p = finals[i]
+        if twin is not None:
+            u, p = u_final[i], p_final[i]
+        elif not one_shot and np.isfinite(sigma).all():
+            try:
+                exact_u = solve_state_exact(problem, sigma)
+                u, p = exact_u, solve_adjoint_exact(problem, exact_u, objective.g)
+            except SingularSystemError:
+                pass  # a diverged sigma overflowed the solve: keep the carried u, p
+        trace.status = status
+        trace.final_state = IterationState(sigma, u, p, fresh=True)
+        traces.append(trace)
+    return traces
+
+
+def _stop_status(config: RunConfig, n: int, j: float, finite: bool, sigma, prev_sigma):
+    """(status, guard_row) of a column after step n with cost j, or (None, False)
+    if it runs on; ``finite`` says whether its sigma, u and p are finite."""
+    if not finite:
+        return RunStatus.DIVERGED, True
+    if not j <= DIVERGENCE_GUARD:
+        return RunStatus.DIVERGED, False
+    if j <= config.tol_cost:
+        return RunStatus.TOL_COST, False
+    # The step test arms at n >= 2: a one-shot scheme started from the
+    # default p^0 = 0 leaves sigma unchanged on its very first update.
+    if n >= 2 and config.tol_step > 0:
+        step_size = float(np.linalg.norm(sigma - prev_sigma))
+        if step_size <= config.tol_step * (1.0 + float(np.linalg.norm(prev_sigma))):
+            return RunStatus.TOL_STEP, False
+    if n == config.max_outer:
+        return RunStatus.MAX_OUTER, False
+    return None, False
+
+
+def _records(objective: Objective, reference, sigma_rows, cost_rows, walls,
+             inner_per_outer: int) -> list[TraceRecord]:
+    """The trace records of one column's sigma rows and costs.
+
+    Every row's residual and gradient are formed as ``gradient`` forms them,
+    one BLAS product per row, and ``row_dots`` is one BLAS dot per row, so a
+    gradient norm or error equals np.linalg.norm of that row's vector.
+    """
+    A, A_T, g_tilde = objective.problem.reduced_operator(), objective.problem._A_T, \
+        objective.shifted_data()
+    grad_norms = []
+    for start in range(0, len(sigma_rows), ROWS_PER_PRODUCT):
+        sigmas = sigma_rows[start:start + ROWS_PER_PRODUCT]
+        residuals = np.matmul(sigmas[:, None, :], A_T)
+        residuals -= g_tilde
+        grads = np.matmul(residuals, A)[:, 0] + objective.alpha * sigmas
+        grad_norms += np.sqrt(row_dots(grads)).tolist()
+    if reference is None:
+        rel_errs = [None] * len(cost_rows)
+    else:
+        sigma_ref, ref_norm = reference
+        errs = np.sqrt(row_dots(sigma_rows - sigma_ref))
+        rel_errs = (errs / ref_norm if ref_norm > 0 else errs).tolist()
+    return [TraceRecord(n, j, grad_norm, rel, inner_per_outer * n, walls[n])
+            for n, (j, grad_norm, rel) in enumerate(zip(cost_rows, grad_norms, rel_errs))]

@@ -15,9 +15,11 @@ SpecParseErrors carrying the line number.  Every run
 kind is one sweep: the cavity variants are the product, in that order, of
 whichever of noise_levels, mesh_hs and deltas are non-empty (an empty
 list keeps the [cavity] value), and every variant runs every (scheme,
-tau, k, alpha) cell.  The kind names TauSweep, KComparison, NoiseStudy,
-MeshRobustness and DeltaDependence label the study; the last three also
-require their axis (noise_levels, mesh_hs, deltas) to be listed.
+tau, k, alpha) cell; ``_cells`` groups the cells of one problem into
+batches that step together.  The kind names TauSweep, KComparison,
+NoiseStudy, MeshRobustness and DeltaDependence label the study; the last
+three also require their axis (noise_levels, mesh_hs, deltas) to be
+listed.
 BoundReport and CertifySweep tabulate step bounds and spectral
 certificates on the [cavity] itself instead of running iterations.
 BoundReport reads ks and alphas, CertifySweep taus, ks and alphas; each
@@ -45,7 +47,7 @@ from .bounds import bound_report_for, report_csv_header, report_csv_row
 from .cavity import (_CAVITY_CODECS, _FLOAT, _FLOATS, _INT, _INTS, REAL_FIELDS, CavityConfig,
                      _list_codec, document_lines, generate, multi_source_objective,
                      read_document, with_noise_level)
-from .descent import RunConfig, SchemeKind, format_trace_csv, run
+from .descent import RunConfig, SchemeKind, format_trace_csv, run_columns
 from .errors import SpecValidationError
 from .problem import finite_real, positive_int
 from .spectral import certificate_csv_header, certificate_csv_row, certify
@@ -218,26 +220,56 @@ def _fmt(value) -> str:
 
 
 def _cells(spec: ExperimentSpec):
-    """Enumerate (cavity, scheme, tau, k, alpha) run cells.
+    """Enumerate the run cells, grouped into batches.
 
-    Each cavity variant is generated once, just before its cells; a
-    variant that differs from the one before only in noise_level reuses
-    its problem and draws only the noise.  The gradient-descent schemes
-    ignore k, so their cells collapse to a single k.
+    The cells are numbered in the order of the product (cavity variant,
+    scheme, tau, k, alpha).  Consecutive variants that differ only in
+    noise_level share one problem, so it is generated once for all of them
+    and the later ones draw only their noise.  A problem's cells are
+    grouped into batches that share a scheme and a k, each a list of
+    (index, cavity, scheme, tau, k, alpha) cells in cell order, and the
+    batches come in the order of their first cells.  Every batch of one
+    problem comes before the next problem is generated, so one generated
+    problem is alive at a time.  The gradient-descent schemes ignore k, so
+    their cells collapse to a single k.
     """
-    cavity = None
+    groups = []
     for variant in spec.cavity_variants():
-        if cavity is not None and variant == replace(cavity.config,
-                                                     noise_level=variant.noise_level):
-            cavity = with_noise_level(cavity, variant.noise_level)
+        if groups and variant == replace(groups[-1][-1], noise_level=variant.noise_level):
+            groups[-1].append(variant)
         else:
-            cavity = generate(variant)
-        for scheme in spec.schemes:
-            ks = spec.ks if scheme.is_one_shot else (spec.ks[0],)
-            for tau in spec.taus:
-                for k in ks:
-                    for alpha in spec.alphas:
-                        yield cavity, scheme, tau, k, alpha
+            groups.append([variant])
+    index = 0
+    for group in groups:
+        cavity = generate(group[0])
+        cavities = [cavity, *(with_noise_level(cavity, v.noise_level) for v in group[1:])]
+        batches = {}
+        for cavity in cavities:
+            for scheme in spec.schemes:
+                ks = spec.ks if scheme.is_one_shot else (spec.ks[0],)
+                for tau in spec.taus:
+                    for k in ks:
+                        for alpha in spec.alphas:
+                            batches.setdefault((scheme, k), []).append(
+                                (index, cavity, scheme, tau, k, alpha))
+                            index += 1
+        yield from batches.values()
+        del cavity, cavities, batches  # before the next problem is generated
+
+
+def _run_batch(spec: ExperimentSpec, batch):
+    """(index, trace) of every cell of a batch, run as the columns of one
+    ``run_columns``; the cells of one cavity and alpha share an objective."""
+    objectives, columns = {}, []
+    for _, cavity, scheme, tau, k, alpha in batch:
+        key = (id(cavity), alpha)
+        if key not in objectives:
+            objectives[key] = multi_source_objective(
+                cavity, alpha=alpha, use_noisy=cavity.config.noise_level > 0)
+        columns.append((objectives[key], RunConfig(
+            scheme=scheme, tau=tau, k=k, max_outer=spec.max_outer, tol_cost=spec.tol_cost,
+            tol_step=spec.tol_step, sigma0=cavity.init_sigma)))
+    return zip(batch, run_columns(columns))
 
 
 def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
@@ -271,32 +303,29 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                         certify(cavity.problem, tau, alpha, k)))
         files["certify.csv"] = "\n".join(rows) + "\n"
     else:
-        summary_rows = [_SUMMARY_HEADER]
-        for index, (cavity, scheme, tau, k, alpha) in enumerate(_cells(spec)):
-            variant = cavity.config
-            objective = multi_source_objective(
-                cavity, alpha=alpha, use_noisy=variant.noise_level > 0)
-            config = RunConfig(scheme=scheme, tau=tau, k=k,
-                               max_outer=spec.max_outer, tol_cost=spec.tol_cost,
-                               tol_step=spec.tol_step, sigma0=cavity.init_sigma)
-            trace = run(objective, config)
-            if not quiet:
-                print(f"cell {index:04d}: {scheme.value} tau={tau} k={k} "
-                      f"alpha={alpha} -> {trace.status.value} "
-                      f"(n={trace.records[-1].n}, J={trace.final_cost:.3e})")
-            files[f"cell{index:04d}.csv"] = format_trace_csv(trace)
-            last = trace.records[-1]
-            summary_rows.append(",".join([
-                f"{index:04d}", spec.kind.value, scheme.value,
-                _fmt(float(tau)), str(k), _fmt(float(alpha)),
-                _fmt(float(variant.noise_level)), _fmt(float(variant.mesh_h)),
-                _fmt(float(variant.delta)), str(cavity.mesh_summary.n_u),
-                str(cavity.mesh_summary.n_sigma), trace.status.value,
-                str(last.n), str(last.acc_inner), _fmt(last.cost),
-                _fmt(last.grad_norm), _fmt(last.rel_err_sigma),
-                _fmt(trace.iterations_to_cost(1e-8)),
-            ]))
-        files["summary.csv"] = "\n".join(summary_rows) + "\n"
+        traces, summary_rows = {}, {}
+        for batch in _cells(spec):
+            for (index, cavity, scheme, tau, k, alpha), trace in _run_batch(spec, batch):
+                if not quiet:
+                    print(f"cell {index:04d}: {scheme.value} tau={tau} k={k} "
+                          f"alpha={alpha} -> {trace.status.value} "
+                          f"(n={trace.records[-1].n}, J={trace.final_cost:.3e})")
+                traces[index] = format_trace_csv(trace)
+                variant, last = cavity.config, trace.records[-1]
+                summary_rows[index] = ",".join([
+                    f"{index:04d}", spec.kind.value, scheme.value,
+                    _fmt(float(tau)), str(k), _fmt(float(alpha)),
+                    _fmt(float(variant.noise_level)), _fmt(float(variant.mesh_h)),
+                    _fmt(float(variant.delta)), str(cavity.mesh_summary.n_u),
+                    str(cavity.mesh_summary.n_sigma), trace.status.value,
+                    str(last.n), str(last.acc_inner), _fmt(last.cost),
+                    _fmt(last.grad_norm), _fmt(last.rel_err_sigma),
+                    _fmt(trace.iterations_to_cost(1e-8)),
+                ])
+            del batch, cavity  # before the next problem is generated
+        files.update((f"cell{index:04d}.csv", traces[index]) for index in sorted(traces))
+        files["summary.csv"] = "\n".join(
+            [_SUMMARY_HEADER, *(summary_rows[index] for index in sorted(summary_rows))]) + "\n"
 
     out = output_dir or spec.output_dir
     os.makedirs(out, exist_ok=True)

@@ -36,13 +36,17 @@ takes a stacked array apart: ``to_block_columns`` makes the blocks of a
 stacked vector or matrix the columns of one matrix and
 ``from_block_columns`` stacks them back, so ``blockwise`` applies kron(I,
 T) or its inverse by one product or LAPACK solve with the block T, and
-``sweeps`` works on the (n_blocks, n) row view.  All exact solves use one
-dense LU factorization of the block I - B with partial pivoting, shared
-by the state and the (transposed) adjoint equation.  The k-step operators
-of the block (``k_step_operators``), with M and F folded into them, are
-cached on the problem like A, once per k; from k = 3 on ``sweeps``
-applies k sweeps in their closed form, three block products per call.
-A diagonal B (``B_diag``) is applied elementwise instead.  A problem
+``sweeps`` works on the row view, one row per block.  ``sweeps`` and
+``fixed_point_sweep`` also take a stack of c columns (u and p of shape
+(c, n_u), sigma (c, n_sigma), g (c, n_g)), which only adds rows; the
+products take contiguous transposes of M, H and A, cached like A.  All
+exact solves use one dense LU factorization of the block I - B with
+partial pivoting, shared by the state and the (transposed) adjoint
+equation.  The k-step operators of the block (``k_step_operators``), with
+M and F folded into them, are cached on the problem like A, once per k;
+from k = 3 on ``sweeps`` applies k sweeps in their closed form, three
+block products per call.  A diagonal B (``B_diag``) is applied
+elementwise instead.  A problem
 may carry a ``symmetrizer``: a symmetric positive definite S with S B
 symmetric, as the cavity's K_rand is for B = -delta A11^-1 K_rand.
 From it, ``modal_twin`` gives
@@ -83,6 +87,11 @@ def _readonly(a, dtype=float, ndim=None, name="array", copy=True):
         raise ProblemAssumptionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _transposed(a) -> np.ndarray:
+    """A read-only C-contiguous copy of a.T, for products x @ a.T on row stacks."""
+    return _readonly(np.ascontiguousarray(a.T), copy=False)
 
 
 def positive_int(name, value, error=ValueError) -> int:
@@ -348,6 +357,18 @@ class LinearInverseProblem:
     def _offset(self) -> np.ndarray:
         return _readonly(self.apply(self.H, self.solve_I_minus_B(self.F)), copy=False)
 
+    @cached_property
+    def _A_T(self) -> np.ndarray:
+        return _transposed(self._A)
+
+    @cached_property
+    def _M_T(self) -> np.ndarray:
+        return _transposed(self.M)
+
+    @cached_property
+    def _H_T(self) -> np.ndarray:
+        return _transposed(self.H)
+
     def reduced_operator(self) -> np.ndarray:
         """The end-to-end map A = H (I - B)^{-1} M (n_g x n_sigma)."""
         return self._A
@@ -433,12 +454,19 @@ class ModalTwin:
     V_inv: np.ndarray
 
     def to_modal(self, u, p):
-        """(kron(I, V^-1) u, kron(I, V*) p): a state and adjoint in the twin's coordinates."""
-        return self.problem.apply(self.V_inv, u), self.problem.apply(self.V.T, p)
+        """(kron(I, V^-1) u, kron(I, V*) p): a state and adjoint in the twin's
+        coordinates; u and p are vectors or (c, n_u) stacks of them."""
+        return _rows_times(u, self.V_inv.T), _rows_times(p, self.V)
 
     def from_modal(self, u, p):
         """(kron(I, V) u, kron(I, V^-*) p): the inverse of ``to_modal``."""
-        return self.problem.apply(self.V, u), self.problem.apply(self.V_inv.T, p)
+        return _rows_times(u, self.V.T), _rows_times(p, self.V_inv)
+
+
+def _rows_times(x, T) -> np.ndarray:
+    """x with every block, of every column of a stack, multiplied by T on the right."""
+    x = np.asarray(x, dtype=float)
+    return (x.reshape(-1, T.shape[0]) @ T).reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,10 +519,17 @@ class IterationState:
 
     @classmethod
     def zero(cls, problem: LinearInverseProblem, sigma0=None, u0=None, p0=None):
-        """Default start: given sigma0 (or zeros), u0 = p0 = 0 unless overridden."""
+        """Default start: given sigma0 (or zeros), u0 = p0 = 0 unless overridden.
+
+        A given vector with a NaN or infinite entry raises
+        ProblemAssumptionError naming it.
+        """
         sigma = np.zeros(problem.n_sigma) if sigma0 is None else np.asarray(sigma0, float)
         u = np.zeros(problem.n_u) if u0 is None else np.asarray(u0, float)
         p = np.zeros(problem.n_u) if p0 is None else np.asarray(p0, float)
+        for name, arr in (("sigma0", sigma), ("u0", u), ("p0", p)):
+            if not np.isfinite(arr).all():
+                raise ProblemAssumptionError(f"{name} contains non-finite entries")
         return _checked_state(problem, cls(sigma, u, p))
 
 
@@ -540,7 +575,8 @@ class KStepOperators:
     H T_k, which maps the data of k sweeps.  ``W`` stacks kron(I, T_k) M
     over kron(I, X_k) M (2 n_u x n_sigma) and ``c`` stacks kron(I, T_k) F
     over kron(I, X_k) F, so W sigma + c is [T_k d; X_k d] for the drive
-    d = M sigma + F.  The arrays are read-only.
+    d = M sigma + F; W is the transpose of a contiguous array, so the
+    sweeps' sigma @ W.T reads contiguous rows.  The arrays are read-only.
     """
 
     T: np.ndarray
@@ -578,12 +614,15 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
     U = HtH.copy()
     X = np.zeros((n, n))
     B_pow = eye  # B^j for the U recurrence
-    for _ in range(k - 1):
-        X = X + U
+    for _ in range(k - 1):  # in place where it rounds alike, to keep few n x n temporaries
+        X += U
         B_pow = B_pow @ B
-        U = B.T @ U + HtH @ B_pow
-        T = eye + B @ T
-    W = np.vstack([problem.apply(T, M), problem.apply(X, M)])
+        U = B.T @ U
+        U += HtH @ B_pow
+        T = B @ T
+        T += eye
+    del eye, HtH, B_pow
+    W = _transposed(np.vstack([problem.apply(T, M), problem.apply(X, M)])).T
     c = np.concatenate([problem.apply(T, F), problem.apply(X, F)])
     ops = KStepOperators(*(_readonly(a, copy=False) for a in (
         T, U, X, np.linalg.matrix_power(B, k), H @ T, W, c)), k=k)
@@ -591,8 +630,7 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
     return cache.setdefault(k, ops)
 
 
-def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
-                      sigma_new, g, k: int):
+def fixed_point_sweep(problem: LinearInverseProblem, state, sigma_new, g, k: int):
     """Run exactly k inner sweeps on state and adjoint, warm-started.
 
     Starting from u_0 = state.u and p_0 = state.p, repeat for l = 0..k-1:
@@ -603,15 +641,26 @@ def fixed_point_sweep(problem: LinearInverseProblem, state: IterationState,
     The adjoint update deliberately uses the pre-update state u_l; changing
     that changes the coupled iteration matrix.
 
-    Returns the pair (u_k, p_k).
+    ``state`` is an IterationState, or anything with u and p.  A stack of
+    c columns sweeps them all at once: u and p of shape (c, n_u), sigma_new
+    (c, n_sigma) and g (c, n_g).  Any other shape raises
+    ProblemAssumptionError.
+
+    Returns the pair (u_k, p_k), shaped like u.
     """
     k = positive_int("k", k)
-    state = _checked_state(problem, state)
-    sigma_new = _checked_sigma(problem, sigma_new)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (problem.n_g,):
-        raise ProblemAssumptionError(f"g has shape {g.shape}, expected ({problem.n_g},)")
-    return sweeps(problem, state.u, state.p, sigma_new, g, k)
+    u, p = state.u, state.p
+    sigma_new, g = np.asarray(sigma_new, dtype=float), np.asarray(g, dtype=float)
+    if sigma_new.ndim not in (1, 2) or sigma_new.shape[-1] != problem.n_sigma:
+        raise ProblemAssumptionError(f"sigma has shape {sigma_new.shape}, expected "
+                                     f"({problem.n_sigma},) or (c, {problem.n_sigma})")
+    stack = sigma_new.shape[:-1]
+    for name, arr, width in (("u", u, problem.n_u), ("p", p, problem.n_u),
+                             ("g", g, problem.n_g)):
+        if np.shape(arr) != stack + (width,):
+            raise ProblemAssumptionError(
+                f"{name} has shape {np.shape(arr)}, expected {stack + (width,)}")
+    return sweeps(problem, u, p, sigma_new, g, k)
 
 
 def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
@@ -621,7 +670,8 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
     for the data array g.  With the scalar g = 0.0 they are the linear part
     of the inner iteration, u_{l+1} = B u_l + M sigma and
     p_{l+1} = B* p_l + H*H u_l (no F, no data), which the spectral
-    certificate applies.  No input checks.
+    certificate applies.  u, p, sigma and an array g may be stacks of c
+    columns, as in ``fixed_point_sweep``.  No input checks.
 
     From k = 3 on, the k sweeps are applied in their closed form with the
     cached k-step operators of the block,
@@ -650,52 +700,69 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
     """
     B, H, n_blocks, diagonal = problem.B, problem.H, problem.n_blocks, problem.B_diag
     data = np.ndim(g) > 0
-    # on the (n_blocks, n) row views, reshaped once per call, x @ T.T is kron(I, T) x
-    u, p = u.reshape(n_blocks, -1), p.reshape(n_blocks, -1)
+    shape, n = np.shape(u), B.shape[0]
+    # every block of every column is one row, so x @ T.T is kron(I, T) x
+    u, p = u.reshape(-1, n), p.reshape(-1, n)
     if data:
-        g = g.reshape(n_blocks, -1)
+        g = g.reshape(u.shape[0], -1)
     if k >= 3:
         try:
             ops = problem._k_step[k]
         except (AttributeError, KeyError):
             ops = k_step_operators(problem, k)
-        drives = ops.W @ sigma
+        drives = sigma @ ops.W.T
         if data:
             drives += ops.c
-        T_drive, X_drive = drives.reshape(2, *u.shape)
+        # T_k d and X_k d of every column, each as (c, n_blocks, n) views
+        T_drive, X_drive = drives.reshape(-1, 2, n_blocks, n).swapaxes(0, 1)
         if diagonal is None:
             u_k, p_k = u @ ops.Bk.T, p @ ops.Bk
         else:
             Bk = np.diagonal(ops.Bk)
             u_k, p_k = u * Bk, p * Bk
-        u_k += T_drive
         p_k += u @ ops.U.T
+        u_k, p_k = u_k.reshape(T_drive.shape), p_k.reshape(T_drive.shape)
+        u_k += T_drive
         p_k += X_drive
         if data:
-            p_k -= g @ ops.HT
-        return u_k.reshape(-1), p_k.reshape(-1)
-    drive = (problem.M @ sigma + problem.F if data else problem.M @ sigma).reshape(u.shape)
+            p_k -= (g @ ops.HT).reshape(T_drive.shape)
+        return u_k.reshape(shape), p_k.reshape(shape)
+    drive = sigma @ problem._M_T
+    if data:
+        drive += problem.F
+    drive, H_T = drive.reshape(u.shape), problem._H_T
     for _ in range(k):
-        adjoint_drive = (u @ H.T - g) @ H
+        adjoint_drive = (u @ H_T - g) @ H
         if diagonal is None:
             p, u = p @ B + adjoint_drive, u @ B.T + drive
         else:
             p, u = p * diagonal + adjoint_drive, u * diagonal + drive
-    return u.reshape(-1), p.reshape(-1)
+    return u.reshape(shape), p.reshape(shape)
+
+
+def row_dots(x) -> np.ndarray:
+    """x_i @ x_i for every row x_i of the stack x: one BLAS dot per row, so
+    each entry equals the 1-D ``x_i @ x_i`` bit for bit."""
+    return np.matmul(x[:, None, :], x[:, :, None]).reshape(-1)
 
 
 def cost(objective: Objective, sigma) -> float:
-    """J(sigma) = 1/2 ||A sigma - g_tilde||^2 + alpha/2 ||sigma||^2, no state solve."""
+    """J(sigma) = 1/2 ||A sigma - g_tilde||^2 + alpha/2 ||sigma||^2, no state solve.
+
+    The residual is formed as sigma @ A*, as the run loop forms it for a
+    stack of sigmas.
+    """
     sigma = _checked_sigma(objective.problem, sigma)
-    residual = objective.problem.reduced_operator() @ sigma - objective.shifted_data()
+    residual = sigma @ objective.problem._A_T - objective.shifted_data()
     return 0.5 * float(residual @ residual) + 0.5 * objective.alpha * float(sigma @ sigma)
 
 
 def gradient(objective: Objective, sigma) -> np.ndarray:
     """grad J(sigma) = A* (A sigma - g_tilde) + alpha sigma, no state or adjoint solve."""
     sigma = _checked_sigma(objective.problem, sigma)
-    A = objective.problem.reduced_operator()
-    return A.T @ (A @ sigma - objective.shifted_data()) + objective.alpha * sigma
+    problem = objective.problem
+    residual = sigma @ problem._A_T - objective.shifted_data()
+    return residual @ problem.reduced_operator() + objective.alpha * sigma
 
 
 def regularized_solution(objective: Objective) -> np.ndarray:

@@ -11,6 +11,11 @@ from oneshot.experiments import (ExperimentKind, ExperimentSpec, _cells, _kind_k
 from conftest import spy
 from test_cavity import EVERY_FIELD_LINES, every_field_config
 
+def cells_in_order(spec):
+    """The (index, cavity, scheme, tau, k, alpha) cells of every batch, by index."""
+    return sorted((cell for batch in _cells(spec) for cell in batch), key=lambda cell: cell[0])
+
+
 MINIMAL = """
 [experiment]
 kind = TauSweep
@@ -355,7 +360,7 @@ class TestCavityVariants:
         spec = parse_spec(MINIMAL.replace("kind = TauSweep", "kind = NoiseStudy")
                           + "noise_levels = 0.01,0.03,0.0\n")
         generated = spy(monkeypatch, experiments, "generate")
-        cavities = [cell[0] for cell in _cells(spec)]
+        cavities = [cell[1] for cell in cells_in_order(spec)]
         assert len(generated) == 1 and len({id(c.problem) for c in cavities}) == 1
         for cavity, variant in zip(cavities, spec.cavity_variants()):
             assert cavity.config == variant
@@ -366,7 +371,7 @@ class TestCavityVariants:
         spec = parse_spec(MINIMAL + "noise_levels = 0.0,0.01\n"
                           "mesh_hs = 0.2857142857142857,0.2\n")
         generated = spy(monkeypatch, experiments, "generate")
-        assert [cell[0].config for cell in _cells(spec)] == spec.cavity_variants()
+        assert [cell[1].config for cell in cells_in_order(spec)] == spec.cavity_variants()
         assert len(generated) == 4
 
     def test_no_axis_keeps_the_cavity(self):
