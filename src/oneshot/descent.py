@@ -255,8 +255,8 @@ def run_columns(columns) -> list[ConvergenceTrace]:
     contains a record for n = 0 (the starting point).  The loop computes
     every cost, which the stop rules read, and keeps the sigma rows; the
     gradient norms and relative errors of all rows come after the loop,
-    from one stacked product per column, formed row by row as ``gradient``
-    forms them.  A gradient-descent column's final state holds the exact u
+    from stacked products of up to ``ROWS_PER_PRODUCT`` rows, formed row by
+    row as ``gradient`` forms them.  A gradient-descent column's final state holds the exact u
     and p at its final sigma, unless that sigma is non-finite or too large
     for the state solve.
 

@@ -303,14 +303,14 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                         certify(cavity.problem, tau, alpha, k)))
         files["certify.csv"] = "\n".join(rows) + "\n"
     else:
-        traces, summary_rows = {}, {}
+        cell_csvs, summary_rows = {}, {}
         for batch in _cells(spec):
             for (index, cavity, scheme, tau, k, alpha), trace in _run_batch(spec, batch):
                 if not quiet:
                     print(f"cell {index:04d}: {scheme.value} tau={tau} k={k} "
                           f"alpha={alpha} -> {trace.status.value} "
                           f"(n={trace.records[-1].n}, J={trace.final_cost:.3e})")
-                traces[index] = format_trace_csv(trace)
+                cell_csvs[index] = format_trace_csv(trace)
                 variant, last = cavity.config, trace.records[-1]
                 summary_rows[index] = ",".join([
                     f"{index:04d}", spec.kind.value, scheme.value,
@@ -323,7 +323,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                     _fmt(trace.iterations_to_cost(1e-8)),
                 ])
             del batch, cavity  # before the next problem is generated
-        files.update((f"cell{index:04d}.csv", traces[index]) for index in sorted(traces))
+        files.update((f"cell{index:04d}.csv", cell_csvs[index]) for index in sorted(cell_csvs))
         files["summary.csv"] = "\n".join(
             [_SUMMARY_HEADER, *(summary_rows[index] for index in sorted(summary_rows))]) + "\n"
 
