@@ -147,7 +147,8 @@ class TestRunColumns:
     def test_columns_must_share_problem_scheme_and_k(self):
         objective, config = columns_ending_four_ways(problem_of("dense"), SchemeKind.UsualGD,
                                                      2)[3]
-        other = Objective(problem_of("twin"), np.zeros(problem_of("twin").n_g))
+        twin_problem = problem_of("twin")
+        other = Objective(twin_problem, np.zeros(twin_problem.n_g))
         for second in ((other, config), (objective, RunConfig(SchemeKind.SemiImplicitGD, 0.1)),
                        (objective, RunConfig(SchemeKind.UsualGD, 0.1, k=3))):
             with pytest.raises(ValueError, match="share one problem, scheme and k"):
