@@ -2,9 +2,8 @@
 problems, with spectral convergence certificates, explicit sufficient
 descent-step bounds, and a desk-scale cavity experiment harness."""
 
-from .bounds import (CaseParameters, TauBoundReport, bound_report_for,
-                     gamma_select, marden_quadratic_inside, pq_decompose,
-                     s_of, sufficient_tau_k_step)
+from .bounds import (CaseParameters, TauBoundReport, bound_report_for, s_of,
+                     sufficient_tau_k_step)
 from .cavity import (CavityConfig, GeneratedCavity, export_cavity, generate,
                      load_problem, multi_source_objective)
 from .descent import (ConvergenceTrace, RunConfig, RunStatus, SchemeKind, run, run_columns,

@@ -21,21 +21,32 @@ loop fills the final state's u and p with one exact state and adjoint
 solve at the final sigma (the k = infinity state).
 
 One run loop, ``run_columns``, steps a batch of columns: (objective,
-config) pairs on one problem with one scheme and one k, as the rows of one
-stack, so each step costs a few stacked products however many columns
-run.  ``run`` is a batch of one.  The loop checks every start once and
-carries plain arrays; ``step`` applies the same products to a stack of
-one and checks its state.  Each step forms the cost of every running
-column from one residual stack sigma A* - g_tilde, which the stop rules
-read and gradient descent reuses as its A* (A sigma - g_tilde); the
-gradient norms and sigma errors of the trace come after the loop.  The
-one-shot sweeps go through ``fixed_point_sweep``, once per step for the
-whole stack.  A one-shot batch on a problem with a ``modal_twin`` (a
-cavity, whose ``symmetrizer`` gives the eigenbasis of B from one
-symmetric eigensolve) steps the twin, built once per problem, where a
-sweep multiplies by the eigenvalues elementwise: u0 and p0 go into its
+config) pairs on one problem, each with its own scheme and k, as the rows
+of one stack, so each step costs a few stacked products however many
+columns run.  The rows are ordered gradient descent first, then one-shot
+by k, and one update serves all of them,
+
+    sigma' = (sigma - tau M* p - tau alpha_explicit sigma) / shrink,
+
+with alpha_explicit = alpha and shrink = 1 on an explicit row,
+alpha_explicit = 0 and shrink = 1 + tau alpha on an implicit one.
+``run`` is a batch of one, and ``iter_columns`` yields a batch's traces
+one at a time, each formed as it is taken.  The loop checks every start
+once, carries plain arrays and logs the sigma and cost rows in blocks of
+``LOG_STEPS`` steps; ``step`` applies the same products to a stack of one
+and checks its state.  Each step forms the cost of every running column
+from one residual stack sigma A* - g_tilde, which the stop rules read and
+gradient descent reuses as its A* (A sigma - g_tilde); the gradient norms
+and sigma errors of the trace come after the loop.  The one-shot sweeps
+go through ``fixed_point_sweep``, once per step and k for the rows of
+that k.  One-shot rows on a problem with a ``modal_twin`` (a cavity,
+whose ``symmetrizer`` gives the eigenbasis of B from one symmetric
+eigensolve) step the twin, built once per problem, where a sweep
+multiplies by the eigenvalues elementwise: u0 and p0 go into its
 coordinates at the start and the final u and p come back, while sigma,
-and so every trace row, stays that of the problem.
+and so every trace row, stays that of the problem.  On the twin's
+diagonal block the rows with k >= 3 step together in closed form, as one
+``DiagonalStack`` whatever their k.
 
 At alpha = 0 the explicit and implicit updates coincide exactly.
 The run loop records one trace row per outer iteration and stops on an
@@ -55,9 +66,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OneShotError, SingularSystemError
-from .problem import (IterationState, Objective, _checked_sigma, _checked_state,
-                      finite_real, fixed_point_sweep, positive_int, regularized_solution,
-                      row_dots, solve_adjoint_exact, solve_state_exact)
+from .problem import (DiagonalStack, IterationState, Objective, _checked_sigma,
+                      _checked_state, finite_real, fixed_point_sweep, positive_int,
+                      regularized_solution, row_dots, solve_adjoint_exact, solve_state_exact)
 
 #: Cost level beyond which a run is declared diverged.
 DIVERGENCE_GUARD = 1e12
@@ -65,6 +76,12 @@ DIVERGENCE_GUARD = 1e12
 #: Trace rows per stacked product when the gradient norms and errors are
 #: computed after the loop; it bounds the (rows, n_g) residual temporary.
 ROWS_PER_PRODUCT = 64
+
+#: Steps per block of the run loop's log of sigma and cost rows.  The log
+#: grows by a block at a time, not by one small array per step, whose
+#: long-lived allocations would split the stacks freed at each step and
+#: keep the heap they leave from being reused.
+LOG_STEPS = 64
 
 
 class SchemeKind(str, enum.Enum):
@@ -193,12 +210,20 @@ class _Iterate(NamedTuple):
     p: np.ndarray
 
 
-def _next_sigma(implicit: bool, sigma, Mp, tau, tau_alpha, shrink):
-    """The sigma update of the table in the module docstring, for a stack of
-    sigmas; the constants are scalars or (c, 1) columns."""
-    if implicit:
-        return (sigma - tau * Mp) / shrink
-    return sigma - tau * Mp - tau_alpha * sigma
+def _update_constants(scheme: SchemeKind, tau: float, alpha: float):
+    """(tau alpha_explicit, shrink) of ``_next_sigma`` for one scheme: (tau
+    alpha, 1) when the Tikhonov term is explicit, (0, 1 + tau alpha) when
+    it is implicit."""
+    tau_alpha = tau * alpha
+    return (0.0, 1.0 + tau_alpha) if scheme.is_implicit else (tau_alpha, 1.0)
+
+
+def _next_sigma(sigma, Mp, tau, tau_alpha_explicit, shrink):
+    """(sigma - tau M* p - tau alpha_explicit sigma) / shrink, for a stack of
+    sigmas and scalar or (c, 1) constants: both updates of the table in the
+    module docstring, bit for bit for a finite sigma (the division by 1 and
+    the term 0 sigma are exact)."""
+    return (sigma - tau * Mp - tau_alpha_explicit * sigma) / shrink
 
 
 def step(objective: Objective, state: IterationState, scheme: SchemeKind,
@@ -214,13 +239,13 @@ def step(objective: Objective, state: IterationState, scheme: SchemeKind,
     problem = objective.problem
     state = _checked_state(problem, state)
     _checked_sigma(problem, state.sigma)
-    sigma, tau_alpha = state.sigma[None], tau * objective.alpha
+    sigma = state.sigma[None]
     if scheme.is_one_shot:
         Mp = state.p[None] @ problem.M
     else:
         residual = sigma @ problem._A_T - objective.shifted_data()
         Mp = residual @ problem.reduced_operator()
-    sigma = _next_sigma(scheme.is_implicit, sigma, Mp, tau, tau_alpha, 1.0 + tau_alpha)[0]
+    sigma = _next_sigma(sigma, Mp, tau, *_update_constants(scheme, tau, objective.alpha))[0]
     if not scheme.is_one_shot:
         return IterationState(sigma, state.u, state.p, fresh=True)
     return IterationState(sigma, *fixed_point_sweep(problem, state, sigma, objective.g, k),
@@ -240,14 +265,22 @@ def run(objective: Objective, config: RunConfig) -> ConvergenceTrace:
 def run_columns(columns) -> list[ConvergenceTrace]:
     """Run a batch of columns, (objective, config) pairs, each to termination.
 
-    The columns share one problem, one scheme and one k; tau, alpha, g, the
-    start and the stop rules may differ.  Every start is checked before any
-    column steps, and a batch that mixes problems, schemes or k raises
-    ValueError.  Each step moves every running column as one row of a
-    stack, and a column leaves the stack when it stops, so a diverged
-    column is stepped no further.  The result holds one trace per column,
-    in order; a column's trace matches that of a batch of its own up to
-    rounding, since stacked products sum in another order.
+    The columns share one problem; the scheme, k, tau, alpha, g, the start
+    and the stop rules may differ.  Every start is checked before any
+    column steps, and a batch that mixes problems raises ValueError.  Each
+    step moves every running column as one row of a stack, gradient-descent
+    rows first and then the one-shot rows sorted by k, and a column leaves
+    the stack when it stops, so a diverged column is stepped no further.
+    The result holds one trace per column, in order; a column's trace
+    matches that of a batch of its own up to rounding, since stacked
+    products sum in another order.
+
+    Every row takes the same sigma update, with its own constants
+    (``_next_sigma``).  A gradient-descent row's M* p is its residual times
+    A; a one-shot row's is p M, and its k sweeps follow: one
+    ``fixed_point_sweep`` call per k on the rows of that k, except on a
+    diagonal block (the modal twin), where the rows with k >= 3 step
+    together as one ``DiagonalStack``.
 
     Stop conditions, checked per column in this order after every step:
     divergence guard (non-finite iterates or cost above 1e12), cost
@@ -265,31 +298,49 @@ def run_columns(columns) -> list[ConvergenceTrace]:
     The sigma iterates, and so every trace row, equal those of repeated
     ``step`` calls in exact arithmetic.
     """
+    return list(iter_columns(columns))
+
+
+def iter_columns(columns):
+    """The traces of ``run_columns``, one at a time, in column order.
+
+    The loop runs to its end when the first trace is taken; each trace is
+    then formed only when it is taken, so a caller that lets each go
+    before taking the next holds the records of one trace at a time.
+    """
     columns = list(columns)
     if not columns:
-        return []
+        return
     objectives, configs = zip(*columns)
-    problem, scheme, k = objectives[0].problem, configs[0].scheme, configs[0].k
-    if any(o.problem is not problem for o in objectives) \
-            or any(c.scheme is not scheme or c.k != k for c in configs):
-        raise ValueError("the columns of a batch must share one problem, scheme and k")
+    problem = objectives[0].problem
+    if any(o.problem is not problem for o in objectives):
+        raise ValueError("the columns of a batch must share one problem")
     starts = [IterationState.zero(problem, c.sigma0, c.u0, c.p0) for c in configs]
 
-    one_shot, implicit = scheme.is_one_shot, scheme.is_implicit
-    inner_per_outer = k if one_shot else 1
-    twin = problem.modal_twin() if one_shot else None
+    # the k of every row, 0 for gradient descent; ids is the column of each row
+    row_k = [c.k if c.scheme.is_one_shot else 0 for c in configs]
+    ids = sorted(range(len(columns)), key=row_k.__getitem__)
+    n_gd = row_k.count(0)
+    twin = problem.modal_twin() if n_gd < len(columns) else None
     sweep_problem = problem if twin is None else twin.problem
     A, A_T, M = problem.reduced_operator(), problem._A_T, sweep_problem.M
-    S = np.array([start.sigma for start in starts])
-    U, P = np.array([start.u for start in starts]), np.array([start.p for start in starts])
+    S = np.array([starts[i].sigma for i in ids])
+    U = np.array([starts[i].u for i in ids[n_gd:]]).reshape(-1, problem.n_u)
+    P = np.array([starts[i].p for i in ids[n_gd:]]).reshape(-1, problem.n_u)
     if twin is not None:
         U, P = twin.to_modal(U, P)
-    G = np.array([o.g for o in objectives])
-    G_tilde = np.array([o.shifted_data() for o in objectives])
-    alpha = np.array([o.alpha for o in objectives])
-    tau = np.array([c.tau for c in configs])[:, None]
-    tau_alpha = tau * alpha[:, None]
-    shrink, half_alpha = 1.0 + tau_alpha, 0.5 * alpha
+    # a gradient-descent row carries its start u and p unchanged
+    carried = {i: (starts[i].u, starts[i].p) for i in ids[:n_gd]}
+    del starts
+    G = np.array([objectives[i].g for i in ids[n_gd:]]).reshape(-1, problem.n_g)
+    G_tilde = np.array([objectives[i].shifted_data() for i in ids])
+    tau = np.array([configs[i].tau for i in ids])[:, None]
+    tau_alpha, shrink = np.array([_update_constants(configs[i].scheme, configs[i].tau,
+                                                    objectives[i].alpha) for i in ids]).T
+    tau_alpha, shrink = tau_alpha[:, None], shrink[:, None]
+    half_alpha = np.array([0.5 * objectives[i].alpha for i in ids])
+    tol_cost = np.array([configs[i].tol_cost for i in ids])
+    thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids[n_gd:]], G)
     references = {}
     for o in objectives:
         if id(o) not in references:
@@ -303,74 +354,86 @@ def run_columns(columns) -> list[ConvergenceTrace]:
     R = S @ A_T - G_tilde
     J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
     walls = [(time.perf_counter() - t0) * 1e3]
-    ids = list(range(len(columns)))  # the column of each row of the stack
-    # the sigma and cost rows of every step, in segments between departures
-    segments, sigmas, costs = [], [S], [J]
+    # the [sigma, cost] rows of every step, in blocks of (first step, ids,
+    # rows) with rows[n - first, slot] the row of column ids[slot]; a block
+    # holds the columns running at its first step, and slots[pos] is the
+    # slot of row pos of the stack in the last block
+    blocks = [(0, ids, np.empty((LOG_STEPS, len(ids), problem.n_sigma + 1)))]
+    slots = range(len(ids))
+    blocks[0][2][0, :, :-1], blocks[0][2][0, :, -1] = S, J
     ends, finals = {}, {}
     soonest_cap = min(c.max_outer for c in configs)
     step_rule = any(c.tol_step > 0 for c in configs)
     for n in range(1, max(c.max_outer for c in configs) + 1):
         prev = S
-        Mp = P @ M if one_shot else R @ A
-        S = _next_sigma(implicit, S, Mp, tau, tau_alpha, shrink)
-        if one_shot:
-            U, P = fixed_point_sweep(sweep_problem, _Iterate(S, U, P), S, G, k)
+        S = _next_sigma(S, np.concatenate((R[:n_gd] @ A, P @ M)), tau, tau_alpha, shrink)
+        # each group of rows sweeps from its own rows of U and P, so its
+        # result overwrites them in place
+        S_os = S[n_gd:]
+        for k, lo, hi in thin:
+            U[lo:hi], P[lo:hi] = fixed_point_sweep(
+                sweep_problem, _Iterate(S_os[lo:hi], U[lo:hi], P[lo:hi]), S_os[lo:hi],
+                G[lo:hi], k)
+        if fused is not None:
+            lo = len(P) - len(fused.ks)
+            U[lo:], P[lo:] = fused.sweep(U[lo:], P[lo:], S_os[lo:])
         R = S @ A_T - G_tilde
         J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
         walls.append((time.perf_counter() - t0) * 1e3)
-        sigmas.append(S)
-        costs.append(J)
-        js = J.tolist()
+        if n % LOG_STEPS == 0:
+            blocks.append((n, ids, np.empty((LOG_STEPS, len(ids), problem.n_sigma + 1))))
+            slots = range(len(ids))
+        rows = blocks[-1][2][n % LOG_STEPS]
+        rows[slots, :-1], rows[slots, -1] = S, J
         # a finite cost within the tolerances means a finite sigma
-        if n < soonest_cap and not (step_rule and n >= 2) \
-                and all(configs[i].tol_cost < j <= DIVERGENCE_GUARD for i, j in zip(ids, js)) \
-                and (not one_shot or np.isfinite(U).all() and np.isfinite(P).all()):
+        if n < soonest_cap and not (step_rule and n >= 2) and (tol_cost < J).all() \
+                and (J <= DIVERGENCE_GUARD).all() and np.isfinite(U).all() \
+                and np.isfinite(P).all():
             continue
-        finite = (np.isfinite(S).all(1) & np.isfinite(U).all(1) & np.isfinite(P).all(1)).tolist()
+        finite = np.isfinite(S).all(1)
+        finite[n_gd:] &= np.isfinite(U).all(1) & np.isfinite(P).all(1)
         keep = []
-        for pos, (i, j) in enumerate(zip(ids, js)):
-            config = configs[i]
-            status, guard_row = _stop_status(config, n, j, finite[pos], S[pos], prev[pos])
+        for pos, (i, j, row_finite) in enumerate(zip(ids, J.tolist(), finite.tolist())):
+            status, guard_row = _stop_status(configs[i], n, j, row_finite, S[pos], prev[pos])
             if status is None:
                 keep.append(pos)
             else:
                 ends[i] = (status, n, guard_row)
-                finals[i] = (S[pos], U[pos], P[pos])
+                # copies: the next steps overwrite U and P in place
+                finals[i] = (S[pos], U[pos - n_gd].copy(), P[pos - n_gd].copy()) \
+                    if pos >= n_gd else (S[pos], *carried[i])
         if len(keep) < len(ids):
-            segments.append((ids, sigmas, costs))
             if not keep:
                 break
-            ids = [ids[pos] for pos in keep]
-            S, U, P, R, G, G_tilde, tau, tau_alpha, shrink, half_alpha = (
-                x[keep] for x in (S, U, P, R, G, G_tilde, tau, tau_alpha, shrink, half_alpha))
-            sigmas, costs = [], []
+            one_shot_keep = [pos - n_gd for pos in keep if pos >= n_gd]
+            n_gd = len(keep) - len(one_shot_keep)
+            ids, slots = [ids[pos] for pos in keep], [slots[pos] for pos in keep]
+            S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost = (
+                x[keep] for x in (S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost))
+            U, P, G = (x[one_shot_keep] for x in (U, P, G))
+            thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids[n_gd:]], G)
             soonest_cap = min(configs[i].max_outer for i in ids)
 
-    rows = {i: [] for i in range(len(columns))}
-    for seg_ids, seg_sigmas, seg_costs in segments:
-        seg_sigmas, seg_costs = np.stack(seg_sigmas), np.stack(seg_costs)
-        for pos, i in enumerate(seg_ids):
-            rows[i].append((seg_sigmas[:, pos], seg_costs[:, pos]))
-    if twin is not None:
-        u_final, p_final = twin.from_modal(np.array([finals[i][1] for i in rows]),
-                                           np.array([finals[i][2] for i in rows]))
-    traces = []
+    logged = {}  # the rows of each column, block by block
+    for first, block_ids, rows in blocks:
+        for slot, i in enumerate(block_ids):
+            logged.setdefault(i, []).append(rows[:n + 1 - first, slot])
     for i, (objective, config) in enumerate(columns):
         status, n_end, guard_row = ends[i]
         count = n_end + 1 - guard_row
-        sigma_rows = np.concatenate([sig for sig, _ in rows[i]])[:count]
-        cost_rows = np.concatenate([cst for _, cst in rows[i]])[:count].tolist()
-        trace = ConvergenceTrace(scheme=scheme, tau=config.tau, k=inner_per_outer)
-        trace.records = _records(objective, references[id(objective)], sigma_rows, cost_rows,
-                                 walls, inner_per_outer)
+        inner_per_outer = row_k[i] or 1
+        rows = np.concatenate(logged.pop(i))[:count]
+        trace = ConvergenceTrace(scheme=config.scheme, tau=config.tau, k=inner_per_outer)
+        trace.records = _records(objective, references[id(objective)], rows[:, :-1],
+                                 rows[:, -1].tolist(), walls, inner_per_outer)
         if guard_row:
             # the iterate itself is unusable, so the row records no finite cost
             trace.records.append(TraceRecord(n_end, math.inf, math.inf, None,
                                              inner_per_outer * n_end, walls[n_end]))
-        sigma, u, p = finals[i]
-        if twin is not None:
-            u, p = u_final[i], p_final[i]
-        elif not one_shot and np.isfinite(sigma).all():
+        sigma, u, p = finals.pop(i)
+        if twin is not None and row_k[i]:
+            u, p = twin.from_modal(u, p)
+        elif not row_k[i] and np.isfinite(sigma).all():
             try:
                 exact_u = solve_state_exact(problem, sigma)
                 u, p = exact_u, solve_adjoint_exact(problem, exact_u, objective.g)
@@ -378,8 +441,23 @@ def run_columns(columns) -> list[ConvergenceTrace]:
                 pass  # a diverged sigma overflowed the solve: keep the carried u, p
         trace.status = status
         trace.final_state = IterationState(sigma, u, p, fresh=True)
-        traces.append(trace)
-    return traces
+        yield trace
+
+
+def _sweep_plan(sweep_problem, ks, G):
+    """How the one-shot rows, with sorted inner counts ks and data G, sweep:
+    a list of (k, lo, hi) row slices, each one ``fixed_point_sweep`` call,
+    and the ``DiagonalStack`` of the rows after the last slice, or None.
+    On a diagonal block the rows with k >= 3 go into the stack; on a dense
+    one every k is a slice."""
+    fuse_from = 3 if sweep_problem.B_diag is not None else math.inf
+    thin, lo = [], 0
+    for k in sorted(set(ks)):
+        if k >= fuse_from:
+            return thin, DiagonalStack(sweep_problem, ks[lo:], G[lo:])
+        thin.append((k, lo, lo + ks.count(k)))
+        lo = thin[-1][2]
+    return thin, None
 
 
 def _stop_status(config: RunConfig, n: int, j: float, finite: bool, sigma, prev_sigma):

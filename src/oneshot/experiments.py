@@ -15,11 +15,11 @@ SpecParseErrors carrying the line number.  Every run
 kind is one sweep: the cavity variants are the product, in that order, of
 whichever of noise_levels, mesh_hs and deltas are non-empty (an empty
 list keeps the [cavity] value), and every variant runs every (scheme,
-tau, k, alpha) cell; ``_cells`` groups the cells of one problem into
-batches that step together.  The kind names TauSweep, KComparison,
-NoiseStudy, MeshRobustness and DeltaDependence label the study; the last
-three also require their axis (noise_levels, mesh_hs, deltas) to be
-listed.
+tau, k, alpha) cell; ``_cells`` makes the cells of one problem one
+batch, which steps together whatever its schemes and k.  The kind names
+TauSweep, KComparison, NoiseStudy, MeshRobustness and DeltaDependence
+label the study; the last three also require their axis (noise_levels,
+mesh_hs, deltas) to be listed.
 BoundReport and CertifySweep tabulate step bounds and spectral
 certificates on the [cavity] itself instead of running iterations.
 BoundReport reads ks and alphas, CertifySweep taus, ks and alphas; each
@@ -47,7 +47,7 @@ from .bounds import bound_report_for, report_csv_header, report_csv_row
 from .cavity import (_CAVITY_CODECS, _FLOAT, _FLOATS, _INT, _INTS, REAL_FIELDS, CavityConfig,
                      _list_codec, document_lines, generate, multi_source_objective,
                      read_document, with_noise_level)
-from .descent import RunConfig, SchemeKind, format_trace_csv, run_columns
+from .descent import RunConfig, SchemeKind, format_trace_csv, iter_columns
 from .errors import SpecValidationError
 from .problem import finite_real, positive_int
 from .spectral import certificate_csv_header, certificate_csv_row, certify
@@ -220,18 +220,18 @@ def _fmt(value) -> str:
 
 
 def _cells(spec: ExperimentSpec):
-    """Enumerate the run cells, grouped into batches.
+    """Enumerate the run cells, one batch per generated problem.
 
     The cells are numbered in the order of the product (cavity variant,
     scheme, tau, k, alpha).  Consecutive variants that differ only in
     noise_level share one problem, so it is generated once for all of them
-    and the later ones draw only their noise.  A problem's cells are
-    grouped into batches that share a scheme and a k, each a list of
-    (index, cavity, scheme, tau, k, alpha) cells in cell order, and the
-    batches come in the order of their first cells.  Every batch of one
-    problem comes before the next problem is generated, so one generated
-    problem is alive at a time.  The gradient-descent schemes ignore k, so
-    their cells collapse to a single k.
+    and the later ones draw only their noise.  All cells of one problem
+    form one batch, a list of (index, cavity, scheme, tau, k, alpha) cells
+    in cell order, which ``run_columns`` steps as one stack whatever their
+    schemes and k.  A batch is yielded before the next problem is
+    generated, so one generated problem is alive at a time.  The
+    gradient-descent schemes ignore k, so their cells collapse to a single
+    k.
     """
     groups = []
     for variant in spec.cavity_variants():
@@ -239,27 +239,22 @@ def _cells(spec: ExperimentSpec):
             groups[-1].append(variant)
         else:
             groups.append([variant])
-    index = 0
+    index = itertools.count()
     for group in groups:
         cavity = generate(group[0])
         cavities = [cavity, *(with_noise_level(cavity, v.noise_level) for v in group[1:])]
-        batches = {}
-        for cavity in cavities:
-            for scheme in spec.schemes:
-                ks = spec.ks if scheme.is_one_shot else (spec.ks[0],)
-                for tau in spec.taus:
-                    for k in ks:
-                        for alpha in spec.alphas:
-                            batches.setdefault((scheme, k), []).append(
-                                (index, cavity, scheme, tau, k, alpha))
-                            index += 1
-        yield from batches.values()
-        del cavity, cavities, batches  # before the next problem is generated
+        yield [(next(index), cavity, scheme, tau, k, alpha)
+               for cavity in cavities for scheme in spec.schemes
+               for tau in spec.taus for k in (spec.ks if scheme.is_one_shot else spec.ks[:1])
+               for alpha in spec.alphas]
+        del cavity, cavities  # before the next problem is generated
 
 
 def _run_batch(spec: ExperimentSpec, batch):
-    """(index, trace) of every cell of a batch, run as the columns of one
-    ``run_columns``; the cells of one cavity and alpha share an objective."""
+    """(cell, trace) of every cell of a batch, in order, run as the columns
+    of one ``run_columns``; the cells of one cavity and alpha share an
+    objective.  Each trace is formed when the caller takes it, so the
+    caller holds one at a time."""
     objectives, columns = {}, []
     for _, cavity, scheme, tau, k, alpha in batch:
         key = (id(cavity), alpha)
@@ -269,7 +264,7 @@ def _run_batch(spec: ExperimentSpec, batch):
         columns.append((objectives[key], RunConfig(
             scheme=scheme, tau=tau, k=k, max_outer=spec.max_outer, tol_cost=spec.tol_cost,
             tol_step=spec.tol_step, sigma0=cavity.init_sigma)))
-    return zip(batch, run_columns(columns))
+    return zip(batch, iter_columns(columns))
 
 
 def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):

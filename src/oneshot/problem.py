@@ -46,7 +46,9 @@ equation.  The k-step operators of the block (``k_step_operators``), with
 M and F folded into them, are cached on the problem like A, once per k;
 from k = 3 on ``sweeps`` applies k sweeps in their closed form, three
 block products per call.  A diagonal B (``B_diag``) is applied
-elementwise instead.  A problem
+elementwise instead, its k-step operators are built elementwise in
+O(k n^2), and a ``DiagonalStack`` sweeps a stack of columns with
+different k in one closed form.  A problem
 may carry a ``symmetrizer``: a symmetric positive definite S with S B
 symmetric, as the cavity's K_rand is for B = -delta A11^-1 K_rand.
 From it, ``modal_twin`` gives
@@ -598,15 +600,32 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
 
     from T_1 = I, U_1 = H*H, X_1 = 0.  B^k comes from
     ``np.linalg.matrix_power``, not from the recurrence's B^j, which
-    associates the products differently.  The result is cached on the
-    problem, so the sweeps, the certificate and the bounds read one object.
+    associates the products differently.  On a diagonal block
+    (``B_diag``) the same recurrences and the same binary powering run
+    elementwise in O(k n^2), and give the dense build's floats.  The
+    result is cached on the problem, so the sweeps, the certificate and
+    the bounds read one object.
     """
     k = positive_int("k", k)
     cache = problem.__dict__.setdefault("_k_step", {})
     cached = cache.get(k)
     if cached is not None:
         return cached
-    B, H, M, F = problem.B, problem.H, problem.M, problem.F
+    lam, H, M, F = problem.B_diag, problem.H, problem.M, problem.F
+    if lam is None:
+        T, U, X, Bk = _dense_k_step(problem.B, H, k)
+    else:
+        T, U, X, Bk = _diagonal_k_step(lam, H, k)
+    W = _transposed(np.vstack([problem.apply(T, M), problem.apply(X, M)])).T
+    c = np.concatenate([problem.apply(T, F), problem.apply(X, F)])
+    ops = KStepOperators(*(_readonly(a, copy=False) for a in (T, U, X, Bk, H @ T, W, c)), k=k)
+    # a concurrent builder of the same k may have stored its equal copy first
+    return cache.setdefault(k, ops)
+
+
+def _dense_k_step(B, H, k: int):
+    """(T_k, U_k, X_k, B^k) of a dense block B, by the recurrences of
+    ``k_step_operators``: 4 (k - 1) products of n x n matrices."""
     n = B.shape[0]
     eye = np.eye(n)
     HtH = H.T @ H
@@ -622,12 +641,37 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
         T = B @ T
         T += eye
     del eye, HtH, B_pow
-    W = _transposed(np.vstack([problem.apply(T, M), problem.apply(X, M)])).T
-    c = np.concatenate([problem.apply(T, F), problem.apply(X, F)])
-    ops = KStepOperators(*(_readonly(a, copy=False) for a in (
-        T, U, X, np.linalg.matrix_power(B, k), H @ T, W, c)), k=k)
-    # a concurrent builder of the same k may have stored its equal copy first
-    return cache.setdefault(k, ops)
+    return T, U, X, np.linalg.matrix_power(B, k)
+
+
+def _diagonal_k_step(lam, H, k: int):
+    """(T_k, U_k, X_k, B^k) of the block diag(lam), each step of the
+    recurrences elementwise.  A product with a diagonal factor adds only
+    exact zeros to each entry's one nonzero term, so every entry equals
+    that of ``_dense_k_step`` on diag(lam).  U_k is returned in Fortran
+    order, so the sweeps' right factor U_k* is a C-contiguous view."""
+    HtH = H.T @ H
+    t, lam_pow = np.ones(len(lam)), np.ones(len(lam))  # diag T_j and diag B^j
+    U = HtH.copy()
+    X = np.zeros(U.shape)
+    for _ in range(k - 1):
+        X += U
+        lam_pow = lam_pow * lam
+        U *= lam[:, None]
+        U += HtH * lam_pow
+        t = lam * t
+        t += 1.0
+    # lam^k by the binary powering of np.linalg.matrix_power, so B^k is its
+    # diag(lam) power bit for bit: squares z = lam^(2^i), multiplied into
+    # the power from the lowest set bit of k up
+    power, z, bits = None, lam, k
+    while True:
+        bits, bit = divmod(bits, 2)
+        if bit:
+            power = z if power is None else power * z
+        if not bits:
+            return np.diag(t), np.asfortranarray(U), X, np.diag(power)
+        z = z * z
 
 
 def fixed_point_sweep(problem: LinearInverseProblem, state, sigma_new, g, k: int):
@@ -690,13 +734,16 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
         dense B, closed form   3 n^2 + n m + 2 n n_sigma
         diagonal B, loop       k (2 n + 2 n m) + n n_sigma
         diagonal B, closed     n^2 + 2 n + n m + 2 n n_sigma
+        diagonal B, fused      n^2 + 3 n + 2 n n_sigma    (``DiagonalStack``)
 
     flops: the closed form beats k dense sweeps at every k >= 3 unless
     n_sigma exceeds 3 n + 5 m, and on a diagonal B only U_k is an n x n
-    product.  In the paper's PDE setting B is applied, not stored, and
-    the cost is counted in sweeps; the closed form and the eigenbasis need
-    B as a matrix.  The trace's ``acc_inner`` keeps counting k sweeps per
-    outer step either way.
+    product.  The fused stack forms each column's data term once, not
+    per call, and steps columns of different k together.  In the paper's
+    PDE setting B is applied, not stored, and the cost is counted in
+    sweeps; the closed form and the eigenbasis need B as a matrix.  The
+    trace's ``acc_inner`` keeps counting k sweeps per outer step either
+    way.
     """
     B, H, n_blocks, diagonal = problem.B, problem.H, problem.n_blocks, problem.B_diag
     data = np.ndim(g) > 0
@@ -738,6 +785,61 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
         else:
             p, u = p * diagonal + adjoint_drive, u * diagonal + drive
     return u.reshape(shape), p.reshape(shape)
+
+
+class DiagonalStack:
+    """k >= 3 sweeps of a stack of columns on a diagonal block, in closed form,
+    each column with its own k and data.
+
+    On B = diag(lam), T_k = diag(t_k) and B^k = diag(lam^k), so the closed
+    form of ``sweeps`` reads, blockwise and with o the elementwise product,
+
+        u_k = lam^k o u_0 + t_k o d,                      d = M sigma + F,
+        p_k = lam^k o p_0 + (X_k F - t_k o H* g) + U_k u_0 + X_k M sigma.
+
+    lam^k, t_k and the bracket are constant per column: they are formed
+    once, as stacks over the columns and blocks (lam^k and t_k, equal in
+    every block, broadcast over them), so u_k and the first two terms of
+    p_k are elementwise operations over the whole stack, after one product
+    M sigma for all of it.  Only U_k u_0 and X_k M sigma are
+    products per k, one each on the rows of that k.  ``ks`` is the k of
+    every row, sorted, and g the (c, n_g) data.  The k-step operators come
+    from the problem's cache.  It equals ``sweeps`` in exact arithmetic.
+    """
+
+    def __init__(self, problem: LinearInverseProblem, ks, g):
+        self.problem, self.ks = problem, list(ks)
+        n_u, n_blocks = problem.n_u, problem.n_blocks
+        ops = {k: k_step_operators(problem, k) for k in self.ks}
+        self.slices, lo = [], 0  # (ops, lo, hi) of every run of equal k
+        for k in sorted(ops):
+            hi = lo + self.ks.count(k)
+            self.slices.append((ops[k], lo, hi))
+            lo = hi
+        rows = [ops[k] for k in self.ks]
+        # (c, n_blocks, n) views of (c, n_u) stacks, and (c, 1, n) vectors
+        self.shape = (len(rows), n_blocks, problem.B.shape[0])
+        self.lam_k = np.array([np.diagonal(o.Bk) for o in rows])[:, None]
+        self.t_k = np.array([np.diagonal(o.T) for o in rows])[:, None]
+        data = (g.reshape(-1, problem.H.shape[0]) @ problem.H).reshape(self.shape)
+        self.offset = np.array([o.c[n_u:] for o in rows]).reshape(self.shape) - self.t_k * data
+
+    def sweep(self, u, p, sigma):
+        """(u_k, p_k) of every row, from (c, n_u) u and p and (c, n_sigma) sigma."""
+        c, _, n = self.shape
+        d = sigma @ self.problem._M_T
+        d += self.problem.F
+        d = d.reshape(self.shape)
+        d *= self.t_k
+        u_k = self.lam_k * u.reshape(self.shape)
+        u_k += d
+        p_k = self.lam_k * p.reshape(self.shape)
+        p_k += self.offset
+        u_k, p_k = u_k.reshape(c, -1), p_k.reshape(c, -1)
+        for ops, lo, hi in self.slices:
+            p_k[lo:hi] += (u[lo:hi].reshape(-1, n) @ ops.U.T).reshape(hi - lo, -1)
+            p_k[lo:hi] += sigma[lo:hi] @ ops.W.T[:, -p_k.shape[1]:]
+        return u_k, p_k
 
 
 def row_dots(x) -> np.ndarray:

@@ -15,12 +15,12 @@ import oneshot
 from oneshot import (CavityConfig, IterationState, Objective, RunConfig,
                      RunStatus, SchemeKind, certify, cost, generate, gradient,
                      iteration_matrix_semi_implicit, k_step_operators,
-                     marden_quadratic_inside, multi_source_objective,
-                     pq_decompose, random_problem, regularized_solution, run,
-                     s_of, solve_adjoint_exact, solve_state_exact, step)
+                     multi_source_objective, random_problem, regularized_solution,
+                     run, s_of, solve_adjoint_exact, solve_state_exact, step)
 from oneshot.bounds import CaseParameters, bound_report_for
 from oneshot.experiments import load_spec, run_experiment
 from oneshot.problem import LinearInverseProblem, operator_norm
+from lemmas import marden_quadratic_inside, pq_decompose
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 

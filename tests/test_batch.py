@@ -1,9 +1,10 @@
 """The run loop over a batch of columns, with repeated ``step`` as its oracle.
 
-``run_columns`` steps columns that share a problem, a scheme and a k as
-the rows of one stack; each column may have its own tau, alpha, data,
-start and stop rules, and leaves the stack when it stops.  The oracle
-steps each column alone with ``step`` and applies the stop rules to it.
+``run_columns`` steps columns that share a problem as the rows of one
+stack; each column may have its own scheme, k, tau, alpha, data, start
+and stop rules, and leaves the stack when it stops.  The oracle steps
+each column alone with ``step`` and applies the stop rules to it; a
+mixed batch is checked against each column's batch of one.
 """
 
 import math
@@ -12,10 +13,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oneshot import (IterationState, Objective, ProblemAssumptionError, RunConfig, RunStatus,
-                     SchemeKind, cost, fixed_point_sweep, run, run_columns, step)
-from oneshot.descent import DIVERGENCE_GUARD, ConvergenceTrace, TraceRecord, format_trace_csv
-from conftest import make_problem
+from oneshot import (IterationState, LinearInverseProblem, Objective, ProblemAssumptionError,
+                     RunConfig, RunStatus, SchemeKind, cost, fixed_point_sweep, run, run_columns,
+                     step)
+from oneshot import descent
+from oneshot.descent import (DIVERGENCE_GUARD, ConvergenceTrace, TraceRecord, format_trace_csv,
+                             iter_columns)
+from oneshot.problem import DiagonalStack, sweeps
+from conftest import make_problem, spy
 from test_modal import record_sweep_problems, similar_to_diagonal
 
 #: Agreement asked of a batch column with its oracle, relative: the stacked
@@ -86,6 +91,26 @@ def rel_close(ours, oracle_value, rel=REL):
     return np.linalg.norm(ours - oracle_value) <= rel * np.linalg.norm(oracle_value)
 
 
+def mixed_columns(problem):
+    """One batch of every scheme, with k in {1, 2, 3, 4, 10} for the one-shot
+    ones: the columns of ``columns_ending_four_ways`` for each, shuffled,
+    after a first column that overflows on its first step."""
+    columns = [column for scheme in SchemeKind
+               for k in ((1, 2, 3, 4, 10) if scheme.is_one_shot else (1,))
+               for column in columns_ending_four_ways(problem, scheme, k)]
+    order = np.random.default_rng(8).permutation(len(columns))
+    overflow = RunConfig(SchemeKind.KStepOneShot, tau=1e300, k=10, max_outer=5,
+                         sigma0=np.full(problem.n_sigma, 1e10), p0=np.full(problem.n_u, 1e10))
+    return [(columns[0][0], overflow), *(columns[i] for i in order)]
+
+
+def assert_rows_close(ours, single):
+    """Equal where either is not finite, within REL in norm elsewhere."""
+    finite = np.isfinite(single)
+    assert np.array_equal(np.isfinite(ours), finite)
+    assert rel_close(ours[finite], single[finite])
+
+
 class TestRunColumns:
     @pytest.mark.parametrize("kind", ["twin", "dense"])
     @pytest.mark.parametrize("k", [2, 3])
@@ -136,23 +161,65 @@ class TestRunColumns:
         assert (kept.status, kept.records[-1].n) == (status, n_outer)
         assert rel_close(kept.final_state.sigma, sigma)
 
-    def test_one_sweep_call_per_step_on_the_twin(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["twin", "dense"])
+    def test_a_mixed_batch_matches_each_batch_of_one(self, kind):
+        problem = problem_of(kind)
+        columns = mixed_columns(problem)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = run_columns(columns)
+            alone = [run(*column) for column in columns]
+        assert traces[0].status is RunStatus.DIVERGED and traces[0].final_cost == math.inf
+        assert {t.status for t in traces} == set(RunStatus)
+        for (_, config), ours, single in zip(columns, traces, alone):
+            assert ours.status is single.status
+            assert ours.records[-1].n == single.records[-1].n
+            assert (ours.scheme, ours.tau, ours.k) == (single.scheme, single.tau, single.k)
+            for rows in (lambda t: [r.cost for r in t.records],
+                         lambda t: [r.grad_norm for r in t.records],
+                         lambda t: [r.acc_inner for r in t.records]):
+                assert_rows_close(np.array(rows(ours)), np.array(rows(single)))
+            for name in ("sigma", "u", "p"):
+                assert_rows_close(getattr(ours.final_state, name),
+                                  getattr(single.final_state, name))
+
+    def test_iter_columns_forms_each_trace_when_taken(self, monkeypatch):
+        columns = columns_ending_four_ways(problem_of("twin"), SchemeKind.KStepOneShot, 3)
+        formed = spy(monkeypatch, descent, "_records")
+        traces = iter_columns(columns)
+        assert formed == []
+        first = next(traces)
+        assert len(formed) == 1
+        rest = list(traces)
+        assert len(formed) == 4
+        assert [format_trace_csv(t) for t in (first, *rest)] == \
+            [format_trace_csv(t) for t in run_columns(columns)]
+
+    def test_sweep_calls_per_step_on_the_twin(self, monkeypatch):
+        # one fixed_point_sweep call for the k = 2 rows and one stack step for
+        # the k = 3 and 4 rows, every step
         problem = problem_of("twin")
         columns = columns_ending_four_ways(problem, SchemeKind.KStepOneShot, 2)
         seen = record_sweep_problems(monkeypatch)
-        run_columns([(objective, RunConfig(SchemeKind.KStepOneShot, config.tau, k=2,
-                                           max_outer=3)) for objective, config in columns])
-        assert len(seen) == 3 and all(p is problem.modal_twin().problem for p in seen)
+        run_columns([(objective, RunConfig(SchemeKind.KStepOneShot, config.tau, k=k,
+                                           max_outer=3))
+                     for (objective, config), k in zip(columns, (2, 3, 4, 2))])
+        assert len(seen) == 6 and all(p is problem.modal_twin().problem for p in seen)
 
-    def test_columns_must_share_problem_scheme_and_k(self):
+    def test_columns_must_share_one_problem(self):
         objective, config = columns_ending_four_ways(problem_of("dense"), SchemeKind.UsualGD,
                                                      2)[3]
         twin_problem = problem_of("twin")
         other = Objective(twin_problem, np.zeros(twin_problem.n_g))
-        for second in ((other, config), (objective, RunConfig(SchemeKind.SemiImplicitGD, 0.1)),
-                       (objective, RunConfig(SchemeKind.UsualGD, 0.1, k=3))):
-            with pytest.raises(ValueError, match="share one problem, scheme and k"):
-                run_columns([(objective, config), second])
+        with pytest.raises(ValueError, match="share one problem"):
+            run_columns([(objective, config), (other, config)])
+        # schemes and k may differ within a batch
+        mixed = run_columns([(objective, config),
+                             (objective, RunConfig(SchemeKind.SemiImplicitGD, 0.1, max_outer=3)),
+                             (objective, RunConfig(SchemeKind.KStepOneShot, 0.1, k=3,
+                                                   max_outer=3))])
+        assert [t.scheme for t in mixed] == [SchemeKind.UsualGD, SchemeKind.SemiImplicitGD,
+                                             SchemeKind.KStepOneShot]
+        assert [t.k for t in mixed] == [1, 1, 3]
         assert run_columns([]) == []
 
 
@@ -196,6 +263,28 @@ class TestStackedSweep:
             column = IterationState(sigma[i], u[i], p[i])
             u_i, p_i = fixed_point_sweep(problem, column, sigma[i], g[i], k)
             assert rel_close(u_k[i], u_i, 1e-13) and rel_close(p_k[i], p_i, 1e-13)
+
+    @pytest.mark.parametrize("kind", ["twin", "dense"])
+    def test_a_diagonal_stack_sweeps_each_column(self, kind):
+        # a diagonal block: the twin's, or the dense problem's B with its
+        # off-diagonal entries dropped
+        problem = problem_of(kind)
+        if kind == "twin":
+            problem = problem.modal_twin().problem
+        else:
+            problem = LinearInverseProblem(np.diag(np.diagonal(problem.B)), problem.M,
+                                           problem.H, problem.F)
+        rng = np.random.default_rng(9)
+        ks = [3, 3, 4, 10, 10]
+        c = len(ks)
+        u, p = rng.standard_normal((c, problem.n_u)), rng.standard_normal((c, problem.n_u))
+        sigma, g = rng.standard_normal((c, problem.n_sigma)), rng.standard_normal((c, problem.n_g))
+        for rows in (list(range(c)), [1, 2, 4]):
+            stack = DiagonalStack(problem, [ks[i] for i in rows], g[rows])
+            u_k, p_k = stack.sweep(u[rows], p[rows], sigma[rows])
+            for pos, i in enumerate(rows):
+                u_i, p_i = sweeps(problem, u[i], p[i], sigma[i], g[i], ks[i])
+                assert rel_close(u_k[pos], u_i, 1e-13) and rel_close(p_k[pos], p_i, 1e-13)
 
     @pytest.mark.parametrize("u_rows, sigma_shape, g_rows, expected", [
         (2, (3, 3), 3, "u has shape \\(2, 8\\), expected \\(3, 8\\)"),

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from oneshot import (CaseParameters, EigensolverError, LinearInverseProblem,
-                     ProblemAssumptionError, bounds, certify, gamma_select,
-                     marden_quadratic_inside, pq_decompose, random_problem,
+                     ProblemAssumptionError, bounds, certify, random_problem,
                      s_of, sufficient_tau_k_step)
 from oneshot import problem as problem_module
 from oneshot.bounds import (_psi, bound_report_for, report_csv_header,
@@ -19,6 +18,7 @@ from oneshot.cavity import generate
 from oneshot.experiments import load_spec
 from oneshot.problem import operator_norm, spectral_radius
 from conftest import make_problem, spy
+from lemmas import gamma_select, marden_quadratic_inside, pq_decompose
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 

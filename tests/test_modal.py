@@ -58,14 +58,20 @@ def objective(request, cavity):
 
 
 def record_sweep_problems(monkeypatch):
-    """The problem of every ``fixed_point_sweep`` call that ``descent`` makes."""
-    seen, real = [], descent.fixed_point_sweep
+    """The problem of every sweep the run loop makes: each ``fixed_point_sweep``
+    call, and each step of a ``DiagonalStack``."""
+    seen, real, real_stack = [], descent.fixed_point_sweep, descent.DiagonalStack.sweep
 
     def recording(sweep_problem, *args):
         seen.append(sweep_problem)
         return real(sweep_problem, *args)
 
+    def recording_stack(stack, *args):
+        seen.append(stack.problem)
+        return real_stack(stack, *args)
+
     monkeypatch.setattr(descent, "fixed_point_sweep", recording)
+    monkeypatch.setattr(descent.DiagonalStack, "sweep", recording_stack)
     return seen
 
 
@@ -225,11 +231,13 @@ class TestRunOnTwin:
         assert ours.records[-1].n == oracle.records[-1].n
 
     def test_one_shot_runs_step_the_twin(self, objective, monkeypatch):
+        # k = 2 sweeps through fixed_point_sweep, k = 3 as a DiagonalStack
         problem = objective.problem
         seen = record_sweep_problems(monkeypatch)
-        run(objective, RunConfig(SchemeKind.KStepOneShot, tau_for(objective), k=2,
-                                 max_outer=3))
-        assert seen and all(p is problem.modal_twin().problem for p in seen)
+        for k in (2, 3):
+            run(objective, RunConfig(SchemeKind.KStepOneShot, tau_for(objective), k=k,
+                                     max_outer=3))
+        assert len(seen) == 6 and all(p is problem.modal_twin().problem for p in seen)
 
     def test_loaded_cavity_has_no_twin_and_runs_like_the_generated_one(self, cavity,
                                                                         tmp_path):

@@ -12,7 +12,7 @@ from oneshot import (IterationState, LinearInverseProblem, Objective,
                      fixed_point_sweep, gradient, regularized_solution, run,
                      solve_adjoint_exact, solve_state_exact)
 from oneshot import problem as problem_module
-from oneshot.problem import (contracts, from_block_columns, k_step_operators,
+from oneshot.problem import (_dense_k_step, contracts, from_block_columns, k_step_operators,
                              spectral_radius, sweeps, to_block_columns)
 from oneshot.spectral import eigen_equation_residual
 from conftest import make_objective, make_problem, spy, stacked_and_kron_twin
@@ -244,6 +244,23 @@ class TestOperatorForm:
             assert ops.W.shape == (2 * problem.n_u, problem.n_sigma)
             assert_rel(ops.W, np.vstack([T @ problem.M, X @ problem.M]))
             assert_rel(ops.c, np.concatenate([T @ problem.F, X @ problem.F]))
+
+    def test_diagonal_block_builds_the_dense_recurrence_elementwise(self):
+        # tolerance 0: a product with a diagonal factor adds only exact zeros
+        # to each entry's one term, and B^k takes matrix_power's binary
+        # powering, so every entry is bit-equal to the dense build's
+        rng = np.random.default_rng(14)
+        n, n_blocks = 9, 2
+        lam = rng.uniform(-0.8, 0.8, n)
+        problem = LinearInverseProblem(np.diag(lam), rng.standard_normal((n_blocks * n, 3)),
+                                       rng.standard_normal((4, n)),
+                                       rng.standard_normal(n_blocks * n), n_blocks=n_blocks)
+        assert np.array_equal(problem.B_diag, lam)
+        for k in (1, 2, 3, 10):
+            ops = k_step_operators(problem, k)
+            for ours, dense in zip((ops.T, ops.U, ops.X, ops.Bk),
+                                   _dense_k_step(problem.B, problem.H, k)):
+                assert np.array_equal(ours, dense)
 
     def test_concurrent_builds_share_one_object(self):
         problem = make_problem(13, n_u=40)
