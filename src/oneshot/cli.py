@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 validation error (any
 ValueError: a bad argument, spec, manifest or matrix file), 3 numerical
-failure.
+failure.  Progress lines are best effort: once a reader of stdout has
+gone (``oneshot run ... | head -n 1``), a command stops printing them and
+still finishes, writes its files and exits 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .cavity import (CavityConfig, export_cavity, generate, load_problem,
                      parse_manifest)
 from .errors import (EigensolverError, OneShotError, ProblemAssumptionError,
                      SingularSystemError, SizeGuardError)
-from .experiments import load_spec, run_experiment
+from .experiments import load_spec, print_progress, run_experiment
 from .spectral import (SIZE_GUARD, certificate_csv_header,
                        certificate_csv_row, certify, spectrum, spectrum_csv)
 
@@ -100,8 +102,8 @@ def _cmd_generate(args) -> int:
     export_cavity(cavity, args.out)
     if not args.quiet:
         ms = cavity.mesh_summary
-        print(f"generated cavity: n_u={ms.n_u} n_sigma={ms.n_sigma} n_g={ms.n_g} "
-              f"(single-source n_u={ms.n_u_single}) -> {args.out}")
+        print_progress(f"generated cavity: n_u={ms.n_u} n_sigma={ms.n_sigma} n_g={ms.n_g} "
+                       f"(single-source n_u={ms.n_u_single}) -> {args.out}")
     return 0
 
 
@@ -111,7 +113,7 @@ def _cmd_run(args) -> int:
         spec = replace(spec, cavity=replace(spec.cavity, rng_seed=args.seed))
     written = run_experiment(spec, output_dir=args.out, quiet=args.quiet)
     if not args.quiet:
-        print(f"wrote {len(written)} files to {args.out or spec.output_dir}")
+        print_progress(f"wrote {len(written)} files to {args.out or spec.output_dir}")
     return 0
 
 

@@ -37,16 +37,16 @@ once, carries plain arrays and logs the sigma and cost rows in blocks of
 and checks its state.  Each step forms the cost of every running column
 from one residual stack sigma A* - g_tilde, which the stop rules read and
 gradient descent reuses as its A* (A sigma - g_tilde); the gradient norms
-and sigma errors of the trace come after the loop.  The one-shot sweeps
-go through ``fixed_point_sweep``, once per step and k for the rows of
-that k.  One-shot rows on a problem with a ``modal_twin`` (a cavity,
-whose ``symmetrizer`` gives the eigenbasis of B from one symmetric
-eigensolve) step the twin, built once per problem, where a sweep
-multiplies by the eigenvalues elementwise: u0 and p0 go into its
-coordinates at the start and the final u and p come back, while sigma,
-and so every trace row, stays that of the problem.  On the twin's
-diagonal block the rows with k >= 3 step together in closed form, as one
-``DiagonalStack`` whatever their k.
+and sigma errors of the trace come after the loop.  The one-shot rows
+with k <= 2 sweep through ``fixed_point_sweep``, once per step and k for
+the rows of that k; the rows with k >= 3 step together in the closed
+form, as one ``KStepStack`` whatever their k.  One-shot rows on a
+problem with a ``modal_twin`` (a cavity, whose ``symmetrizer`` gives the
+eigenbasis of B from one generalized symmetric eigensolve) step the
+twin, built once per problem, where a sweep multiplies by the
+eigenvalues elementwise: u0 and p0 go into its coordinates at the start
+and the final u and p come back, while sigma, and so every trace row,
+stays that of the problem.
 
 At alpha = 0 the explicit and implicit updates coincide exactly.
 The run loop records one trace row per outer iteration and stops on an
@@ -61,12 +61,12 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import OneShotError, SingularSystemError
-from .problem import (DiagonalStack, IterationState, Objective, _checked_sigma,
+from .problem import (CLOSED_FORM_K, IterationState, KStepStack, Objective, _checked_sigma,
                       _checked_state, finite_real, fixed_point_sweep, positive_int,
                       regularized_solution, row_dots, solve_adjoint_exact, solve_state_exact)
 
@@ -138,7 +138,12 @@ class RunConfig:
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One completed outer iteration (n = 0 is the starting point)."""
+    """One completed outer iteration (n = 0 is the starting point).
+
+    ``wall_ms`` is the time elapsed in the batch's run loop up to this
+    step, shared by every column of the batch; ``format_trace_csv``
+    writes it only with ``deterministic_wall=False``.
+    """
 
     n: int
     cost: float
@@ -201,14 +206,6 @@ def format_trace_csv(trace: ConvergenceTrace, deterministic_wall=True) -> str:
 # ----------------------------------------------------------------------
 # one step (a pure function state -> state)
 # ----------------------------------------------------------------------
-
-class _Iterate(NamedTuple):
-    """The (sigma, u, p) stacks that the run loop hands to ``fixed_point_sweep``."""
-
-    sigma: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-
 
 def _update_constants(scheme: SchemeKind, tau: float, alpha: float):
     """(tau alpha_explicit, shrink) of ``_next_sigma`` for one scheme: (tau
@@ -278,9 +275,8 @@ def run_columns(columns) -> list[ConvergenceTrace]:
     Every row takes the same sigma update, with its own constants
     (``_next_sigma``).  A gradient-descent row's M* p is its residual times
     A; a one-shot row's is p M, and its k sweeps follow: one
-    ``fixed_point_sweep`` call per k on the rows of that k, except on a
-    diagonal block (the modal twin), where the rows with k >= 3 step
-    together as one ``DiagonalStack``.
+    ``fixed_point_sweep`` call per k on the rows of each k <= 2, and one
+    ``KStepStack`` step for all the rows with k >= 3.
 
     Stop conditions, checked per column in this order after every step:
     divergence guard (non-finite iterates or cost above 1e12), cost
@@ -372,8 +368,7 @@ def iter_columns(columns):
         S_os = S[n_gd:]
         for k, lo, hi in thin:
             U[lo:hi], P[lo:hi] = fixed_point_sweep(
-                sweep_problem, _Iterate(S_os[lo:hi], U[lo:hi], P[lo:hi]), S_os[lo:hi],
-                G[lo:hi], k)
+                sweep_problem, SimpleNamespace(u=U[lo:hi], p=P[lo:hi]), S_os[lo:hi], G[lo:hi], k)
         if fused is not None:
             lo = len(P) - len(fused.ks)
             U[lo:], P[lo:] = fused.sweep(U[lo:], P[lo:], S_os[lo:])
@@ -446,18 +441,12 @@ def iter_columns(columns):
 
 def _sweep_plan(sweep_problem, ks, G):
     """How the one-shot rows, with sorted inner counts ks and data G, sweep:
-    a list of (k, lo, hi) row slices, each one ``fixed_point_sweep`` call,
-    and the ``DiagonalStack`` of the rows after the last slice, or None.
-    On a diagonal block the rows with k >= 3 go into the stack; on a dense
-    one every k is a slice."""
-    fuse_from = 3 if sweep_problem.B_diag is not None else math.inf
-    thin, lo = [], 0
-    for k in sorted(set(ks)):
-        if k >= fuse_from:
-            return thin, DiagonalStack(sweep_problem, ks[lo:], G[lo:])
-        thin.append((k, lo, lo + ks.count(k)))
-        lo = thin[-1][2]
-    return thin, None
+    a list of (k, lo, hi) row slices with k < ``CLOSED_FORM_K``, each one
+    ``fixed_point_sweep`` call, and the ``KStepStack`` of the rows after
+    the last slice, or None."""
+    lo = sum(k < CLOSED_FORM_K for k in ks)
+    thin = [(k, ks.index(k), ks.index(k) + ks.count(k)) for k in sorted(set(ks[:lo]))]
+    return thin, KStepStack(sweep_problem, ks[lo:], G[lo:]) if lo < len(ks) else None
 
 
 def _stop_status(config: RunConfig, n: int, j: float, finite: bool, sigma, prev_sigma):

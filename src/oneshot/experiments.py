@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 import itertools
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 from . import __version__
@@ -267,12 +268,25 @@ def _run_batch(spec: ExperimentSpec, batch):
     return zip(batch, iter_columns(columns))
 
 
+def print_progress(line: str) -> bool:
+    """Print a progress line to stdout, best effort: False once the reader
+    has gone (a closed pipe).  stdout is then pointed at os.devnull, so the
+    final flush of what the failed print left buffered cannot fail too."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
 def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
     """Execute a spec; returns the list of files written (absolute paths).
 
     ``output_dir`` overrides the spec's own output directory.  The files
     are held in memory and written only after every cell has run, so a
-    failing spec leaves no partial output behind.
+    failing spec leaves no partial output behind.  Unless ``quiet``, a
+    progress line per cell goes to stdout until its reader goes away.
     """
     files = {}
 
@@ -301,12 +315,12 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
         cell_csvs, summary_rows = {}, {}
         for batch in _cells(spec):
             for (index, cavity, scheme, tau, k, alpha), trace in _run_batch(spec, batch):
-                if not quiet:
-                    print(f"cell {index:04d}: {scheme.value} tau={tau} k={k} "
-                          f"alpha={alpha} -> {trace.status.value} "
-                          f"(n={trace.records[-1].n}, J={trace.final_cost:.3e})")
-                cell_csvs[index] = format_trace_csv(trace)
                 variant, last = cavity.config, trace.records[-1]
+                if not quiet:
+                    quiet = not print_progress(
+                        f"cell {index:04d}: {scheme.value} tau={tau} k={k} alpha={alpha} -> "
+                        f"{trace.status.value} (n={last.n}, J={trace.final_cost:.3e})")
+                cell_csvs[index] = format_trace_csv(trace)
                 summary_rows[index] = ",".join([
                     f"{index:04d}", spec.kind.value, scheme.value,
                     _fmt(float(tau)), str(k), _fmt(float(alpha)),

@@ -43,21 +43,21 @@ products take contiguous transposes of M, H and A, cached like A.  All
 exact solves use one dense LU factorization of the block I - B with
 partial pivoting, shared by the state and the (transposed) adjoint
 equation.  The k-step operators of the block (``k_step_operators``), with
-M and F folded into them, are cached on the problem like A, once per k;
-from k = 3 on ``sweeps`` applies k sweeps in their closed form, three
-block products per call.  A diagonal B (``B_diag``) is applied
-elementwise instead, its k-step operators are built elementwise in
-O(k n^2), and a ``DiagonalStack`` sweeps a stack of columns with
-different k in one closed form.  A problem
-may carry a ``symmetrizer``: a symmetric positive definite S with S B
-symmetric, as the cavity's K_rand is for B = -delta A11^-1 K_rand.
-From it, ``modal_twin`` gives
-the same problem in the eigenbasis V of B, built by one Cholesky
-factorization of S and one symmetric eigensolve and cached like A: its
-block is diag(lam), so its sweeps cost O(n m) per block up to k = 2 and
-one block product (U_k) in closed form, and a one-shot run steps it in
-place of the problem.  A problem without a symmetrizer (loaded from
-files, random or user-built) has no twin and sweeps densely.
+M and F folded into them, are cached on the problem like A, once per k.
+``KStepStack`` is the one closed form of k >= 3 sweeps: it steps a
+stack of columns, each with its own k and data, in three block products
+per k on a dense block, and ``sweeps`` hands it every k >= 3.  A
+diagonal B (``B_diag``) is applied elementwise instead, and its k-step
+operators are built elementwise in O(k n^2).  A problem may carry a
+``symmetrizer``: a symmetric positive definite S with S B symmetric, as
+the cavity's K_rand is for B = -delta A11^-1 K_rand.  From it,
+``modal_twin`` gives the same problem in the eigenbasis V of B, built by
+one generalized symmetric-definite eigensolve S B v = lam S v and cached
+like A: its block is diag(lam), so its sweeps cost O(n m) per block up
+to k = 2 and one block product (U_k) per k in closed form, and a
+one-shot run steps it in place of the problem.  A problem without a
+symmetrizer (loaded from files, random or user-built) has no twin and
+sweeps densely.
 Problems and objectives are immutable and safe to share across threads;
 every operation here is a pure function of its inputs.  ``positive_int``
 (k, the counts) and ``finite_real`` (tau, alpha, the tolerances, the
@@ -81,6 +81,9 @@ from .errors import ProblemAssumptionError, SingularSystemError
 RANK_TOL = 1e-10
 
 _getrs = scipy.linalg.get_lapack_funcs("getrs", dtype=np.float64)
+
+#: The smallest k whose sweeps take the closed form (``KStepStack``).
+CLOSED_FORM_K = 3
 
 
 def _readonly(a, dtype=float, ndim=None, name="array", copy=True):
@@ -391,14 +394,14 @@ class LinearInverseProblem:
         """This problem in the eigenbasis of its block B, or None.
 
         The twin is built on first use and cached, when B is not diagonal
-        already and the problem has a ``symmetrizer`` S.  S = L L* by
-        Cholesky; C = L* B L^-* is then symmetric (L^-1 (S B) L^-*), so one
-        symmetric eigensolve C = Q diag(lam) Q* gives B = V diag(lam) V^-1
-        with V = L^-* Q and V^-1 = Q* L* (Golub & Van Loan, Matrix
-        Computations, Sec. 8.7), the columns of V scaled to unit norm.  No
-        symmetrizer, an S that is not positive definite, or a V diag(lam)
-        V^-1 that misses B by more than ``MODAL_BACKWARD_TOL`` (S B not
-        symmetric) gives None.
+        already and the problem has a ``symmetrizer`` S.  S B is then
+        symmetric, so one generalized symmetric-definite eigensolve
+        S B v = lam S v (LAPACK's divide-and-conquer sygvd) gives
+        B = V diag(lam) V^-1 with V* S V = I, so V^-1 = V* S (Golub & Van
+        Loan, Matrix Computations, Sec. 8.7), the columns of V scaled to
+        unit norm.  No symmetrizer, an S that is not positive definite, or
+        a V diag(lam) V^-1 that misses B by more than ``MODAL_BACKWARD_TOL``
+        (S B not symmetric) gives None.
         """
         return self._modal
 
@@ -406,27 +409,20 @@ class LinearInverseProblem:
     def _modal(self) -> ModalTwin | None:
         if self.B_diag is not None or self.symmetrizer is None:
             return None
-        try:
-            L = scipy.linalg.cholesky(self.symmetrizer, lower=True, check_finite=False)
+        S = self.symmetrizer
+        try:  # eigh reads the lower triangle of S B
+            lam, V = scipy.linalg.eigh(S @ self.B, S, driver="gvd", overwrite_a=True,
+                                       check_finite=False)
         except scipy.linalg.LinAlgError:
             return None
-        # C = L* (B L^-*), with B L^-* = (L^-1 B*)*; eigh reads its lower triangle
-        C = L.T @ scipy.linalg.solve_triangular(L, self.B.T, lower=True,
-                                                check_finite=False).T
-        lam, Q = scipy.linalg.eigh(C, driver="evd", overwrite_a=True, check_finite=False)
-        del C
-        V = scipy.linalg.solve_triangular(L, Q, trans="T", lower=True, check_finite=False)
-        V_inv = (L @ Q).T
-        del L, Q
+        V_inv = V.T @ S
         scale = np.linalg.norm(V, axis=0)
         V /= scale
         V_inv *= scale[:, None]
-        # ||V diag(lam) V^-1 - B||_1, with one n x n temporary besides the product
+        # ||V diag(lam) V^-1 - B||_1 against ||B||_1
         residual = np.matmul(V * lam, V_inv)
         residual -= self.B
-        error = np.abs(residual, out=residual).sum(axis=0).max()
-        del residual
-        if not error <= MODAL_BACKWARD_TOL * np.abs(self.B).sum(axis=0).max():
+        if not np.linalg.norm(residual, 1) <= MODAL_BACKWARD_TOL * np.linalg.norm(self.B, 1):
             return None
         # The twin repeats no construction check: it has the same A, and
         # rho(diag lam) is rho(B).
@@ -601,8 +597,9 @@ def k_step_operators(problem: LinearInverseProblem, k: int) -> KStepOperators:
     from T_1 = I, U_1 = H*H, X_1 = 0.  B^k comes from
     ``np.linalg.matrix_power``, not from the recurrence's B^j, which
     associates the products differently.  On a diagonal block
-    (``B_diag``) the same recurrences and the same binary powering run
-    elementwise in O(k n^2), and give the dense build's floats.  The
+    (``B_diag``) the same recurrences run elementwise in O(k n^2), with
+    lam^k from ``np.linalg.matrix_power``, and give the dense build's
+    floats.  The
     result is cached on the problem, so the sweeps, the certificate and
     the bounds read one object.
     """
@@ -661,17 +658,10 @@ def _diagonal_k_step(lam, H, k: int):
         U += HtH * lam_pow
         t = lam * t
         t += 1.0
-    # lam^k by the binary powering of np.linalg.matrix_power, so B^k is its
-    # diag(lam) power bit for bit: squares z = lam^(2^i), multiplied into
-    # the power from the lowest set bit of k up
-    power, z, bits = None, lam, k
-    while True:
-        bits, bit = divmod(bits, 2)
-        if bit:
-            power = z if power is None else power * z
-        if not bits:
-            return np.diag(t), np.asfortranarray(U), X, np.diag(power)
-        z = z * z
+    # lam^k as matrix_power's product of 1 x 1 matrices, so B^k is its
+    # diag(lam) power bit for bit
+    power = np.linalg.matrix_power(lam[:, None, None], k)[:, 0, 0]
+    return np.diag(t), np.asfortranarray(U), X, np.diag(power)
 
 
 def fixed_point_sweep(problem: LinearInverseProblem, state, sigma_new, g, k: int):
@@ -717,66 +707,34 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
     certificate applies.  u, p, sigma and an array g may be stacks of c
     columns, as in ``fixed_point_sweep``.  No input checks.
 
-    From k = 3 on, the k sweeps are applied in their closed form with the
-    cached k-step operators of the block,
-
-        u_k = B^k u_0 + T_k d,
-        p_k = (B*)^k p_0 + U_k u_0 + X_k d - T_k* H* g,   d = M sigma + F,
-
-    which equals the loop in exact arithmetic.  [T_k d; X_k d] is the
-    cached W sigma + c.  Up to k = 2 the loop stays, so two single sweeps
-    compose exactly into k = 2 and no operators are built.
-
-    A diagonal B (``B_diag``, as in a problem's ``modal_twin``) multiplies
-    elementwise.  Per block of width n, with m rows of H, a call costs
+    Up to k = 2 the sweeps run as this loop, so two single sweeps compose
+    exactly into k = 2 and no operators are built; from k = 3 on they go
+    to a ``KStepStack``, the closed form.  A diagonal B (``B_diag``, as in
+    a problem's ``modal_twin``) multiplies elementwise.  Per block of
+    width n, with m rows of H, a column costs
 
         dense B, loop          k (2 n^2 + 2 n m) + n n_sigma
         dense B, closed form   3 n^2 + n m + 2 n n_sigma
         diagonal B, loop       k (2 n + 2 n m) + n n_sigma
-        diagonal B, closed     n^2 + 2 n + n m + 2 n n_sigma
-        diagonal B, fused      n^2 + 3 n + 2 n n_sigma    (``DiagonalStack``)
+        diagonal B, closed     n^2 + 3 n + 2 n n_sigma, and n m once
 
     flops: the closed form beats k dense sweeps at every k >= 3 unless
     n_sigma exceeds 3 n + 5 m, and on a diagonal B only U_k is an n x n
-    product.  The fused stack forms each column's data term once, not
-    per call, and steps columns of different k together.  In the paper's
-    PDE setting B is applied, not stored, and the cost is counted in
-    sweeps; the closed form and the eigenbasis need B as a matrix.  The
-    trace's ``acc_inner`` keeps counting k sweeps per outer step either
-    way.
+    product.  In the paper's PDE setting B is applied, not stored, and the
+    cost is counted in sweeps; the closed form and the eigenbasis need B
+    as a matrix.  The trace's ``acc_inner`` keeps counting k sweeps per
+    outer step either way.
     """
-    B, H, n_blocks, diagonal = problem.B, problem.H, problem.n_blocks, problem.B_diag
-    data = np.ndim(g) > 0
+    if k >= CLOSED_FORM_K:
+        return KStepStack(problem, [k] * (len(u) if u.ndim == 2 else 1), g).sweep(u, p, sigma)
+    B, H, diagonal = problem.B, problem.H, problem.B_diag
     shape, n = np.shape(u), B.shape[0]
     # every block of every column is one row, so x @ T.T is kron(I, T) x
     u, p = u.reshape(-1, n), p.reshape(-1, n)
-    if data:
-        g = g.reshape(u.shape[0], -1)
-    if k >= 3:
-        try:
-            ops = problem._k_step[k]
-        except (AttributeError, KeyError):
-            ops = k_step_operators(problem, k)
-        drives = sigma @ ops.W.T
-        if data:
-            drives += ops.c
-        # T_k d and X_k d of every column, each as (c, n_blocks, n) views
-        T_drive, X_drive = drives.reshape(-1, 2, n_blocks, n).swapaxes(0, 1)
-        if diagonal is None:
-            u_k, p_k = u @ ops.Bk.T, p @ ops.Bk
-        else:
-            Bk = np.diagonal(ops.Bk)
-            u_k, p_k = u * Bk, p * Bk
-        p_k += u @ ops.U.T
-        u_k, p_k = u_k.reshape(T_drive.shape), p_k.reshape(T_drive.shape)
-        u_k += T_drive
-        p_k += X_drive
-        if data:
-            p_k -= (g @ ops.HT).reshape(T_drive.shape)
-        return u_k.reshape(shape), p_k.reshape(shape)
     drive = sigma @ problem._M_T
-    if data:
+    if np.ndim(g):
         drive += problem.F
+        g = g.reshape(u.shape[0], -1)
     drive, H_T = drive.reshape(u.shape), problem._H_T
     for _ in range(k):
         adjoint_drive = (u @ H_T - g) @ H
@@ -787,59 +745,99 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
     return u.reshape(shape), p.reshape(shape)
 
 
-class DiagonalStack:
-    """k >= 3 sweeps of a stack of columns on a diagonal block, in closed form,
-    each column with its own k and data.
+class KStepStack:
+    """k >= 3 sweeps of a stack of columns in closed form, each column with
+    its own k and data: the one closed form of the k-step update.
 
-    On B = diag(lam), T_k = diag(t_k) and B^k = diag(lam^k), so the closed
-    form of ``sweeps`` reads, blockwise and with o the elementwise product,
+    ``ks`` is the k of every column, sorted, and g the (c, n_g) data, or
+    the scalar 0.0 for the linear part (no F, no data), as in ``sweeps``.
+    With the k-step operators of the block, from the problem's cache, the
+    k sweeps read, blockwise,
 
-        u_k = lam^k o u_0 + t_k o d,                      d = M sigma + F,
+        u_k = B^k u_0 + T_k d,
+        p_k = (B*)^k p_0 + U_k u_0 + X_k d - T_k* H* g,   d = M sigma + F,
+
+    which equals the loop in exact arithmetic.  On a dense block each run
+    of equal k takes three block products, with [T_k d; X_k d] the cached
+    W sigma + c and T_k* H* g the product g H T_k.  On B = diag(lam),
+    T_k = diag(t_k) and B^k = diag(lam^k), so the form reads, with o the
+    elementwise product,
+
+        u_k = lam^k o u_0 + t_k o d,
         p_k = lam^k o p_0 + (X_k F - t_k o H* g) + U_k u_0 + X_k M sigma.
 
     lam^k, t_k and the bracket are constant per column: they are formed
     once, as stacks over the columns and blocks (lam^k and t_k, equal in
     every block, broadcast over them), so u_k and the first two terms of
     p_k are elementwise operations over the whole stack, after one product
-    M sigma for all of it.  Only U_k u_0 and X_k M sigma are
-    products per k, one each on the rows of that k.  ``ks`` is the k of
-    every row, sorted, and g the (c, n_g) data.  The k-step operators come
-    from the problem's cache.  It equals ``sweeps`` in exact arithmetic.
+    M sigma for all of it.  Only U_k u_0 and X_k M sigma are products per
+    k, one each on the columns of that k.
     """
 
     def __init__(self, problem: LinearInverseProblem, ks, g):
-        self.problem, self.ks = problem, list(ks)
-        n_u, n_blocks = problem.n_u, problem.n_blocks
-        ops = {k: k_step_operators(problem, k) for k in self.ks}
-        self.slices, lo = [], 0  # (ops, lo, hi) of every run of equal k
-        for k in sorted(ops):
-            hi = lo + self.ks.count(k)
-            self.slices.append((ops[k], lo, hi))
-            lo = hi
-        rows = [ops[k] for k in self.ks]
+        # the scalar 0.0 has no ndim: np.ndim would wrap it in an array
+        self.problem, self.ks, self.g, self.data = problem, ks, g, getattr(g, "ndim", 0) > 0
+        cache = problem.__dict__.get("_k_step", {})
+        self.runs, hi = [], 0  # (ops, lo, hi) of every run of equal k
+        for k in dict.fromkeys(ks):
+            lo, hi = hi, hi + ks.count(k)
+            self.runs.append((cache.get(k) or k_step_operators(problem, k), lo, hi))
+        if problem.B_diag is None:
+            return
+        rows = [ops for ops, lo, hi in self.runs for _ in range(lo, hi)]
         # (c, n_blocks, n) views of (c, n_u) stacks, and (c, 1, n) vectors
-        self.shape = (len(rows), n_blocks, problem.B.shape[0])
+        self.shape = (len(ks), problem.n_blocks, problem.B.shape[0])
         self.lam_k = np.array([np.diagonal(o.Bk) for o in rows])[:, None]
         self.t_k = np.array([np.diagonal(o.T) for o in rows])[:, None]
-        data = (g.reshape(-1, problem.H.shape[0]) @ problem.H).reshape(self.shape)
-        self.offset = np.array([o.c[n_u:] for o in rows]).reshape(self.shape) - self.t_k * data
+        if self.data:
+            data = (g.reshape(-1, problem.H.shape[0]) @ problem.H).reshape(self.shape)
+            self.offset = np.array([o.c[problem.n_u:] for o in rows]).reshape(
+                self.shape) - self.t_k * data
 
     def sweep(self, u, p, sigma):
-        """(u_k, p_k) of every row, from (c, n_u) u and p and (c, n_sigma) sigma."""
-        c, _, n = self.shape
-        d = sigma @ self.problem._M_T
-        d += self.problem.F
-        d = d.reshape(self.shape)
-        d *= self.t_k
-        u_k = self.lam_k * u.reshape(self.shape)
-        u_k += d
-        p_k = self.lam_k * p.reshape(self.shape)
-        p_k += self.offset
-        u_k, p_k = u_k.reshape(c, -1), p_k.reshape(c, -1)
-        for ops, lo, hi in self.slices:
-            p_k[lo:hi] += (u[lo:hi].reshape(-1, n) @ ops.U.T).reshape(hi - lo, -1)
-            p_k[lo:hi] += sigma[lo:hi] @ ops.W.T[:, -p_k.shape[1]:]
-        return u_k, p_k
+        """(u_k, p_k) of every column, shaped like u, from (c, n_u) u and p
+        and (c, n_sigma) sigma; a stack of one may also be given as vectors."""
+        problem, shape = self.problem, u.shape
+        if problem.B_diag is not None:
+            c, _, n = self.shape
+            u, sigma = u.reshape(self.shape), sigma.reshape(c, -1)
+            d = sigma @ problem._M_T
+            if self.data:
+                d += problem.F
+            d = d.reshape(self.shape)
+            d *= self.t_k
+            u_k = self.lam_k * u
+            u_k += d
+            p_k = self.lam_k * p.reshape(self.shape)
+            if self.data:
+                p_k += self.offset
+            rows = p_k.reshape(c, -1)
+            for ops, lo, hi in self.runs:
+                rows[lo:hi] += (u[lo:hi].reshape(-1, n) @ ops.U.T).reshape(hi - lo, -1)
+                rows[lo:hi] += sigma[lo:hi] @ ops.W.T[:, -rows.shape[1]:]
+            return u_k.reshape(shape), p_k.reshape(shape)
+        if len(self.runs) > 1:
+            # on a dense block every run of equal k is a stack of its own
+            parts = [KStepStack(problem, self.ks[lo:hi], self.g[lo:hi] if self.data else 0.0)
+                     .sweep(u[lo:hi], p[lo:hi], sigma[lo:hi]) for _, lo, hi in self.runs]
+            return tuple(map(np.concatenate, zip(*parts)))
+        ops, n = self.runs[0][0], problem.B.shape[0]
+        # every block of every column is one row, so x @ T.T is kron(I, T) x
+        u, p = u.reshape(-1, n), p.reshape(-1, n)
+        drives = sigma @ ops.W.T
+        if self.data:
+            drives += ops.c
+        # T_k d and X_k d of every column, each as a (c, n_blocks, n) view
+        drives = drives.reshape(-1, 2, problem.n_blocks, n)
+        T_drive, X_drive = drives[:, 0], drives[:, 1]
+        u_k, p_k = u @ ops.Bk.T, p @ ops.Bk
+        p_k += u @ ops.U.T
+        u_k, p_k = u_k.reshape(T_drive.shape), p_k.reshape(T_drive.shape)
+        u_k += T_drive
+        p_k += X_drive
+        if self.data:
+            p_k -= (self.g.reshape(u.shape[0], -1) @ ops.HT).reshape(T_drive.shape)
+        return u_k.reshape(shape), p_k.reshape(shape)
 
 
 def row_dots(x) -> np.ndarray:

@@ -13,15 +13,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oneshot import (IterationState, LinearInverseProblem, Objective, ProblemAssumptionError,
-                     RunConfig, RunStatus, SchemeKind, cost, fixed_point_sweep, run, run_columns,
-                     step)
+from oneshot import (IterationState, Objective, ProblemAssumptionError, RunConfig, RunStatus,
+                     SchemeKind, cost, fixed_point_sweep, run, run_columns, step)
 from oneshot import descent
 from oneshot.descent import (DIVERGENCE_GUARD, ConvergenceTrace, TraceRecord, format_trace_csv,
                              iter_columns)
-from oneshot.problem import DiagonalStack, sweeps
+from oneshot.problem import KStepStack
 from conftest import make_problem, spy
 from test_modal import record_sweep_problems, similar_to_diagonal
+from test_problem import loop_sweeps
 
 #: Agreement asked of a batch column with its oracle, relative: the stacked
 #: products round differently from the single ones.
@@ -248,7 +248,7 @@ class TestNonFiniteStart:
 
 class TestStackedSweep:
     @pytest.mark.parametrize("kind", ["twin", "dense"])
-    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
     def test_a_stack_sweeps_each_column(self, kind, k):
         problem = problem_of(kind)
         if kind == "twin":
@@ -260,30 +260,30 @@ class TestStackedSweep:
         u_k, p_k = fixed_point_sweep(problem, SimpleNamespace(u=u, p=p), sigma, g, k)
         assert u_k.shape == p_k.shape == (c, problem.n_u)
         for i in range(c):
-            column = IterationState(sigma[i], u[i], p[i])
-            u_i, p_i = fixed_point_sweep(problem, column, sigma[i], g[i], k)
+            u_i, p_i = loop_sweeps(problem, u[i], p[i], problem.M @ sigma[i] + problem.F, g[i],
+                                   k)
             assert rel_close(u_k[i], u_i, 1e-13) and rel_close(p_k[i], p_i, 1e-13)
 
     @pytest.mark.parametrize("kind", ["twin", "dense"])
-    def test_a_diagonal_stack_sweeps_each_column(self, kind):
-        # a diagonal block: the twin's, or the dense problem's B with its
-        # off-diagonal entries dropped
+    @pytest.mark.parametrize("data", ["array", "zero"])
+    def test_a_k_step_stack_sweeps_each_column(self, kind, data):
+        # the twin's diagonal block takes the fused elementwise form, the
+        # dense block three products per run of equal k
         problem = problem_of(kind)
         if kind == "twin":
             problem = problem.modal_twin().problem
-        else:
-            problem = LinearInverseProblem(np.diag(np.diagonal(problem.B)), problem.M,
-                                           problem.H, problem.F)
         rng = np.random.default_rng(9)
         ks = [3, 3, 4, 10, 10]
         c = len(ks)
         u, p = rng.standard_normal((c, problem.n_u)), rng.standard_normal((c, problem.n_u))
         sigma, g = rng.standard_normal((c, problem.n_sigma)), rng.standard_normal((c, problem.n_g))
+        source = problem.F if data == "array" else 0.0
         for rows in (list(range(c)), [1, 2, 4]):
-            stack = DiagonalStack(problem, [ks[i] for i in rows], g[rows])
+            stack = KStepStack(problem, [ks[i] for i in rows], g[rows] if data == "array" else 0.0)
             u_k, p_k = stack.sweep(u[rows], p[rows], sigma[rows])
             for pos, i in enumerate(rows):
-                u_i, p_i = sweeps(problem, u[i], p[i], sigma[i], g[i], ks[i])
+                u_i, p_i = loop_sweeps(problem, u[i], p[i], problem.M @ sigma[i] + source,
+                                       g[i] if data == "array" else 0.0, ks[i])
                 assert rel_close(u_k[pos], u_i, 1e-13) and rel_close(p_k[pos], p_i, 1e-13)
 
     @pytest.mark.parametrize("u_rows, sigma_shape, g_rows, expected", [

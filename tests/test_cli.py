@@ -1,7 +1,10 @@
+import errno
+import io
 import math
 import os
 import re
 import shutil
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -80,6 +83,30 @@ class TestRunAndSweep:
                      str(tmp_path / "out"), "--quiet"])
         assert code == 0
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_closed_stdout_stops_progress_but_not_the_run(self, tmp_path, monkeypatch, capsys):
+        # stdout read by a pipe whose reader has gone (oneshot run | head -n 1);
+        # its descriptor is a scratch file's, which the run points at os.devnull
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return scratch.fileno()
+
+        spec = tmp_path / "exp.cfg"
+        spec.write_text(TINY_SPEC)
+        assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "quiet"),
+                     "--quiet"]) == 0
+        with open(tmp_path / "stdout", "w") as scratch:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "piped")]) == 0
+        assert capsys.readouterr().err == ""
+        names = sorted(os.listdir(tmp_path / "quiet"))
+        assert names == sorted(os.listdir(tmp_path / "piped")) and "summary.csv" in names
+        for name in names:
+            assert (tmp_path / "piped" / name).read_bytes() == \
+                (tmp_path / "quiet" / name).read_bytes()
 
     def test_missing_spec_file_is_usage_error(self, tmp_path):
         code = main(["run", "--spec", str(tmp_path / "nope.cfg"), "--quiet"])

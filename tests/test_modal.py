@@ -59,8 +59,8 @@ def objective(request, cavity):
 
 def record_sweep_problems(monkeypatch):
     """The problem of every sweep the run loop makes: each ``fixed_point_sweep``
-    call, and each step of a ``DiagonalStack``."""
-    seen, real, real_stack = [], descent.fixed_point_sweep, descent.DiagonalStack.sweep
+    call, and each step of a ``KStepStack``."""
+    seen, real, real_stack = [], descent.fixed_point_sweep, descent.KStepStack.sweep
 
     def recording(sweep_problem, *args):
         seen.append(sweep_problem)
@@ -71,7 +71,7 @@ def record_sweep_problems(monkeypatch):
         return real_stack(stack, *args)
 
     monkeypatch.setattr(descent, "fixed_point_sweep", recording)
-    monkeypatch.setattr(descent.DiagonalStack, "sweep", recording_stack)
+    monkeypatch.setattr(descent.KStepStack, "sweep", recording_stack)
     return seen
 
 
@@ -103,9 +103,11 @@ class TestTwin:
         u, p = rng.standard_normal(problem.n_u), rng.standard_normal(problem.n_u)
         sigma = rng.standard_normal(problem.n_sigma)
         g = rng.standard_normal(problem.n_g) if data == "array" else 0.0
-        for k in (1, 2, 3, 10):
+        drive = problem.M @ sigma + (problem.F if data == "array" else 0.0)
+        for k in (1, 2, 3, 4, 10):
             modal = sweeps(twin.problem, *twin.to_modal(u, p), sigma, g, k)
-            for ours, oracle in zip(twin.from_modal(*modal), sweeps(problem, u, p, sigma, g, k)):
+            for ours, oracle in zip(twin.from_modal(*modal),
+                                    loop_sweeps(problem, u, p, drive, g, k)):
                 assert rel_close(ours, oracle)
 
     def test_coordinates_round_trip(self, objective):
@@ -146,7 +148,8 @@ class TestTwin:
         assert seen and all(p is problem for p in seen)
 
     def test_indefinite_symmetrizer_gives_no_twin(self):
-        # -P B is symmetric too, but -P has no Cholesky factor
+        # -P B is symmetric too, but the generalized eigensolve needs a
+        # positive definite symmetrizer, and -P is negative definite
         problem = similar_to_diagonal(80)
         flipped = LinearInverseProblem(problem.B, problem.M, problem.H, problem.F,
                                        n_blocks=problem.n_blocks,
@@ -231,7 +234,7 @@ class TestRunOnTwin:
         assert ours.records[-1].n == oracle.records[-1].n
 
     def test_one_shot_runs_step_the_twin(self, objective, monkeypatch):
-        # k = 2 sweeps through fixed_point_sweep, k = 3 as a DiagonalStack
+        # k = 2 sweeps through fixed_point_sweep, k = 3 as a KStepStack
         problem = objective.problem
         seen = record_sweep_problems(monkeypatch)
         for k in (2, 3):

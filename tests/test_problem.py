@@ -570,9 +570,10 @@ class TestBlockStorage:
         rng = np.random.default_rng(43)
         state = IterationState(sigma, rng.standard_normal(dense.n_u),
                                rng.standard_normal(dense.n_u))
-        for k in (1, 2, 3, 10):
+        drive = dense.M @ (0.5 * sigma) + dense.F
+        for k in (1, 2, 3, 4, 10):
             for ours, oracle in zip(fixed_point_sweep(block, state, 0.5 * sigma, g, k),
-                                    fixed_point_sweep(dense, state, 0.5 * sigma, g, k)):
+                                    loop_sweeps(dense, state.u, state.p, drive, g, k)):
                 assert_rel(ours, oracle)
 
     @pytest.mark.parametrize("op", [lambda p: p.B, lambda p: p.B.T,
@@ -626,9 +627,10 @@ class TestBlockStorage:
         block, dense, _, sigma = twins
         rng = np.random.default_rng(48)
         u, p = rng.standard_normal(dense.n_u), rng.standard_normal(dense.n_u)
-        for ours, oracle in zip(sweeps(block, u, p, sigma, 0.0, 3),
-                                sweeps(dense, u, p, sigma, 0.0, 3)):
-            assert_rel(ours, oracle)
+        for k in (3, 4, 10):
+            for ours, oracle in zip(sweeps(block, u, p, sigma, 0.0, k),
+                                    loop_sweeps(dense, u, p, dense.M @ sigma, 0.0, k)):
+                assert_rel(ours, oracle)
 
     def test_objective_and_reduced_operator(self, twins):
         block, dense, g, sigma = twins
