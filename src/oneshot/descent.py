@@ -49,10 +49,12 @@ and the final u and p come back, while sigma, and so every trace row,
 stays that of the problem.
 
 At alpha = 0 the explicit and implicit updates coincide exactly.
-The run loop records one trace row per outer iteration and stops on an
-iteration cap, a cost tolerance, a relative step tolerance, or a
-divergence guard; divergence is an outcome, not an error, so parameter
-sweeps can record both.
+The run loop records one trace row per outer iteration.  Its stop rules
+are written once, in ``iter_columns``, as masks over the running rows; a
+column that several rules stop on the same step takes the first of
+``_STOP_RULES``: the divergence guard, the cost tolerance, the relative
+step tolerance, the iteration cap.  Divergence is an outcome, not an
+error, so parameter sweeps can record both.
 """
 
 from __future__ import annotations
@@ -106,6 +108,13 @@ class RunStatus(str, enum.Enum):
     TOL_COST = "tol_cost"
     TOL_STEP = "tol_step"
     DIVERGED = "diverged"
+
+
+#: The status each stop rule gives, in order of precedence: a non-finite
+#: sigma, u or p (recorded as a guard row), a cost above DIVERGENCE_GUARD
+#: or NaN, the cost tolerance, the step tolerance, the iteration cap.
+_STOP_RULES = (RunStatus.DIVERGED, RunStatus.DIVERGED, RunStatus.TOL_COST,
+               RunStatus.TOL_STEP, RunStatus.MAX_OUTER)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,9 +287,13 @@ def run_columns(columns) -> list[ConvergenceTrace]:
     ``fixed_point_sweep`` call per k on the rows of each k <= 2, and one
     ``KStepStack`` step for all the rows with k >= 3.
 
-    Stop conditions, checked per column in this order after every step:
-    divergence guard (non-finite iterates or cost above 1e12), cost
-    tolerance, relative step tolerance, iteration cap.  Every trace
+    After every step, ``iter_columns`` forms each stop rule once, as a
+    mask over the running rows, and a column that several rules stop takes
+    the first in this order: a non-finite sigma, u or p (diverged, with a
+    last row of infinite cost), a cost above ``DIVERGENCE_GUARD`` or NaN
+    (diverged), the cost tolerance, the relative step tolerance
+    ||sigma^n - sigma^(n-1)|| <= tol_step (1 + ||sigma^(n-1)||), armed at
+    n >= 2 when tol_step > 0, and the iteration cap.  Every trace
     contains a record for n = 0 (the starting point).  The loop computes
     every cost, which the stop rules read, and keeps the sigma rows; the
     gradient norms and relative errors of all rows come after the loop,
@@ -335,7 +348,8 @@ def iter_columns(columns):
                                                     objectives[i].alpha) for i in ids]).T
     tau_alpha, shrink = tau_alpha[:, None], shrink[:, None]
     half_alpha = np.array([0.5 * objectives[i].alpha for i in ids])
-    tol_cost = np.array([configs[i].tol_cost for i in ids])
+    tol_cost, tol_step, max_outer = (np.array([getattr(configs[i], name) for i in ids])
+                                     for name in ("tol_cost", "tol_step", "max_outer"))
     thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids[n_gd:]], G)
     references = {}
     for o in objectives:
@@ -357,10 +371,8 @@ def iter_columns(columns):
     blocks = [(0, ids, np.empty((LOG_STEPS, len(ids), problem.n_sigma + 1)))]
     slots = range(len(ids))
     blocks[0][2][0, :, :-1], blocks[0][2][0, :, -1] = S, J
-    ends, finals = {}, {}
-    soonest_cap = min(c.max_outer for c in configs)
-    step_rule = any(c.tol_step > 0 for c in configs)
-    for n in range(1, max(c.max_outer for c in configs) + 1):
+    ends, finals, step_rule = {}, {}, tol_step.any()
+    for n in range(1, int(max_outer.max()) + 1):
         prev = S
         S = _next_sigma(S, np.concatenate((R[:n_gd] @ A, P @ M)), tau, tau_alpha, shrink)
         # each group of rows sweeps from its own rows of U and P, so its
@@ -380,34 +392,43 @@ def iter_columns(columns):
             slots = range(len(ids))
         rows = blocks[-1][2][n % LOG_STEPS]
         rows[slots, :-1], rows[slots, -1] = S, J
-        # a finite cost within the tolerances means a finite sigma
-        if n < soonest_cap and not (step_rule and n >= 2) and (tol_cost < J).all() \
-                and (J <= DIVERGENCE_GUARD).all() and np.isfinite(U).all() \
-                and np.isfinite(P).all():
+        # the stop rules as masks over the running rows; the step rule arms
+        # at n >= 2, since a one-shot row started from the default p0 = 0
+        # keeps its sigma on the first step
+        diverged = ~(J <= DIVERGENCE_GUARD)
+        converged = J <= tol_cost
+        stalled = n >= 2 and step_rule and (tol_step > 0) & (
+            np.sqrt(row_dots(S - prev)) <= tol_step * (1.0 + np.sqrt(row_dots(prev))))
+        capped = max_outer == n
+        # a finite cost within the guard means a finite sigma
+        if not np.count_nonzero(diverged | converged | stalled | capped) \
+                and np.isfinite(U).all() and np.isfinite(P).all():
             continue
         finite = np.isfinite(S).all(1)
         finite[n_gd:] &= np.isfinite(U).all(1) & np.isfinite(P).all(1)
-        keep = []
-        for pos, (i, j, row_finite) in enumerate(zip(ids, J.tolist(), finite.tolist())):
-            status, guard_row = _stop_status(configs[i], n, j, row_finite, S[pos], prev[pos])
-            if status is None:
-                keep.append(pos)
-            else:
-                ends[i] = (status, n, guard_row)
-                # copies: the next steps overwrite U and P in place
-                finals[i] = (S[pos], U[pos - n_gd].copy(), P[pos - n_gd].copy()) \
-                    if pos >= n_gd else (S[pos], *carried[i])
-        if len(keep) < len(ids):
-            if not keep:
-                break
-            one_shot_keep = [pos - n_gd for pos in keep if pos >= n_gd]
-            n_gd = len(keep) - len(one_shot_keep)
-            ids, slots = [ids[pos] for pos in keep], [slots[pos] for pos in keep]
-            S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost = (
-                x[keep] for x in (S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost))
-            U, P, G = (x[one_shot_keep] for x in (U, P, G))
-            thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids[n_gd:]], G)
-            soonest_cap = min(configs[i].max_outer for i in ids)
+        # the first rule that holds on each row, in the order of _STOP_RULES,
+        # or -1: written from the last rule to the first
+        rule = np.full(len(J), -1)
+        for r, mask in reversed(tuple(enumerate((~finite, diverged, converged, stalled, capped)))):
+            rule[mask] = r
+        stops = np.flatnonzero(rule >= 0)
+        for pos, r in zip(stops.tolist(), rule[stops].tolist()):
+            i = ids[pos]
+            ends[i] = (_STOP_RULES[r], n, r == 0)
+            # copies: the next steps overwrite U and P in place
+            finals[i] = (S[pos], U[pos - n_gd].copy(), P[pos - n_gd].copy()) \
+                if pos >= n_gd else (S[pos], *carried[i])
+        keep = np.flatnonzero(rule < 0)
+        if not len(keep):
+            break
+        one_shot_keep = keep[keep >= n_gd] - n_gd
+        n_gd = len(keep) - len(one_shot_keep)
+        ids, slots = [ids[pos] for pos in keep], [slots[pos] for pos in keep]
+        S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost, tol_step, max_outer = (
+            x[keep] for x in (S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost,
+                              tol_step, max_outer))
+        U, P, G = (x[one_shot_keep] for x in (U, P, G))
+        thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids[n_gd:]], G)
 
     logged = {}  # the rows of each column, block by block
     for first, block_ids, rows in blocks:
@@ -447,26 +468,6 @@ def _sweep_plan(sweep_problem, ks, G):
     lo = sum(k < CLOSED_FORM_K for k in ks)
     thin = [(k, ks.index(k), ks.index(k) + ks.count(k)) for k in sorted(set(ks[:lo]))]
     return thin, KStepStack(sweep_problem, ks[lo:], G[lo:]) if lo < len(ks) else None
-
-
-def _stop_status(config: RunConfig, n: int, j: float, finite: bool, sigma, prev_sigma):
-    """(status, guard_row) of a column after step n with cost j, or (None, False)
-    if it runs on; ``finite`` says whether its sigma, u and p are finite."""
-    if not finite:
-        return RunStatus.DIVERGED, True
-    if not j <= DIVERGENCE_GUARD:
-        return RunStatus.DIVERGED, False
-    if j <= config.tol_cost:
-        return RunStatus.TOL_COST, False
-    # The step test arms at n >= 2: a one-shot scheme started from the
-    # default p^0 = 0 leaves sigma unchanged on its very first update.
-    if n >= 2 and config.tol_step > 0:
-        step_size = float(np.linalg.norm(sigma - prev_sigma))
-        if step_size <= config.tol_step * (1.0 + float(np.linalg.norm(prev_sigma))):
-            return RunStatus.TOL_STEP, False
-    if n == config.max_outer:
-        return RunStatus.MAX_OUTER, False
-    return None, False
 
 
 def _records(objective: Objective, reference, sigma_rows, cost_rows, walls,

@@ -732,7 +732,7 @@ def sweeps(problem: LinearInverseProblem, u, p, sigma, g, k: int):
     # every block of every column is one row, so x @ T.T is kron(I, T) x
     u, p = u.reshape(-1, n), p.reshape(-1, n)
     drive = sigma @ problem._M_T
-    if np.ndim(g):
+    if getattr(g, "ndim", 0):
         drive += problem.F
         g = g.reshape(u.shape[0], -1)
     drive, H_T = drive.reshape(u.shape), problem._H_T

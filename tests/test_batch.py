@@ -8,6 +8,7 @@ mixed batch is checked against each column's batch of one.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,9 +118,14 @@ class TestRunColumns:
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     def test_every_column_matches_its_oracle(self, kind, k, scheme):
         columns = columns_ending_four_ways(problem_of(kind), scheme, k)
+        # the tol_cost and tol_step columns again, capped at the step they
+        # stop on: a tolerance met on the cap step wins over the cap
+        columns += [(objective, replace(config, max_outer=oracle(objective, config)[1]))
+                    for objective, config in columns[1:3]]
         traces = run_columns(columns)
         assert [t.status for t in traces] == [RunStatus.DIVERGED, RunStatus.TOL_COST,
-                                              RunStatus.TOL_STEP, RunStatus.MAX_OUTER]
+                                              RunStatus.TOL_STEP, RunStatus.MAX_OUTER,
+                                              RunStatus.TOL_COST, RunStatus.TOL_STEP]
         for (objective, config), trace in zip(columns, traces):
             status, n_outer, sigma = oracle(objective, config)
             assert trace.status is status
