@@ -32,15 +32,16 @@ with alpha_explicit = alpha and shrink = 1 on an explicit row,
 alpha_explicit = 0 and shrink = 1 + tau alpha on an implicit one.
 ``run`` is a batch of one, and ``iter_columns`` yields a batch's traces
 one at a time, each formed as it is taken.  The loop checks every start
-once, carries plain arrays and logs the sigma and cost rows in blocks of
-``LOG_STEPS`` steps; ``step`` applies the same products to a stack of one
-and checks its state.  Each step forms the cost of every running column
-from one residual stack sigma A* - g_tilde, which the stop rules read and
-gradient descent reuses as its A* (A sigma - g_tilde); the gradient norms
-and sigma errors of the trace come after the loop.  The one-shot rows
-with k <= 2 sweep through ``fixed_point_sweep``, once per step and k for
-the rows of that k; the rows with k >= 3 step together in the closed
-form, as one ``KStepStack`` whatever their k.  One-shot rows on a
+once, carries plain arrays and logs the sigma and cost rows in one array
+indexed by column and step, which doubles its steps when full; ``step``
+applies the same products to a stack of one and checks its state.  Each
+step forms the cost of every running column from one residual stack
+sigma A* - g_tilde, which the stop rules read and gradient descent
+reuses as its A* (A sigma - g_tilde); the gradient norms and sigma errors
+of the trace come after the loop.  The one-shot rows with k <= 2 sweep
+through ``fixed_point_sweep``, once per step and k for the rows of that
+k; the rows with k >= 3 step together in the closed form, as one
+``KStepStack`` whatever their k.  One-shot rows on a
 problem with a ``modal_twin`` (a cavity, whose ``symmetrizer`` gives the
 eigenbasis of B from one generalized symmetric eigensolve) step the
 twin, built once per problem, where a sweep multiplies by the
@@ -78,12 +79,6 @@ DIVERGENCE_GUARD = 1e12
 #: Trace rows per stacked product when the gradient norms and errors are
 #: computed after the loop; it bounds the (rows, n_g) residual temporary.
 ROWS_PER_PRODUCT = 64
-
-#: Steps per block of the run loop's log of sigma and cost rows.  The log
-#: grows by a block at a time, not by one small array per step, whose
-#: long-lived allocations would split the stacks freed at each step and
-#: keep the heap they leave from being reused.
-LOG_STEPS = 64
 
 
 class SchemeKind(str, enum.Enum):
@@ -295,12 +290,17 @@ def run_columns(columns) -> list[ConvergenceTrace]:
     ||sigma^n - sigma^(n-1)|| <= tol_step (1 + ||sigma^(n-1)||), armed at
     n >= 2 when tol_step > 0, and the iteration cap.  Every trace
     contains a record for n = 0 (the starting point).  The loop computes
-    every cost, which the stop rules read, and keeps the sigma rows; the
+    every cost, which the stop rules read, and logs each column's sigma and
+    cost at each step in one array indexed by column and step, whose steps
+    double when it fills, up to the longest cap still running, so a large
+    ``max_outer`` reserves nothing up front; a column's trace reads its own
+    contiguous run of that log.  The
     gradient norms and relative errors of all rows come after the loop,
     from stacked products of up to ``ROWS_PER_PRODUCT`` rows, formed row by
-    row as ``gradient`` forms them.  A gradient-descent column's final state holds the exact u
-    and p at its final sigma, unless that sigma is non-finite or too large
-    for the state solve.
+    row as ``gradient`` forms them.  A gradient-descent column carries its
+    start u and p, and its final state holds the exact u and p at its final
+    sigma, unless that sigma is non-finite or too large for the state
+    solve.
 
     One-shot columns on a problem with a ``modal_twin`` step the twin: u0
     and p0 go into its coordinates once, and the final u and p come back.
@@ -328,7 +328,7 @@ def iter_columns(columns):
 
     # the k of every row, 0 for gradient descent; ids is the column of each row
     row_k = [c.k if c.scheme.is_one_shot else 0 for c in configs]
-    ids = sorted(range(len(columns)), key=row_k.__getitem__)
+    ids = np.argsort(row_k, kind="stable")
     n_gd = row_k.count(0)
     twin = problem.modal_twin() if n_gd < len(columns) else None
     sweep_problem = problem if twin is None else twin.problem
@@ -338,9 +338,9 @@ def iter_columns(columns):
     P = np.array([starts[i].p for i in ids[n_gd:]]).reshape(-1, problem.n_u)
     if twin is not None:
         U, P = twin.to_modal(U, P)
-    # a gradient-descent row carries its start u and p unchanged
-    carried = {i: (starts[i].u, starts[i].p) for i in ids[:n_gd]}
-    del starts
+    # a gradient-descent row carries its start u and p unchanged: only those
+    # starts stay
+    starts = {i: starts[i] for i in ids[:n_gd].tolist()}
     G = np.array([objectives[i].g for i in ids[n_gd:]]).reshape(-1, problem.n_g)
     G_tilde = np.array([objectives[i].shifted_data() for i in ids])
     tau = np.array([configs[i].tau for i in ids])[:, None]
@@ -364,14 +364,12 @@ def iter_columns(columns):
     R = S @ A_T - G_tilde
     J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
     walls = [(time.perf_counter() - t0) * 1e3]
-    # the [sigma, cost] rows of every step, in blocks of (first step, ids,
-    # rows) with rows[n - first, slot] the row of column ids[slot]; a block
-    # holds the columns running at its first step, and slots[pos] is the
-    # slot of row pos of the stack in the last block
-    blocks = [(0, ids, np.empty((LOG_STEPS, len(ids), problem.n_sigma + 1)))]
-    slots = range(len(ids))
-    blocks[0][2][0, :, :-1], blocks[0][2][0, :, -1] = S, J
-    ends, finals, step_rule = {}, {}, tol_step.any()
+    # log[i, n] is the [sigma, cost] row of column i at step n; the log
+    # doubles its steps when full, up to the longest cap still running, so a
+    # large max_outer reserves nothing up front
+    log = np.empty((len(columns), 1, problem.n_sigma + 1))
+    log[ids, 0, :-1], log[ids, 0, -1] = S, J
+    ends, step_rule = {}, tol_step.any()
     for n in range(1, int(max_outer.max()) + 1):
         prev = S
         S = _next_sigma(S, np.concatenate((R[:n_gd] @ A, P @ M)), tau, tau_alpha, shrink)
@@ -387,11 +385,11 @@ def iter_columns(columns):
         R = S @ A_T - G_tilde
         J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
         walls.append((time.perf_counter() - t0) * 1e3)
-        if n % LOG_STEPS == 0:
-            blocks.append((n, ids, np.empty((LOG_STEPS, len(ids), problem.n_sigma + 1))))
-            slots = range(len(ids))
-        rows = blocks[-1][2][n % LOG_STEPS]
-        rows[slots, :-1], rows[slots, -1] = S, J
+        if n == log.shape[1]:
+            grown = np.empty((len(log), min(2 * n, max_outer.max() + 1), log.shape[2]))
+            grown[:, :n] = log
+            log = grown
+        log[ids, n, :-1], log[ids, n, -1] = S, J
         # the stop rules as masks over the running rows; the step rule arms
         # at n >= 2, since a one-shot row started from the default p0 = 0
         # keeps its sigma on the first step
@@ -412,33 +410,27 @@ def iter_columns(columns):
         for r, mask in reversed(tuple(enumerate((~finite, diverged, converged, stalled, capped)))):
             rule[mask] = r
         stops = np.flatnonzero(rule >= 0)
-        for pos, r in zip(stops.tolist(), rule[stops].tolist()):
-            i = ids[pos]
-            ends[i] = (_STOP_RULES[r], n, r == 0)
+        for pos, i, r in zip(stops.tolist(), ids[stops].tolist(), rule[stops].tolist()):
             # copies: the next steps overwrite U and P in place
-            finals[i] = (S[pos], U[pos - n_gd].copy(), P[pos - n_gd].copy()) \
-                if pos >= n_gd else (S[pos], *carried[i])
+            u, p = (U[pos - n_gd].copy(), P[pos - n_gd].copy()) if pos >= n_gd \
+                else (starts[i].u, starts[i].p)
+            ends[i] = (_STOP_RULES[r], n, r == 0, S[pos], u, p)
         keep = np.flatnonzero(rule < 0)
         if not len(keep):
             break
         one_shot_keep = keep[keep >= n_gd] - n_gd
         n_gd = len(keep) - len(one_shot_keep)
-        ids, slots = [ids[pos] for pos in keep], [slots[pos] for pos in keep]
-        S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost, tol_step, max_outer = (
-            x[keep] for x in (S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost,
+        ids, S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost, tol_step, max_outer = (
+            x[keep] for x in (ids, S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost,
                               tol_step, max_outer))
         U, P, G = (x[one_shot_keep] for x in (U, P, G))
         thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids[n_gd:]], G)
 
-    logged = {}  # the rows of each column, block by block
-    for first, block_ids, rows in blocks:
-        for slot, i in enumerate(block_ids):
-            logged.setdefault(i, []).append(rows[:n + 1 - first, slot])
     for i, (objective, config) in enumerate(columns):
-        status, n_end, guard_row = ends[i]
+        status, n_end, guard_row, sigma, u, p = ends.pop(i)
         count = n_end + 1 - guard_row
         inner_per_outer = row_k[i] or 1
-        rows = np.concatenate(logged.pop(i))[:count]
+        rows = log[i, :count]
         trace = ConvergenceTrace(scheme=config.scheme, tau=config.tau, k=inner_per_outer)
         trace.records = _records(objective, references[id(objective)], rows[:, :-1],
                                  rows[:, -1].tolist(), walls, inner_per_outer)
@@ -446,7 +438,6 @@ def iter_columns(columns):
             # the iterate itself is unusable, so the row records no finite cost
             trace.records.append(TraceRecord(n_end, math.inf, math.inf, None,
                                              inner_per_outer * n_end, walls[n_end]))
-        sigma, u, p = finals.pop(i)
         if twin is not None and row_k[i]:
             u, p = twin.from_modal(u, p)
         elif not row_k[i] and np.isfinite(sigma).all():

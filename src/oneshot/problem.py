@@ -677,8 +677,8 @@ def fixed_point_sweep(problem: LinearInverseProblem, state, sigma_new, g, k: int
 
     ``state`` is an IterationState, or anything with u and p.  A stack of
     c columns sweeps them all at once: u and p of shape (c, n_u), sigma_new
-    (c, n_sigma) and g (c, n_g).  Any other shape raises
-    ProblemAssumptionError.
+    (c, n_sigma) and g (c, n_g); a stack of no columns gives two (0, n_u)
+    arrays.  Any other shape raises ProblemAssumptionError.
 
     Returns the pair (u_k, p_k), shaped like u.
     """
@@ -694,6 +694,8 @@ def fixed_point_sweep(problem: LinearInverseProblem, state, sigma_new, g, k: int
         if np.shape(arr) != stack + (width,):
             raise ProblemAssumptionError(
                 f"{name} has shape {np.shape(arr)}, expected {stack + (width,)}")
+    if stack == (0,):
+        return np.empty((0, problem.n_u)), np.empty((0, problem.n_u))
     return sweeps(problem, u, p, sigma_new, g, k)
 
 
@@ -777,11 +779,10 @@ class KStepStack:
     def __init__(self, problem: LinearInverseProblem, ks, g):
         # the scalar 0.0 has no ndim: np.ndim would wrap it in an array
         self.problem, self.ks, self.g, self.data = problem, ks, g, getattr(g, "ndim", 0) > 0
-        cache = problem.__dict__.get("_k_step", {})
         self.runs, hi = [], 0  # (ops, lo, hi) of every run of equal k
         for k in dict.fromkeys(ks):
             lo, hi = hi, hi + ks.count(k)
-            self.runs.append((cache.get(k) or k_step_operators(problem, k), lo, hi))
+            self.runs.append((k_step_operators(problem, k), lo, hi))
         if problem.B_diag is None:
             return
         rows = [ops for ops, lo, hi in self.runs for _ in range(lo, hi)]

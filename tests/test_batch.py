@@ -188,6 +188,32 @@ class TestRunColumns:
                 assert_rows_close(getattr(ours.final_state, name),
                                   getattr(single.final_state, name))
 
+    @pytest.mark.parametrize("kind", ["twin", "dense"])
+    def test_columns_stopping_around_each_log_growth_match_their_batches_of_one(self, kind):
+        # the log doubles its steps when step n = 1, 2, 4, ..., 64, 128 finds
+        # it full: the capped columns stop on both sides of its last two
+        # growths, every scheme and k = 2, 3 among them
+        problem = problem_of(kind)
+        objective, config = columns_ending_four_ways(problem, SchemeKind.KStepOneShot, 2)[3]
+        schemes = list(SchemeKind)
+        columns = [(objective, replace(config, scheme=schemes[j % 4], k=2 + j % 2, max_outer=n))
+                   for j, n in enumerate((1, 2, 63, 64, 65, 128, 129))]
+        columns.append(columns_ending_four_ways(problem, SchemeKind.KStepOneShot, 3)[1])
+        traces = run_columns(columns)
+        assert [t.status for t in traces] == [RunStatus.MAX_OUTER] * 7 + [RunStatus.TOL_COST]
+        for (objective, config), ours in zip(columns, traces):
+            single = run(objective, config)
+            assert ours.status is single.status
+            assert [(r.n, r.acc_inner) for r in ours.records] == \
+                [(r.n, r.acc_inner) for r in single.records]
+            assert_rows_close(np.array([r.cost for r in ours.records]),
+                              np.array([r.cost for r in single.records]))
+            # the first row survives every growth; the last is the final sigma's
+            start = IterationState.zero(problem, config.sigma0).sigma
+            assert ours.records[0].cost == pytest.approx(cost(objective, start), rel=REL)
+            assert ours.final_cost == pytest.approx(cost(objective, ours.final_state.sigma),
+                                                    rel=REL)
+
     def test_iter_columns_forms_each_trace_when_taken(self, monkeypatch):
         columns = columns_ending_four_ways(problem_of("twin"), SchemeKind.KStepOneShot, 3)
         formed = spy(monkeypatch, descent, "_records")

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ class TestFixedPointSweep:
         with pytest.raises(ProblemAssumptionError, match="expected \\(8,\\)"):
             IterationState.zero(p, u0=np.zeros(n), p0=np.zeros(n))
 
+    @pytest.mark.parametrize("kind", ["dense", "diagonal"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_a_stack_of_no_columns_sweeps_to_no_columns(self, kind, k):
+        # k <= 2 sweeps in a loop, k >= 3 in closed form on either block
+        p = make_problem(8)
+        if kind == "diagonal":
+            p = LinearInverseProblem(np.diag(np.linspace(-0.5, 0.5, p.n_u)), p.M, p.H, p.F)
+            assert p.B_diag is not None
+        empty = np.zeros((0, p.n_u))
+        u_k, p_k = fixed_point_sweep(p, SimpleNamespace(u=empty, p=empty),
+                                     np.zeros((0, p.n_sigma)), np.zeros((0, p.n_g)), k)
+        assert u_k.shape == p_k.shape == (0, p.n_u)
+
 
 def loop_sweeps(problem, u, p, drive, g, k):
     """k coupled sweeps on the dense kron(I, B), kron(I, H): the oracle of ``sweeps``."""
@@ -216,7 +230,7 @@ class TestOperatorForm:
                                max_outer=3))
         assert built == [] and "_k_step" not in problem.__dict__
         run(obj, RunConfig(scheme=SchemeKind.KStepOneShot, tau=0.01, k=3, max_outer=3))
-        # three sweep calls: the first builds, the next two read the cache directly
+        # one stack steps the column, so its operators are asked for once
         assert len(built) == 1 and set(problem.__dict__["_k_step"]) == {3}
 
     @pytest.mark.parametrize("kind", ["dense", "stacked"])
