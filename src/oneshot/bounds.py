@@ -71,11 +71,6 @@ class CaseParameters:
         return (1.0 + 2.0 * self.delta0 * math.sin(t) + self.delta0 ** 2) / math.cos(t) ** 2
 
     @property
-    def gamma3_magnitude(self) -> float:
-        t = 1.5 * self.theta0
-        return (self.delta0 + math.sin(t)) / math.cos(t)
-
-    @property
     def C1(self) -> float:
         return _SQRT2 - 1.0
 

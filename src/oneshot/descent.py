@@ -69,9 +69,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import OneShotError, SingularSystemError
-from .problem import (CLOSED_FORM_K, IterationState, KStepStack, Objective, _checked_sigma,
-                      _checked_state, finite_real, fixed_point_sweep, positive_int,
-                      regularized_solution, row_dots, solve_adjoint_exact, solve_state_exact)
+from .problem import (CLOSED_FORM_K, IterationState, KStepStack, Objective, _checked_state,
+                      finite_real, fixed_point_sweep, positive_int, regularized_solution,
+                      row_dots, solve_adjoint_exact, solve_state_exact)
 
 #: Cost level beyond which a run is declared diverged.
 DIVERGENCE_GUARD = 1e12
@@ -239,7 +239,6 @@ def step(objective: Objective, state: IterationState, scheme: SchemeKind,
     """
     problem = objective.problem
     state = _checked_state(problem, state)
-    _checked_sigma(problem, state.sigma)
     sigma = state.sigma[None]
     if scheme.is_one_shot:
         Mp = state.p[None] @ problem.M
@@ -326,22 +325,22 @@ def iter_columns(columns):
         raise ValueError("the columns of a batch must share one problem")
     starts = [IterationState.zero(problem, c.sigma0, c.u0, c.p0) for c in configs]
 
-    # the k of every row, 0 for gradient descent; ids is the column of each row
+    # the k of every row, 0 for gradient descent; ids is the column of each
+    # row, gradient descent first and then one-shot by k
     row_k = [c.k if c.scheme.is_one_shot else 0 for c in configs]
     ids = np.argsort(row_k, kind="stable")
     n_gd = row_k.count(0)
     twin = problem.modal_twin() if n_gd < len(columns) else None
     sweep_problem = problem if twin is None else twin.problem
     A, A_T, M = problem.reduced_operator(), problem._A_T, sweep_problem.M
-    S = np.array([starts[i].sigma for i in ids])
-    U = np.array([starts[i].u for i in ids[n_gd:]]).reshape(-1, problem.n_u)
-    P = np.array([starts[i].p for i in ids[n_gd:]]).reshape(-1, problem.n_u)
+    # S, U and P hold a row per column: a gradient-descent row holds its start
+    # u and p, which nothing writes, and only the one-shot rows go into the
+    # twin's coordinates; the starts go once they are stacked
+    S, U, P = (np.array([getattr(starts[i], name) for i in ids]) for name in ("sigma", "u", "p"))
+    del starts
     if twin is not None:
-        U, P = twin.to_modal(U, P)
-    # a gradient-descent row carries its start u and p unchanged: only those
-    # starts stay
-    starts = {i: starts[i] for i in ids[:n_gd].tolist()}
-    G = np.array([objectives[i].g for i in ids[n_gd:]]).reshape(-1, problem.n_g)
+        U[n_gd:], P[n_gd:] = twin.to_modal(U[n_gd:], P[n_gd:])
+    G = np.array([objectives[i].g for i in ids])
     G_tilde = np.array([objectives[i].shifted_data() for i in ids])
     tau = np.array([configs[i].tau for i in ids])[:, None]
     tau_alpha, shrink = np.array([_update_constants(configs[i].scheme, configs[i].tau,
@@ -350,7 +349,7 @@ def iter_columns(columns):
     half_alpha = np.array([0.5 * objectives[i].alpha for i in ids])
     tol_cost, tol_step, max_outer = (np.array([getattr(configs[i], name) for i in ids])
                                      for name in ("tol_cost", "tol_step", "max_outer"))
-    thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids[n_gd:]], G)
+    thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids], G)
     references = {}
     for o in objectives:
         if id(o) not in references:
@@ -372,16 +371,15 @@ def iter_columns(columns):
     ends, step_rule = {}, tol_step.any()
     for n in range(1, int(max_outer.max()) + 1):
         prev = S
-        S = _next_sigma(S, np.concatenate((R[:n_gd] @ A, P @ M)), tau, tau_alpha, shrink)
+        S = _next_sigma(S, np.concatenate((R[:n_gd] @ A, P[n_gd:] @ M)), tau, tau_alpha, shrink)
         # each group of rows sweeps from its own rows of U and P, so its
         # result overwrites them in place
-        S_os = S[n_gd:]
         for k, lo, hi in thin:
             U[lo:hi], P[lo:hi] = fixed_point_sweep(
-                sweep_problem, SimpleNamespace(u=U[lo:hi], p=P[lo:hi]), S_os[lo:hi], G[lo:hi], k)
+                sweep_problem, SimpleNamespace(u=U[lo:hi], p=P[lo:hi]), S[lo:hi], G[lo:hi], k)
         if fused is not None:
             lo = len(P) - len(fused.ks)
-            U[lo:], P[lo:] = fused.sweep(U[lo:], P[lo:], S_os[lo:])
+            U[lo:], P[lo:] = fused.sweep(U[lo:], P[lo:], S[lo:])
         R = S @ A_T - G_tilde
         J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
         walls.append((time.perf_counter() - t0) * 1e3)
@@ -402,8 +400,7 @@ def iter_columns(columns):
         if not np.count_nonzero(diverged | converged | stalled | capped) \
                 and np.isfinite(U).all() and np.isfinite(P).all():
             continue
-        finite = np.isfinite(S).all(1)
-        finite[n_gd:] &= np.isfinite(U).all(1) & np.isfinite(P).all(1)
+        finite = np.isfinite(S).all(1) & np.isfinite(U).all(1) & np.isfinite(P).all(1)
         # the first rule that holds on each row, in the order of _STOP_RULES,
         # or -1: written from the last rule to the first
         rule = np.full(len(J), -1)
@@ -411,20 +408,16 @@ def iter_columns(columns):
             rule[mask] = r
         stops = np.flatnonzero(rule >= 0)
         for pos, i, r in zip(stops.tolist(), ids[stops].tolist(), rule[stops].tolist()):
-            # copies: the next steps overwrite U and P in place
-            u, p = (U[pos - n_gd].copy(), P[pos - n_gd].copy()) if pos >= n_gd \
-                else (starts[i].u, starts[i].p)
-            ends[i] = (_STOP_RULES[r], n, r == 0, S[pos], u, p)
+            # copies, so that a stopped row keeps no stack alive
+            ends[i] = (_STOP_RULES[r], n, r == 0, S[pos], U[pos].copy(), P[pos].copy())
         keep = np.flatnonzero(rule < 0)
         if not len(keep):
             break
-        one_shot_keep = keep[keep >= n_gd] - n_gd
-        n_gd = len(keep) - len(one_shot_keep)
-        ids, S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost, tol_step, max_outer = (
-            x[keep] for x in (ids, S, R, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost,
-                              tol_step, max_outer))
-        U, P, G = (x[one_shot_keep] for x in (U, P, G))
-        thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids[n_gd:]], G)
+        n_gd = np.count_nonzero(keep < n_gd)
+        (ids, S, R, U, P, G, G_tilde, tau, tau_alpha, shrink, half_alpha, tol_cost, tol_step,
+         max_outer) = (x[keep] for x in (ids, S, R, U, P, G, G_tilde, tau, tau_alpha, shrink,
+                                         half_alpha, tol_cost, tol_step, max_outer))
+        thin, fused = _sweep_plan(sweep_problem, [row_k[i] for i in ids], G)
 
     for i, (objective, config) in enumerate(columns):
         status, n_end, guard_row, sigma, u, p = ends.pop(i)
@@ -452,12 +445,12 @@ def iter_columns(columns):
 
 
 def _sweep_plan(sweep_problem, ks, G):
-    """How the one-shot rows, with sorted inner counts ks and data G, sweep:
-    a list of (k, lo, hi) row slices with k < ``CLOSED_FORM_K``, each one
-    ``fixed_point_sweep`` call, and the ``KStepStack`` of the rows after
-    the last slice, or None."""
+    """How the rows of a stack, with sorted inner counts ks (0 for gradient
+    descent) and data G, sweep: a list of (k, lo, hi) row slices with
+    0 < k < ``CLOSED_FORM_K``, each one ``fixed_point_sweep`` call, and the
+    ``KStepStack`` of the rows after the last slice, or None."""
     lo = sum(k < CLOSED_FORM_K for k in ks)
-    thin = [(k, ks.index(k), ks.index(k) + ks.count(k)) for k in sorted(set(ks[:lo]))]
+    thin = [(k, ks.index(k), ks.index(k) + ks.count(k)) for k in sorted(set(ks[:lo]) - {0})]
     return thin, KStepStack(sweep_problem, ks[lo:], G[lo:]) if lo < len(ks) else None
 
 

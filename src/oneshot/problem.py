@@ -520,7 +520,7 @@ class IterationState:
         """Default start: given sigma0 (or zeros), u0 = p0 = 0 unless overridden.
 
         A given vector with a NaN or infinite entry raises
-        ProblemAssumptionError naming it.
+        ProblemAssumptionError naming it, as does one of the wrong length.
         """
         sigma = np.zeros(problem.n_sigma) if sigma0 is None else np.asarray(sigma0, float)
         u = np.zeros(problem.n_u) if u0 is None else np.asarray(u0, float)
@@ -547,6 +547,7 @@ def _checked_state(problem: LinearInverseProblem, state: IterationState) -> Iter
     if state.u.shape != (problem.n_u,):
         raise ProblemAssumptionError(
             f"u and p have shape {state.u.shape}, expected ({problem.n_u},)")
+    _checked_sigma(problem, state.sigma)
     return state
 
 

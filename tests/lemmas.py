@@ -4,7 +4,8 @@
 formulas, separating real and imaginary parts of the eigenvalue equation.
 ``gamma_select`` classifies a complex candidate eigenvalue into the three
 case regions (the fourth region is provably empty) and returns the
-multiplier gamma_1, gamma_2 or gamma_3 used by that case.
+multiplier gamma_1, gamma_2 or gamma_3 used by that case, the last of
+magnitude ``gamma3_magnitude``.
 ``marden_quadratic_inside`` is the classical criterion for both roots of
 z^2 + a1 z + a0 to lie strictly inside the unit circle.  The certified
 bounds in ``oneshot.bounds`` use the closed-form constants of the case
@@ -51,6 +52,13 @@ def pq_decompose(T, lam: complex):
     return P, Q
 
 
+def gamma3_magnitude(params: CaseParameters) -> float:
+    """|gamma_3| = (delta0 + sin(3 theta0/2)) / cos(3 theta0/2), the multiplier
+    of case 3 in ``gamma_select``."""
+    t = 1.5 * params.theta0
+    return (params.delta0 + math.sin(t)) / math.cos(t)
+
+
 def gamma_select(lam: complex, theta0: float, delta0: float):
     """Classify a non-real candidate eigenvalue and return (case_id, gamma).
 
@@ -74,7 +82,7 @@ def gamma_select(lam: complex, theta0: float, delta0: float):
     if theta0 <= abs(theta) <= math.pi - theta0:
         return 2, (-1.0 if w.imag >= 0.0 else 1.0)
     if abs(theta) < theta0:
-        return 3, math.copysign(params.gamma3_magnitude, theta)
+        return 3, math.copysign(gamma3_magnitude(params), theta)
     return 4, math.nan
 
 

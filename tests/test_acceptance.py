@@ -20,7 +20,7 @@ from oneshot import (CavityConfig, IterationState, Objective, RunConfig,
 from oneshot.bounds import CaseParameters, bound_report_for
 from oneshot.experiments import load_spec, run_experiment
 from oneshot.problem import LinearInverseProblem, operator_norm
-from lemmas import marden_quadratic_inside, pq_decompose
+from lemmas import gamma3_magnitude, marden_quadratic_inside, pq_decompose
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -222,7 +222,7 @@ def test_criterion_06_resolvent_and_case_properties():
         keep = (w3.real < 0) & (np.abs(lam3.imag) > 1e-12)
         lam3, w3, th3 = lam3[keep], w3[keep], th3[keep]
         assert keep.sum() >= 100_000
-        g3 = np.sign(th3) * params.gamma3_magnitude
+        g3 = np.sign(th3) * gamma3_magnitude(params)
         lhs3 = w3.real + g3 * w3.imag
         assert np.all(lhs3 >= 2 * delta0 * np.abs(np.sin(th3 / 2)) - 1e-9)
         lam31 = lam3 - 1.0

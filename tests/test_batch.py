@@ -168,6 +168,23 @@ class TestRunColumns:
         assert rel_close(kept.final_state.sigma, sigma)
 
     @pytest.mark.parametrize("kind", ["twin", "dense"])
+    @pytest.mark.parametrize("scheme", [SchemeKind.UsualGD, SchemeKind.SemiImplicitGD])
+    def test_an_overflowing_gradient_descent_column_keeps_its_start(self, kind, scheme):
+        # its sigma overflows, so no exact solve replaces the carried u and p:
+        # they are its start, untouched by the one-shot column's twin
+        problem = problem_of(kind)
+        rng = np.random.default_rng(9)
+        u0, p0 = rng.standard_normal((2, problem.n_u))
+        objective, config = columns_ending_four_ways(problem, SchemeKind.KStepOneShot, 2)[3]
+        overflow = RunConfig(scheme, tau=1e300, max_outer=5,
+                             sigma0=np.full(problem.n_sigma, 1e10), u0=u0, p0=p0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blown, kept = run_columns([(objective, overflow), (objective, config)])
+        assert blown.status is RunStatus.DIVERGED and kept.status is RunStatus.MAX_OUTER
+        assert np.array_equal(blown.final_state.u, u0)
+        assert np.array_equal(blown.final_state.p, p0)
+
+    @pytest.mark.parametrize("kind", ["twin", "dense"])
     def test_a_mixed_batch_matches_each_batch_of_one(self, kind):
         problem = problem_of(kind)
         columns = mixed_columns(problem)

@@ -18,7 +18,7 @@ from oneshot.cavity import generate
 from oneshot.experiments import load_spec
 from oneshot.problem import operator_norm, spectral_radius
 from conftest import make_problem, spy
-from lemmas import gamma_select, marden_quadratic_inside, pq_decompose
+from lemmas import gamma3_magnitude, gamma_select, marden_quadratic_inside, pq_decompose
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -414,7 +414,7 @@ class TestGammaSelect:
         if ((lam * lam - lam).real < 0):
             case, gamma = gamma_select(lam, np.pi / 8, 0.7)
             assert case == 3
-            assert np.isclose(abs(gamma), params.gamma3_magnitude)
+            assert np.isclose(abs(gamma), gamma3_magnitude(params))
 
     def test_case4_never_occurs(self, rng):
         # 10^5 random |lambda| >= 1: the fourth region is empty
@@ -484,7 +484,7 @@ class TestCaseMultiplierInequalities:
         mask = (w.real < 0) & (np.abs(lam.imag) > 1e-12)
         lam, w, theta = lam[mask], w[mask], theta[mask]
         assert mask.sum() >= 100_000
-        gamma = np.sign(theta) * params.gamma3_magnitude
+        gamma = np.sign(theta) * gamma3_magnitude(params)
         lhs = w.real + gamma * w.imag
         assert np.all(lhs >= 2.0 * delta0 * np.abs(np.sin(theta / 2.0)) - 1e-9)
         lam1 = lam - 1.0

@@ -6,7 +6,7 @@ import pytest
 from oneshot import (IterationState, LinearInverseProblem, Objective,
                      ProblemAssumptionError, RunConfig, RunStatus, SchemeKind,
                      cost, gradient, iteration_matrix_semi_implicit,
-                     regularized_solution, run, solve_adjoint_exact,
+                     regularized_solution, run, run_columns, solve_adjoint_exact,
                      solve_state_exact, step)
 from oneshot.bounds import bound_report_for
 from oneshot.descent import format_trace_csv
@@ -388,13 +388,20 @@ class TestRun:
         assert type(config.k) is int and type(config.max_outer) is int
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
-    def test_start_vectors_of_wrong_length_rejected(self, scheme):
+    @pytest.mark.parametrize("start, expected", [
+        ({"u0": np.zeros(7), "p0": np.zeros(7)}, "expected \\(8,\\)"),
+        ({"sigma0": np.zeros(2)}, "sigma has shape \\(2,\\), expected \\(3,\\)"),
+        ({"sigma0": np.zeros(4)}, "sigma has shape \\(4,\\), expected \\(3,\\)")],
+        ids=["u0_p0", "sigma0_2", "sigma0_4"])
+    def test_start_vectors_of_wrong_length_rejected(self, scheme, start, expected):
         obj = make_objective(40)
-        assert obj.problem.n_u == 8
-        config = RunConfig(scheme=scheme, tau=0.01, k=2, max_outer=3,
-                           u0=np.zeros(7), p0=np.zeros(7))
-        with pytest.raises(ProblemAssumptionError, match="expected \\(8,\\)"):
+        assert (obj.problem.n_sigma, obj.problem.n_u) == (3, 8)
+        config = RunConfig(scheme=scheme, tau=0.01, k=2, max_outer=3, **start)
+        with pytest.raises(ProblemAssumptionError, match=expected):
             run(obj, config)
+        # and as the second column of a batch
+        with pytest.raises(ProblemAssumptionError, match=expected):
+            run_columns([(obj, RunConfig(scheme=scheme, tau=0.01, max_outer=3)), (obj, config)])
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("n_sigma, n_u, expected", [(3, 3, "\\(8,\\)"), (6, 8, "\\(3,\\)"),
