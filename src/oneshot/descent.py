@@ -50,7 +50,12 @@ and the final u and p come back, while sigma, and so every trace row,
 stays that of the problem.
 
 At alpha = 0 the explicit and implicit updates coincide exactly.
-The run loop records one trace row per outer iteration.  Its stop rules
+The run loop records one trace row per outer iteration, and a
+``ConvergenceTrace`` holds its rows as the columns the loop logged: one
+array each of cost, gradient norm, relative sigma error and wall time,
+indexed by the outer iteration n, whose accumulated inner sweeps are k n.
+A run whose sigma, u or p stops being finite ends on a guard row of
+infinite cost and gradient norm and a missing (NaN) error.  Its stop rules
 are written once, in ``iter_columns``, as masks over the running rows; a
 column that several rules stop on the same step takes the first of
 ``_STOP_RULES``: the divergence guard, the cost tolerance, the relative
@@ -63,7 +68,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -140,32 +145,28 @@ class RunConfig:
         finite_real("tol_step", self.tol_step)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One completed outer iteration (n = 0 is the starting point).
-
-    ``wall_ms`` is the time elapsed in the batch's run loop up to this
-    step, shared by every column of the batch; ``format_trace_csv``
-    writes it only with ``deterministic_wall=False``.
-    """
-
-    n: int
-    cost: float
-    grad_norm: float
-    rel_err_sigma: float | None
-    acc_inner: int
-    wall_ms: float
-
-
 @dataclass(eq=False)
 class ConvergenceTrace:
-    """Per-iteration records plus the terminal status of one run."""
+    """The trace of one run: one row per outer iteration, n = 0 the start.
+
+    Each column is a 1-D float array of length ``n_outer + 1``, indexed by
+    the row n: ``cost``, ``grad_norm``, ``rel_err_sigma`` (None when the
+    objective has no regularized solution to measure against) and
+    ``wall_ms``, the time elapsed in the batch's run loop up to that step,
+    shared by every column of the batch.  The accumulated inner sweeps of
+    row n are ``k * n``, with k = 1 for gradient descent.  A run whose
+    sigma, u or p stops being finite ends on a guard row of infinite cost
+    and gradient norm, whose error is NaN: missing, not measured.
+    """
 
     scheme: SchemeKind
     tau: float
     k: int
-    records: list[TraceRecord] = field(default_factory=list)
-    status: RunStatus | None = None
+    cost: np.ndarray
+    grad_norm: np.ndarray
+    rel_err_sigma: np.ndarray | None
+    wall_ms: np.ndarray
+    status: RunStatus
     final_state: IterationState | None = None
 
     @property
@@ -173,22 +174,24 @@ class ConvergenceTrace:
         return self.status is RunStatus.DIVERGED
 
     @property
+    def n_outer(self) -> int:
+        return len(self.cost) - 1
+
+    @property
     def final_cost(self) -> float:
-        return self.records[-1].cost
+        return float(self.cost[-1])
 
     @property
     def final_rel_err(self) -> float | None:
-        return self.records[-1].rel_err_sigma
+        """The last row's relative sigma error, or None where it is missing."""
+        if self.rel_err_sigma is None or math.isnan(self.rel_err_sigma[-1]):
+            return None
+        return float(self.rel_err_sigma[-1])
 
     def iterations_to_cost(self, level: float):
         """First outer iteration n with J(sigma^n) <= level, or None."""
-        for rec in self.records:
-            if rec.cost <= level:
-                return rec.n
-        return None
-
-    def __iter__(self):
-        return iter(self.records)
+        hits = np.flatnonzero(self.cost <= level)
+        return int(hits[0]) if len(hits) else None
 
 
 #: One trace row: n, cost, grad_norm, rel_err_sigma, acc_inner, wall_ms,
@@ -197,13 +200,17 @@ _TRACE_ROW = "%d,%.16e,%.16e,%s,%d,%s,%s"
 
 
 def format_trace_csv(trace: ConvergenceTrace, deterministic_wall=True) -> str:
+    """The trace as CSV text, one line per row; a missing error is written
+    empty, and the wall clock as 0 unless ``deterministic_wall`` is False."""
     lines = ["n,cost,grad_norm,rel_err_sigma,acc_inner,wall_ms,status"]
-    status = trace.status.value if trace.status is not None else ""
-    for rec in trace.records:
-        rel = "" if rec.rel_err_sigma is None else "%.16e" % rec.rel_err_sigma
-        wall = "0" if deterministic_wall else "%.16e" % rec.wall_ms
-        lines.append(_TRACE_ROW % (rec.n, rec.cost, rec.grad_norm, rel, rec.acc_inner, wall,
-                                   status))
+    k, status = trace.k, trace.status.value
+    rels = [""] * len(trace.cost) if trace.rel_err_sigma is None else \
+        ["" if math.isnan(rel) else "%.16e" % rel for rel in trace.rel_err_sigma.tolist()]
+    walls = ["0"] * len(trace.cost) if deterministic_wall else \
+        ["%.16e" % wall for wall in trace.wall_ms.tolist()]
+    for n, (j, grad_norm, rel, wall) in enumerate(zip(trace.cost.tolist(),
+                                                      trace.grad_norm.tolist(), rels, walls)):
+        lines.append(_TRACE_ROW % (n, j, grad_norm, rel, k * n, wall, status))
     return "\n".join(lines) + "\n"
 
 
@@ -288,12 +295,12 @@ def run_columns(columns) -> list[ConvergenceTrace]:
     (diverged), the cost tolerance, the relative step tolerance
     ||sigma^n - sigma^(n-1)|| <= tol_step (1 + ||sigma^(n-1)||), armed at
     n >= 2 when tol_step > 0, and the iteration cap.  Every trace
-    contains a record for n = 0 (the starting point).  The loop computes
+    contains a row for n = 0 (the starting point).  The loop computes
     every cost, which the stop rules read, and logs each column's sigma and
     cost at each step in one array indexed by column and step, whose steps
     double when it fills, up to the longest cap still running, so a large
-    ``max_outer`` reserves nothing up front; a column's trace reads its own
-    contiguous run of that log.  The
+    ``max_outer`` reserves nothing up front; a column's trace copies its
+    costs from its own contiguous run of that log.  The
     gradient norms and relative errors of all rows come after the loop,
     from stacked products of up to ``ROWS_PER_PRODUCT`` rows, formed row by
     row as ``gradient`` forms them.  A gradient-descent column carries its
@@ -314,7 +321,7 @@ def iter_columns(columns):
 
     The loop runs to its end when the first trace is taken; each trace is
     then formed only when it is taken, so a caller that lets each go
-    before taking the next holds the records of one trace at a time.
+    before taking the next holds the rows of one trace at a time.
     """
     columns = list(columns)
     if not columns:
@@ -421,16 +428,15 @@ def iter_columns(columns):
 
     for i, (objective, config) in enumerate(columns):
         status, n_end, guard_row, sigma, u, p = ends.pop(i)
-        count = n_end + 1 - guard_row
-        inner_per_outer = row_k[i] or 1
-        rows = log[i, :count]
-        trace = ConvergenceTrace(scheme=config.scheme, tau=config.tau, k=inner_per_outer)
-        trace.records = _records(objective, references[id(objective)], rows[:, :-1],
-                                 rows[:, -1].tolist(), walls, inner_per_outer)
+        rows = log[i, :n_end + 1 - guard_row]
+        grad_norm, rel_err = _records(objective, references[id(objective)], rows[:, :-1])
+        cost = rows[:, -1].copy()  # so that a trace keeps no view of the log
         if guard_row:
-            # the iterate itself is unusable, so the row records no finite cost
-            trace.records.append(TraceRecord(n_end, math.inf, math.inf, None,
-                                             inner_per_outer * n_end, walls[n_end]))
+            # the iterate itself is unusable, so the row records no finite
+            # cost or gradient norm and no error
+            cost, grad_norm = np.append(cost, math.inf), np.append(grad_norm, math.inf)
+            if rel_err is not None:
+                rel_err = np.append(rel_err, math.nan)
         if twin is not None and row_k[i]:
             u, p = twin.from_modal(u, p)
         elif not row_k[i] and np.isfinite(sigma).all():
@@ -439,9 +445,9 @@ def iter_columns(columns):
                 u, p = exact_u, solve_adjoint_exact(problem, exact_u, objective.g)
             except SingularSystemError:
                 pass  # a diverged sigma overflowed the solve: keep the carried u, p
-        trace.status = status
-        trace.final_state = IterationState(sigma, u, p, fresh=True)
-        yield trace
+        yield ConvergenceTrace(config.scheme, config.tau, row_k[i] or 1, cost, grad_norm, rel_err,
+                               np.array(walls[:n_end + 1]), status,
+                               IterationState(sigma, u, p, fresh=True))
 
 
 def _sweep_plan(sweep_problem, ks, G):
@@ -454,9 +460,9 @@ def _sweep_plan(sweep_problem, ks, G):
     return thin, KStepStack(sweep_problem, ks[lo:], G[lo:]) if lo < len(ks) else None
 
 
-def _records(objective: Objective, reference, sigma_rows, cost_rows, walls,
-             inner_per_outer: int) -> list[TraceRecord]:
-    """The trace records of one column's sigma rows and costs.
+def _records(objective: Objective, reference, sigma_rows):
+    """The gradient norms and relative sigma errors of one column's sigma
+    rows, as arrays; the errors are None without a reference.
 
     Every row's residual and gradient are formed as ``gradient`` forms them,
     one BLAS product per row, and ``row_dots`` is one BLAS dot per row, so a
@@ -464,18 +470,15 @@ def _records(objective: Objective, reference, sigma_rows, cost_rows, walls,
     """
     A, A_T, g_tilde = objective.problem.reduced_operator(), objective.problem._A_T, \
         objective.shifted_data()
-    grad_norms = []
+    grad_norm = np.empty(len(sigma_rows))
     for start in range(0, len(sigma_rows), ROWS_PER_PRODUCT):
         sigmas = sigma_rows[start:start + ROWS_PER_PRODUCT]
         residuals = np.matmul(sigmas[:, None, :], A_T)
         residuals -= g_tilde
         grads = np.matmul(residuals, A)[:, 0] + objective.alpha * sigmas
-        grad_norms += np.sqrt(row_dots(grads)).tolist()
+        grad_norm[start:start + ROWS_PER_PRODUCT] = np.sqrt(row_dots(grads))
     if reference is None:
-        rel_errs = [None] * len(cost_rows)
-    else:
-        sigma_ref, ref_norm = reference
-        errs = np.sqrt(row_dots(sigma_rows - sigma_ref))
-        rel_errs = (errs / ref_norm if ref_norm > 0 else errs).tolist()
-    return [TraceRecord(n, j, grad_norm, rel, inner_per_outer * n, walls[n])
-            for n, (j, grad_norm, rel) in enumerate(zip(cost_rows, grad_norms, rel_errs))]
+        return grad_norm, None
+    sigma_ref, ref_norm = reference
+    errs = np.sqrt(row_dots(sigma_rows - sigma_ref))
+    return grad_norm, errs / ref_norm if ref_norm > 0 else errs

@@ -315,11 +315,11 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
         cell_csvs, summary_rows = {}, {}
         for batch in _cells(spec):
             for (index, cavity, scheme, tau, k, alpha), trace in _run_batch(spec, batch):
-                variant, last = cavity.config, trace.records[-1]
+                variant, n_outer = cavity.config, trace.n_outer
                 if not quiet:
                     quiet = not print_progress(
                         f"cell {index:04d}: {scheme.value} tau={tau} k={k} alpha={alpha} -> "
-                        f"{trace.status.value} (n={last.n}, J={trace.final_cost:.3e})")
+                        f"{trace.status.value} (n={n_outer}, J={trace.final_cost:.3e})")
                 cell_csvs[index] = format_trace_csv(trace)
                 summary_rows[index] = ",".join([
                     f"{index:04d}", spec.kind.value, scheme.value,
@@ -327,8 +327,8 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                     _fmt(float(variant.noise_level)), _fmt(float(variant.mesh_h)),
                     _fmt(float(variant.delta)), str(cavity.mesh_summary.n_u),
                     str(cavity.mesh_summary.n_sigma), trace.status.value,
-                    str(last.n), str(last.acc_inner), _fmt(last.cost),
-                    _fmt(last.grad_norm), _fmt(last.rel_err_sigma),
+                    str(n_outer), str(trace.k * n_outer), _fmt(trace.final_cost),
+                    _fmt(float(trace.grad_norm[-1])), _fmt(trace.final_rel_err),
                     _fmt(trace.iterations_to_cost(1e-8)),
                 ])
             del batch, cavity  # before the next problem is generated

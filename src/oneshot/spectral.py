@@ -61,7 +61,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 from .errors import EigensolverError, SingularSystemError, SizeGuardError
 # KStepOperators is re-exported; bounds imports k_step_operators from here
 from .problem import (KStepOperators, LinearInverseProblem, finite_real,  # noqa: F401
-                      k_step_operators, sweeps)
+                      k_step_operators, positive_int, sweeps)
 
 #: Largest block dimension (2 n_u + n_sigma) whose full spectrum
 #: ``spectrum`` computes densely.
@@ -143,11 +143,13 @@ def spectrum(problem: LinearInverseProblem, tau: float, alpha: float, k: int,
              size_guard: int = SIZE_GUARD) -> np.ndarray:
     """Every eigenvalue of the block matrix, sorted, by a dense eigensolve.
 
-    Raises ValueError for a non-finite or out-of-range tau or alpha,
-    SizeGuardError when 2 n_u + n_sigma exceeds ``size_guard`` and
-    EigensolverError if the QR iteration fails to converge.
+    Raises ValueError for a non-finite or out-of-range tau or alpha or a
+    ``size_guard`` that is not a positive integer, SizeGuardError when
+    2 n_u + n_sigma exceeds ``size_guard`` and EigensolverError if the QR
+    iteration fails to converge.
     """
     _check_step(tau, alpha)
+    positive_int("size_guard", size_guard)
     dim = 2 * problem.n_u + problem.n_sigma
     if dim > size_guard:
         raise SizeGuardError(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oneshot import LinearInverseProblem, Objective, random_problem
+from oneshot.descent import format_trace_csv
 
 
 def make_problem(seed, n_u=8, n_sigma=3, n_g=5, norm_b=0.5, with_source=True):
@@ -47,6 +48,13 @@ def spy(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, recording)
     return calls
+
+
+def trace_column(trace, name):
+    """One column of ``format_trace_csv(trace)``, as the strings it writes."""
+    lines = format_trace_csv(trace).splitlines()
+    j = lines[0].split(",").index(name)
+    return [line.split(",")[j] for line in lines[1:]]
 
 
 @pytest.fixture

@@ -17,10 +17,10 @@ import pytest
 from oneshot import (IterationState, Objective, ProblemAssumptionError, RunConfig, RunStatus,
                      SchemeKind, cost, fixed_point_sweep, run, run_columns, step)
 from oneshot import descent
-from oneshot.descent import (DIVERGENCE_GUARD, ConvergenceTrace, TraceRecord, format_trace_csv,
+from oneshot.descent import (DIVERGENCE_GUARD, ConvergenceTrace, format_trace_csv,
                              iter_columns)
 from oneshot.problem import KStepStack
-from conftest import make_problem, spy
+from conftest import make_problem, spy, trace_column
 from test_modal import record_sweep_problems, similar_to_diagonal
 from test_problem import loop_sweeps
 
@@ -129,8 +129,10 @@ class TestRunColumns:
         for (objective, config), trace in zip(columns, traces):
             status, n_outer, sigma = oracle(objective, config)
             assert trace.status is status
-            assert trace.records[-1].n == n_outer
-            assert [r.n for r in trace.records] == list(range(n_outer + 1))
+            assert trace.n_outer == n_outer
+            assert trace_column(trace, "n") == [str(n) for n in range(n_outer + 1)]
+            for column in (trace.cost, trace.grad_norm, trace.rel_err_sigma, trace.wall_ms):
+                assert column.shape == (n_outer + 1,)
             assert rel_close(trace.final_state.sigma, sigma)
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
@@ -144,9 +146,8 @@ class TestRunColumns:
         for column, trace in zip(columns, run_columns(columns)):
             alone = run(*column)
             assert trace.status is alone.status
-            assert len(trace.records) == len(alone.records)
-            for ours, single in zip(trace.records, alone.records):
-                assert ours.cost == pytest.approx(single.cost, rel=1e-10)
+            assert trace.n_outer == alone.n_outer
+            assert trace.cost == pytest.approx(alone.cost, rel=1e-10)
             for name in ("sigma", "u", "p"):
                 assert rel_close(getattr(trace.final_state, name),
                                  getattr(alone.final_state, name))
@@ -161,10 +162,13 @@ class TestRunColumns:
                              p0=np.full(problem.n_u, 1e10))
         with np.errstate(over="ignore", invalid="ignore"):
             blown, kept = run_columns([(columns[0][0], overflow), *columns])
-        assert blown.status is RunStatus.DIVERGED and blown.records[-1].n == 1
-        assert blown.final_cost == math.inf and blown.records[-1].rel_err_sigma is None
+        assert blown.status is RunStatus.DIVERGED and blown.n_outer == 1
+        # the guard row: infinite cost and gradient norm, and no error
+        assert blown.final_cost == math.inf and blown.grad_norm[-1] == math.inf
+        rel_errs = trace_column(blown, "rel_err_sigma")
+        assert blown.final_rel_err is None and rel_errs[0] != "" and rel_errs[-1] == ""
         status, n_outer, sigma = oracle(*columns[0])
-        assert (kept.status, kept.records[-1].n) == (status, n_outer)
+        assert (kept.status, kept.n_outer) == (status, n_outer)
         assert rel_close(kept.final_state.sigma, sigma)
 
     @pytest.mark.parametrize("kind", ["twin", "dense"])
@@ -195,12 +199,11 @@ class TestRunColumns:
         assert {t.status for t in traces} == set(RunStatus)
         for (_, config), ours, single in zip(columns, traces, alone):
             assert ours.status is single.status
-            assert ours.records[-1].n == single.records[-1].n
+            assert ours.n_outer == single.n_outer
             assert (ours.scheme, ours.tau, ours.k) == (single.scheme, single.tau, single.k)
-            for rows in (lambda t: [r.cost for r in t.records],
-                         lambda t: [r.grad_norm for r in t.records],
-                         lambda t: [r.acc_inner for r in t.records]):
-                assert_rows_close(np.array(rows(ours)), np.array(rows(single)))
+            assert_rows_close(ours.cost, single.cost)
+            assert_rows_close(ours.grad_norm, single.grad_norm)
+            assert trace_column(ours, "acc_inner") == trace_column(single, "acc_inner")
             for name in ("sigma", "u", "p"):
                 assert_rows_close(getattr(ours.final_state, name),
                                   getattr(single.final_state, name))
@@ -221,13 +224,12 @@ class TestRunColumns:
         for (objective, config), ours in zip(columns, traces):
             single = run(objective, config)
             assert ours.status is single.status
-            assert [(r.n, r.acc_inner) for r in ours.records] == \
-                [(r.n, r.acc_inner) for r in single.records]
-            assert_rows_close(np.array([r.cost for r in ours.records]),
-                              np.array([r.cost for r in single.records]))
+            for name in ("n", "acc_inner"):
+                assert trace_column(ours, name) == trace_column(single, name)
+            assert_rows_close(ours.cost, single.cost)
             # the first row survives every growth; the last is the final sigma's
             start = IterationState.zero(problem, config.sigma0).sigma
-            assert ours.records[0].cost == pytest.approx(cost(objective, start), rel=REL)
+            assert ours.cost[0] == pytest.approx(cost(objective, start), rel=REL)
             assert ours.final_cost == pytest.approx(cost(objective, ours.final_state.sigma),
                                                     rel=REL)
 
@@ -352,16 +354,28 @@ class TestStackedSweep:
             fixed_point_sweep(problem, state, np.zeros(sigma_shape), g, 1)
 
 
-def test_trace_rows_format_as_the_f_string_form():
+@pytest.mark.parametrize("with_errors", [True, False])
+def test_trace_rows_format_as_the_f_string_form(with_errors):
+    # an error of NaN is a missing one, as on a guard row, and is written empty
     values = [0.1, 1.0 / 3.0, -2.5e-300, 1e300, math.inf, -math.inf, math.nan, -0.0, 0.0]
-    records = [TraceRecord(n, x, values[-n - 1], None if n % 3 == 0 else x * 7.0, 4 * n,
-                           x + 1.0) for n, x in enumerate(values)]
-    trace = ConvergenceTrace(SchemeKind.KStepOneShot, 0.1, 4, records, RunStatus.TOL_STEP)
+    cost = np.array(values)
+    rel_err = np.array([math.nan if n % 3 == 0 else x * 7.0 for n, x in enumerate(values)])
+    trace = ConvergenceTrace(SchemeKind.KStepOneShot, 0.1, 4, cost, cost[::-1],
+                             rel_err if with_errors else None, cost + 1.0, RunStatus.TOL_STEP)
     for deterministic in (True, False):
         lines = ["n,cost,grad_norm,rel_err_sigma,acc_inner,wall_ms,status"]
-        for r in records:
-            rel = "" if r.rel_err_sigma is None else f"{r.rel_err_sigma:.16e}"
-            wall = "0" if deterministic else f"{r.wall_ms:.16e}"
-            lines.append(f"{r.n},{r.cost:.16e},{r.grad_norm:.16e},{rel},{r.acc_inner},{wall},"
-                         "tol_step")
+        for n, x in enumerate(values):
+            rel = f"{x * 7.0:.16e}" if with_errors and n % 3 else ""
+            wall = "0" if deterministic else f"{x + 1.0:.16e}"
+            lines.append(f"{n},{x:.16e},{values[-n - 1]:.16e},{rel},{4 * n},{wall},tol_step")
         assert format_trace_csv(trace, deterministic) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("level, first", [(4.0, 0), (1e300, 0), (3.5, 3), (1.0, 4),
+                                          (0.5, None)])
+def test_iterations_to_cost_is_the_first_row_at_the_level(level, first):
+    # an infinite or NaN cost never meets a level
+    cost = np.array([4.0, math.inf, math.nan, 3.0, 1.0])
+    trace = ConvergenceTrace(SchemeKind.UsualGD, 0.1, 1, cost, cost, None, cost,
+                             RunStatus.MAX_OUTER)
+    assert trace.iterations_to_cost(level) == first

@@ -460,8 +460,8 @@ class TestMultiSourceObjective:
                   10: (1.9921895112100592, 0.03407325456181587),
                   50: (1.9891826199918607, 0.006742234035778606)}
         for n, (j, gnorm) in pinned.items():
-            assert np.isclose(trace.records[n].cost, j, rtol=1e-9, atol=0)
-            assert np.isclose(trace.records[n].grad_norm, gnorm, rtol=1e-9, atol=0)
+            assert np.isclose(trace.cost[n], j, rtol=1e-9, atol=0)
+            assert np.isclose(trace.grad_norm[n], gnorm, rtol=1e-9, atol=0)
 
     def test_noisy_selects_noisy_data(self):
         cavity = generate(small_config(noise_level=0.03))

@@ -359,11 +359,17 @@ class TestBoundsAndCertify:
         ("certify", "--tau", "nan"),
         ("certify", "--tau", "nan", "--size-guard", "10"),
         ("certify", "--tau", "inf"),
+        ("certify", "--tau", "0.01", "--spectrum", "{spectrum}", "--size-guard", "0"),
+        ("certify", "--tau", "0.01", "--spectrum", "{spectrum}", "--size-guard", "-1"),
     ])
-    def test_non_finite_input_is_validation_error(self, problem_dir, args, capsys):
-        # such values used to print an "unbounded" or convergent certificate
+    def test_non_finite_input_is_validation_error(self, problem_dir, args, capsys, tmp_path):
+        # such values used to print an "unbounded" or convergent certificate,
+        # and a size guard below 1 failed as a numerical failure (exit 3)
+        spectrum_path = tmp_path / "spectrum.csv"
+        args = [arg.format(spectrum=spectrum_path) for arg in args]
         assert main([args[0], "--problem", str(problem_dir), *args[1:]]) == 2
         assert capsys.readouterr().out == ""
+        assert not spectrum_path.exists()
 
     def test_missing_problem_dir_is_usage_error(self, tmp_path):
         code = main(["bounds", "--problem", str(tmp_path / "missing")])

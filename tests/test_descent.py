@@ -5,12 +5,13 @@ import pytest
 
 from oneshot import (IterationState, LinearInverseProblem, Objective,
                      ProblemAssumptionError, RunConfig, RunStatus, SchemeKind,
-                     cost, gradient, iteration_matrix_semi_implicit,
+                     SingularSystemError, cost, gradient, iteration_matrix_semi_implicit,
                      regularized_solution, run, run_columns, solve_adjoint_exact,
                      solve_state_exact, step)
 from oneshot.bounds import bound_report_for
+from oneshot import descent
 from oneshot.descent import format_trace_csv
-from conftest import make_objective, make_problem, stacked_and_kron_twin
+from conftest import make_objective, make_problem, stacked_and_kron_twin, trace_column
 
 
 def reference_state(objective):
@@ -231,8 +232,7 @@ class TestRun:
         tau = 1.0 / (np.linalg.norm(A, 2) ** 2 + obj.alpha)
         trace = run(obj, RunConfig(scheme=SchemeKind.UsualGD, tau=tau, max_outer=200,
                                    sigma0=rng.standard_normal(obj.problem.n_sigma)))
-        costs = [r.cost for r in trace.records]
-        grads = [r.grad_norm for r in trace.records]
+        costs, grads = trace.cost, trace.grad_norm
         for i in range(len(costs) - 1):
             if grads[i] > 1e-12:
                 assert costs[i + 1] < costs[i]
@@ -266,8 +266,9 @@ class TestRun:
         obj = make_objective(47)
         trace = run(obj, RunConfig(scheme=SchemeKind.KStepOneShot, tau=1e-3, k=4,
                                    max_outer=7))
-        assert [r.n for r in trace.records] == list(range(8))
-        assert [r.acc_inner for r in trace.records] == [4 * n for n in range(8)]
+        assert trace.n_outer == 7
+        assert trace_column(trace, "n") == [str(n) for n in range(8)]
+        assert trace_column(trace, "acc_inner") == [str(4 * n) for n in range(8)]
         assert trace.status is RunStatus.MAX_OUTER
         text = format_trace_csv(trace)
         lines = text.strip().split("\n")
@@ -286,22 +287,22 @@ class TestRun:
         obj = Objective(problem, np.random.default_rng(51).standard_normal(problem.n_g), 0.01)
         tau = 0.5 / np.linalg.norm(problem.reduced_operator(), 2) ** 2
         trace = run(obj, RunConfig(scheme=scheme, tau=tau, k=2, max_outer=15))
-        assert trace.records[-1].n == 15
+        assert trace.n_outer == 15
         state = IterationState.zero(problem)
         sigma_ref = regularized_solution(obj)
-        for rec in trace.records:
-            if rec.n:
+        for n in range(16):
+            if n:
                 state = step(obj, state, scheme, tau, 2)
-            assert rec.cost == cost(obj, state.sigma)
-            assert rec.grad_norm == np.linalg.norm(gradient(obj, state.sigma))
-            assert rec.rel_err_sigma == \
+            assert trace.cost[n] == cost(obj, state.sigma)
+            assert trace.grad_norm[n] == np.linalg.norm(gradient(obj, state.sigma))
+            assert trace.rel_err_sigma[n] == \
                 np.linalg.norm(state.sigma - sigma_ref) / np.linalg.norm(sigma_ref)
 
     def test_gd_trace_counts_outer_iterations(self):
         obj = make_objective(48)
         trace = run(obj, RunConfig(scheme=SchemeKind.SemiImplicitGD, tau=1e-3, k=9,
                                    max_outer=5))
-        assert [r.acc_inner for r in trace.records] == list(range(6))
+        assert trace_column(trace, "acc_inner") == [str(n) for n in range(6)]
 
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("scheme", [SchemeKind.UsualGD, SchemeKind.SemiImplicitGD])
@@ -324,7 +325,8 @@ class TestRun:
             trace = run(obj, RunConfig(scheme=scheme, tau=1e300, max_outer=5,
                                        sigma0=np.full(obj.problem.n_sigma, 1e10)))
         assert trace.status is RunStatus.DIVERGED
-        assert trace.records[-1].n == 1 and trace.final_cost == np.inf
+        assert trace.n_outer == 1 and trace.final_cost == np.inf
+        assert trace.final_rel_err is None and trace_column(trace, "rel_err_sigma")[1] == ""
         assert not np.isfinite(trace.final_state.sigma).all()
         assert not trace.final_state.u.any() and not trace.final_state.p.any()
 
@@ -351,6 +353,16 @@ class TestRun:
         assert trace.status is RunStatus.TOL_COST
         assert trace.final_cost <= 1e-12
 
+    def test_a_failed_reference_solve_leaves_every_error_missing(self, monkeypatch):
+        def singular(objective):
+            raise SingularSystemError("singular normal equations")
+
+        monkeypatch.setattr(descent, "regularized_solution", singular)
+        trace = run(make_objective(47), RunConfig(scheme=SchemeKind.KStepOneShot, tau=1e-3,
+                                                  k=4, max_outer=7))
+        assert trace.rel_err_sigma is None and trace.final_rel_err is None
+        assert trace_column(trace, "rel_err_sigma") == [""] * 8
+
     def test_concurrent_runs_share_objective(self, rng):
         # runs are pure functions over immutable objectives: concurrent
         # execution must reproduce the serial traces exactly
@@ -365,7 +377,7 @@ class TestRun:
             parallel = list(pool.map(lambda cfg: run(obj, cfg), configs))
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.final_state.sigma, b.final_state.sigma)
-            assert [r.cost for r in a.records] == [r.cost for r in b.records]
+            assert np.array_equal(a.cost, b.cost)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oneshot import SpecParseError, SpecValidationError
-from oneshot import experiments
+from oneshot import SingularSystemError, SpecParseError, SpecValidationError
+from oneshot import descent, experiments
 from oneshot.cavity import CavityConfig, generate, parse_manifest
 from oneshot.experiments import (ExperimentKind, ExperimentSpec, _cells, _kind_keys,
                                  parse_spec, run_experiment, serialize_spec)
@@ -275,6 +275,35 @@ class TestRunExperiment:
         statuses = {row.split(",")[11] for row in rows[1:]}
         assert "diverged" in statuses  # tau = 0.5 is far beyond stability
         assert any(s in statuses for s in ("tol_cost", "max_outer"))
+
+    @pytest.mark.parametrize("missing", ["guard_row", "reference"])
+    def test_a_missing_error_is_written_empty(self, missing, tmp_path, monkeypatch):
+        if missing == "reference":
+            def singular(objective):
+                raise SingularSystemError("singular normal equations")
+
+            monkeypatch.setattr(descent, "regularized_solution", singular)
+        else:
+            # tau * M* p overflows on the first step, so the run ends on a guard row
+            real = experiments.iter_columns
+            monkeypatch.setattr(experiments, "iter_columns", lambda columns: real(
+                [(o, dataclasses.replace(c, tau=1e300, p0=np.full(o.problem.n_u, 1e300)))
+                 for o, c in columns]))
+        spec = parse_spec(MINIMAL.replace("schemes = UsualGD", "schemes = KStepOneShot")
+                          + "\n[run]\nmax_outer = 5\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_experiment(spec, output_dir=str(tmp_path))
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        summary = dict(zip(lines[0].split(","), lines[1].split(",")))
+        rels = [line.split(",")[3]
+                for line in (tmp_path / "cell0000.csv").read_text().splitlines()[1:]]
+        assert summary["final_rel_err_sigma"] == ""
+        if missing == "reference":
+            assert summary["status"] == "max_outer" and rels == [""] * 6
+        else:
+            assert (summary["status"], summary["n_outer"], summary["final_cost"]) == \
+                ("diverged", "1", "inf")
+            assert rels[0] != "" and rels[1] == ""
 
     def test_manifest_reparses(self, sweep_dir):
         out, _, spec = sweep_dir

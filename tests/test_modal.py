@@ -202,16 +202,16 @@ class TestRunOnTwin:
         tau = tau_for(objective)
         trace = run(objective, RunConfig(scheme, tau, k=k, max_outer=25, sigma0=sigma0,
                                          u0=u0, p0=p0))
-        assert trace.status.value == "max_outer" and trace.records[-1].n == 25
+        assert trace.status.value == "max_outer" and trace.n_outer == 25
         state = IterationState(sigma0, u0, p0)
         sigma_ref = regularized_solution(objective)
-        for rec in trace.records:
-            if rec.n:
+        for n in range(26):
+            if n:
                 state = step(objective, state, scheme, tau, k)
-            assert rec.cost == pytest.approx(cost(objective, state.sigma), rel=REL)
-            assert rec.grad_norm == pytest.approx(
+            assert trace.cost[n] == pytest.approx(cost(objective, state.sigma), rel=REL)
+            assert trace.grad_norm[n] == pytest.approx(
                 np.linalg.norm(gradient(objective, state.sigma)), rel=REL)
-            assert rec.rel_err_sigma == pytest.approx(
+            assert trace.rel_err_sigma[n] == pytest.approx(
                 np.linalg.norm(state.sigma - sigma_ref) / np.linalg.norm(sigma_ref), rel=REL)
         final = trace.final_state
         for ours, oracle in zip((final.sigma, final.u, final.p),
@@ -231,7 +231,7 @@ class TestRunOnTwin:
                            max_outer=400, tol_cost=level)
         ours, oracle = run(objective, config), run(dense_objective, config)
         assert ours.status.value == oracle.status.value == status
-        assert ours.records[-1].n == oracle.records[-1].n
+        assert ours.n_outer == oracle.n_outer
 
     def test_one_shot_runs_step_the_twin(self, objective, monkeypatch):
         # k = 2 sweeps through fixed_point_sweep, k = 3 as a KStepStack
@@ -254,9 +254,8 @@ class TestRunOnTwin:
                            max_outer=40, sigma0=cavity.init_sigma)
         generated, dense = (run(o, config) for o in objectives)
         assert generated.status is dense.status
-        assert len(generated.records) == len(dense.records)
-        for ours, oracle in zip(generated.records, dense.records):
-            assert ours.cost == pytest.approx(oracle.cost, rel=REL)
+        assert generated.n_outer == dense.n_outer
+        assert generated.cost == pytest.approx(dense.cost, rel=REL)
         for name in ("sigma", "u", "p"):
             assert rel_close(getattr(generated.final_state, name),
                              getattr(dense.final_state, name))

@@ -181,6 +181,11 @@ class TestCertify:
         with pytest.raises(SizeGuardError):
             spectrum(p, 0.1, 0.0, 1, size_guard=10)
 
+    @pytest.mark.parametrize("size_guard", [0, -1, True, 2.5])
+    def test_size_guard_must_be_a_positive_integer(self, size_guard):
+        with pytest.raises(ValueError, match="size_guard"):
+            spectrum(make_problem(62), 0.1, 0.0, 1, size_guard=size_guard)
+
     @pytest.mark.parametrize("tau, alpha", NON_FINITE_STEPS)
     def test_rejects_non_finite_step_before_size_guard(self, tau, alpha):
         p = make_problem(62)
