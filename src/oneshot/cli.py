@@ -27,6 +27,7 @@ from .cavity import (CavityConfig, export_cavity, generate, load_problem,
 from .errors import (EigensolverError, OneShotError, ProblemAssumptionError,
                      SingularSystemError, SizeGuardError)
 from .experiments import load_spec, print_progress, run_experiment
+from .problem import positive_int
 from .spectral import (SIZE_GUARD, certificate_csv_header,
                        certificate_csv_row, certify, spectrum, spectrum_csv)
 
@@ -126,6 +127,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    # checked whether or not --spectrum reads it, so a bad value always exits 2
+    positive_int("size_guard", args.size_guard)
     problem, _, _ = load_problem(args.problem)
     if args.spectrum:
         eigenvalues = spectrum(problem, args.tau, args.alpha, args.k,

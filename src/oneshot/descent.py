@@ -37,11 +37,12 @@ indexed by column and step, which doubles its steps when full; ``step``
 applies the same products to a stack of one and checks its state.  Each
 step forms the cost of every running column from one residual stack
 sigma A* - g_tilde, which the stop rules read and gradient descent
-reuses as its A* (A sigma - g_tilde); the gradient norms and sigma errors
-of the trace come after the loop.  The one-shot rows with k <= 2 sweep
-through ``fixed_point_sweep``, once per step and k for the rows of that
-k; the rows with k >= 3 step together in the closed form, as one
-``KStepStack`` whatever their k.  One-shot rows on a
+reuses as its A* (A sigma - g_tilde); the gradient norms, from
+``gradient`` itself on stacks of logged sigmas, and the sigma errors of
+the trace come after the loop, which keeps no clock.  The one-shot rows
+with k <= 2 sweep through ``fixed_point_sweep``, once per step and k for
+the rows of that k; the rows with k >= 3 step together in the closed
+form, as one ``KStepStack`` whatever their k.  One-shot rows on a
 problem with a ``modal_twin`` (a cavity, whose ``symmetrizer`` gives the
 eigenbasis of B from one generalized symmetric eigensolve) step the
 twin, built once per problem, where a sweep multiplies by the
@@ -52,8 +53,9 @@ stays that of the problem.
 At alpha = 0 the explicit and implicit updates coincide exactly.
 The run loop records one trace row per outer iteration, and a
 ``ConvergenceTrace`` holds its rows as the columns the loop logged: one
-array each of cost, gradient norm, relative sigma error and wall time,
-indexed by the outer iteration n, whose accumulated inner sweeps are k n.
+array each of cost, gradient norm and relative sigma error, indexed by
+the outer iteration n, whose accumulated inner sweeps are k n.  The trace
+CSV keeps its ``wall_ms`` column, written as 0.
 A run whose sigma, u or p stops being finite ends on a guard row of
 infinite cost and gradient norm and a missing (NaN) error.  Its stop rules
 are written once, in ``iter_columns``, as masks over the running rows; a
@@ -67,7 +69,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -75,14 +76,14 @@ import numpy as np
 
 from .errors import OneShotError, SingularSystemError
 from .problem import (CLOSED_FORM_K, IterationState, KStepStack, Objective, _checked_state,
-                      finite_real, fixed_point_sweep, positive_int, regularized_solution,
-                      row_dots, solve_adjoint_exact, solve_state_exact)
+                      finite_real, fixed_point_sweep, gradient, positive_int,
+                      regularized_solution, row_dots, solve_adjoint_exact, solve_state_exact)
 
 #: Cost level beyond which a run is declared diverged.
 DIVERGENCE_GUARD = 1e12
 
-#: Trace rows per stacked product when the gradient norms and errors are
-#: computed after the loop; it bounds the (rows, n_g) residual temporary.
+#: Trace rows per ``gradient`` call when the gradient norms are computed
+#: after the loop; it bounds the (rows, n_g) residual temporary.
 ROWS_PER_PRODUCT = 64
 
 
@@ -150,13 +151,13 @@ class ConvergenceTrace:
     """The trace of one run: one row per outer iteration, n = 0 the start.
 
     Each column is a 1-D float array of length ``n_outer + 1``, indexed by
-    the row n: ``cost``, ``grad_norm``, ``rel_err_sigma`` (None when the
-    objective has no regularized solution to measure against) and
-    ``wall_ms``, the time elapsed in the batch's run loop up to that step,
-    shared by every column of the batch.  The accumulated inner sweeps of
-    row n are ``k * n``, with k = 1 for gradient descent.  A run whose
-    sigma, u or p stops being finite ends on a guard row of infinite cost
-    and gradient norm, whose error is NaN: missing, not measured.
+    the row n: ``cost``, ``grad_norm`` and ``rel_err_sigma`` (None when the
+    objective has no regularized solution to measure against).  A trace
+    holds no wall time: ``format_trace_csv`` writes its ``wall_ms`` column
+    as 0.  The accumulated inner sweeps of row n are ``k * n``, with k = 1
+    for gradient descent.  A run whose sigma, u or p stops being finite
+    ends on a guard row of infinite cost and gradient norm, whose error is
+    NaN: missing, not measured.
     """
 
     scheme: SchemeKind
@@ -165,7 +166,6 @@ class ConvergenceTrace:
     cost: np.ndarray
     grad_norm: np.ndarray
     rel_err_sigma: np.ndarray | None
-    wall_ms: np.ndarray
     status: RunStatus
     final_state: IterationState | None = None
 
@@ -194,23 +194,21 @@ class ConvergenceTrace:
         return int(hits[0]) if len(hits) else None
 
 
-#: One trace row: n, cost, grad_norm, rel_err_sigma, acc_inner, wall_ms,
+#: One trace row: n, cost, grad_norm, rel_err_sigma, acc_inner, wall_ms = 0,
 #: status.  "%.16e" % x is the text of f"{x:.16e}", inf, nan and -0.0 included.
-_TRACE_ROW = "%d,%.16e,%.16e,%s,%d,%s,%s"
+_TRACE_ROW = "%d,%.16e,%.16e,%s,%d,0,%s"
 
 
-def format_trace_csv(trace: ConvergenceTrace, deterministic_wall=True) -> str:
+def format_trace_csv(trace: ConvergenceTrace) -> str:
     """The trace as CSV text, one line per row; a missing error is written
-    empty, and the wall clock as 0 unless ``deterministic_wall`` is False."""
+    empty, and the ``wall_ms`` column, which the format keeps, as 0."""
     lines = ["n,cost,grad_norm,rel_err_sigma,acc_inner,wall_ms,status"]
     k, status = trace.k, trace.status.value
     rels = [""] * len(trace.cost) if trace.rel_err_sigma is None else \
         ["" if math.isnan(rel) else "%.16e" % rel for rel in trace.rel_err_sigma.tolist()]
-    walls = ["0"] * len(trace.cost) if deterministic_wall else \
-        ["%.16e" % wall for wall in trace.wall_ms.tolist()]
-    for n, (j, grad_norm, rel, wall) in enumerate(zip(trace.cost.tolist(),
-                                                      trace.grad_norm.tolist(), rels, walls)):
-        lines.append(_TRACE_ROW % (n, j, grad_norm, rel, k * n, wall, status))
+    for n, (j, grad_norm, rel) in enumerate(zip(trace.cost.tolist(), trace.grad_norm.tolist(),
+                                                rels)):
+        lines.append(_TRACE_ROW % (n, j, grad_norm, rel, k * n, status))
     return "\n".join(lines) + "\n"
 
 
@@ -300,13 +298,13 @@ def run_columns(columns) -> list[ConvergenceTrace]:
     cost at each step in one array indexed by column and step, whose steps
     double when it fills, up to the longest cap still running, so a large
     ``max_outer`` reserves nothing up front; a column's trace copies its
-    costs from its own contiguous run of that log.  The
-    gradient norms and relative errors of all rows come after the loop,
-    from stacked products of up to ``ROWS_PER_PRODUCT`` rows, formed row by
-    row as ``gradient`` forms them.  A gradient-descent column carries its
-    start u and p, and its final state holds the exact u and p at its final
-    sigma, unless that sigma is non-finite or too large for the state
-    solve.
+    costs from its own contiguous run of that log.  The gradient norms and
+    relative errors of all rows come after the loop, the norms from
+    ``gradient`` on stacks of up to ``ROWS_PER_PRODUCT`` rows, each row
+    equal to ``gradient`` of that row alone.  The loop keeps no clock.  A
+    gradient-descent column carries its start u and p, and its final state
+    holds the exact u and p at its final sigma, unless that sigma is
+    non-finite or too large for the state solve.
 
     One-shot columns on a problem with a ``modal_twin`` step the twin: u0
     and p0 go into its coordinates once, and the final u and p come back.
@@ -366,10 +364,8 @@ def iter_columns(columns):
             except OneShotError:
                 references[id(o)] = None
 
-    t0 = time.perf_counter()
     R = S @ A_T - G_tilde
     J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
-    walls = [(time.perf_counter() - t0) * 1e3]
     # log[i, n] is the [sigma, cost] row of column i at step n; the log
     # doubles its steps when full, up to the longest cap still running, so a
     # large max_outer reserves nothing up front
@@ -389,7 +385,6 @@ def iter_columns(columns):
             U[lo:], P[lo:] = fused.sweep(U[lo:], P[lo:], S[lo:])
         R = S @ A_T - G_tilde
         J = 0.5 * row_dots(R) + half_alpha * row_dots(S)
-        walls.append((time.perf_counter() - t0) * 1e3)
         if n == log.shape[1]:
             grown = np.empty((len(log), min(2 * n, max_outer.max() + 1), log.shape[2]))
             grown[:, :n] = log
@@ -446,8 +441,7 @@ def iter_columns(columns):
             except SingularSystemError:
                 pass  # a diverged sigma overflowed the solve: keep the carried u, p
         yield ConvergenceTrace(config.scheme, config.tau, row_k[i] or 1, cost, grad_norm, rel_err,
-                               np.array(walls[:n_end + 1]), status,
-                               IterationState(sigma, u, p, fresh=True))
+                               status, IterationState(sigma, u, p, fresh=True))
 
 
 def _sweep_plan(sweep_problem, ks, G):
@@ -464,19 +458,15 @@ def _records(objective: Objective, reference, sigma_rows):
     """The gradient norms and relative sigma errors of one column's sigma
     rows, as arrays; the errors are None without a reference.
 
-    Every row's residual and gradient are formed as ``gradient`` forms them,
-    one BLAS product per row, and ``row_dots`` is one BLAS dot per row, so a
-    gradient norm or error equals np.linalg.norm of that row's vector.
+    The gradients are ``gradient`` on stacks of up to ``ROWS_PER_PRODUCT``
+    rows, which bound the (rows, n_g) residual temporary that each call
+    forms; ``gradient`` forms every row as it forms a vector, and
+    ``row_dots`` is one BLAS dot per row, so a gradient norm or error equals
+    np.linalg.norm of that row's vector.
     """
-    A, A_T, g_tilde = objective.problem.reduced_operator(), objective.problem._A_T, \
-        objective.shifted_data()
-    grad_norm = np.empty(len(sigma_rows))
-    for start in range(0, len(sigma_rows), ROWS_PER_PRODUCT):
-        sigmas = sigma_rows[start:start + ROWS_PER_PRODUCT]
-        residuals = np.matmul(sigmas[:, None, :], A_T)
-        residuals -= g_tilde
-        grads = np.matmul(residuals, A)[:, 0] + objective.alpha * sigmas
-        grad_norm[start:start + ROWS_PER_PRODUCT] = np.sqrt(row_dots(grads))
+    grad_norm = np.sqrt(np.concatenate([
+        row_dots(gradient(objective, sigma_rows[start:start + ROWS_PER_PRODUCT]))
+        for start in range(0, len(sigma_rows), ROWS_PER_PRODUCT)]))
     if reference is None:
         return grad_norm, None
     sigma_ref, ref_norm = reference

@@ -24,15 +24,17 @@ BoundReport and CertifySweep tabulate step bounds and spectral
 certificates on the [cavity] itself instead of running iterations.
 BoundReport reads ks and alphas, CertifySweep taus, ks and alphas; each
 requires the keys it reads and rejects, and leaves out of its manifest,
-every other [sweep] and [run] key.
+every other [sweep] and [run] key.  Both take one path: a ``_TABLES``
+entry gives the row of one cell, and the rows run over the product of
+the lists the kind reads, in that order.
 
 Outputs per invocation: one trace CSV per run cell (``cell0000.csv``,
 ...), a ``summary.csv`` with one row per cell, and a reproduction
 ``manifest.txt`` holding the canonical serialized spec plus the package
 version.  Given equal specs, outputs are byte-identical across runs:
-seeds are fixed, wall-clock columns are zeroed, and floats are written in
-shortest round-trip form (summary) or with 17 significant digits
-(traces).
+seeds are fixed, the ``wall_ms`` column is always 0, and floats are
+written in shortest round-trip form (summary) or with 17 significant
+digits (traces).
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ _REAL_KEYS = {"taus": True, "alphas": False, "tol_cost": False, "tol_step": Fals
 #: every other [sweep] and [run] key.
 _TABLE_READS = {ExperimentKind.BoundReport: ("ks", "alphas"),
                 ExperimentKind.CertifySweep: ("taus", "ks", "alphas")}
+
+#: Each table kind's output file, CSV header and row of one cell: a
+#: problem and one value of each of its ``_TABLE_READS`` lists, in order.
+_TABLES = {
+    ExperimentKind.BoundReport: (
+        "bounds.csv", report_csv_header,
+        lambda problem, k, alpha: report_csv_row(bound_report_for(problem, alpha, k))),
+    ExperimentKind.CertifySweep: (
+        "certify.csv", certificate_csv_header,
+        lambda problem, tau, k, alpha: certificate_csv_row(certify(problem, tau, alpha, k))),
+}
 
 
 def _kind_keys(kind):
@@ -295,24 +308,13 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                 + serialize_spec(spec))
     files["manifest.txt"] = manifest
 
-    if spec.kind is ExperimentKind.BoundReport:
-        cavity = generate(spec.cavity)
-        rows = [report_csv_header()]
-        for k in spec.ks:
-            for alpha in spec.alphas:
-                rows.append(report_csv_row(bound_report_for(cavity.problem, alpha, k)))
-        files["bounds.csv"] = "\n".join(rows) + "\n"
-    elif spec.kind is ExperimentKind.CertifySweep:
-        cavity = generate(spec.cavity)
-        rows = [certificate_csv_header()]
-        for tau in spec.taus:
-            for k in spec.ks:
-                for alpha in spec.alphas:
-                    rows.append(certificate_csv_row(
-                        certify(cavity.problem, tau, alpha, k)))
-        files["certify.csv"] = "\n".join(rows) + "\n"
+    if spec.kind in _TABLES:
+        name, header, row = _TABLES[spec.kind]
+        problem = generate(spec.cavity).problem
+        cells = itertools.product(*(getattr(spec, key) for key in _TABLE_READS[spec.kind]))
+        files[name] = "\n".join([header(), *(row(problem, *cell) for cell in cells)]) + "\n"
     else:
-        cell_csvs, summary_rows = {}, {}
+        summary_rows = []
         for batch in _cells(spec):
             for (index, cavity, scheme, tau, k, alpha), trace in _run_batch(spec, batch):
                 variant, n_outer = cavity.config, trace.n_outer
@@ -320,8 +322,8 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                     quiet = not print_progress(
                         f"cell {index:04d}: {scheme.value} tau={tau} k={k} alpha={alpha} -> "
                         f"{trace.status.value} (n={n_outer}, J={trace.final_cost:.3e})")
-                cell_csvs[index] = format_trace_csv(trace)
-                summary_rows[index] = ",".join([
+                files[f"cell{index:04d}.csv"] = format_trace_csv(trace)
+                summary_rows.append(",".join([
                     f"{index:04d}", spec.kind.value, scheme.value,
                     _fmt(float(tau)), str(k), _fmt(float(alpha)),
                     _fmt(float(variant.noise_level)), _fmt(float(variant.mesh_h)),
@@ -330,11 +332,9 @@ def run_experiment(spec: ExperimentSpec, output_dir=None, quiet: bool = True):
                     str(n_outer), str(trace.k * n_outer), _fmt(trace.final_cost),
                     _fmt(float(trace.grad_norm[-1])), _fmt(trace.final_rel_err),
                     _fmt(trace.iterations_to_cost(1e-8)),
-                ])
+                ]))
             del batch, cavity  # before the next problem is generated
-        files.update((f"cell{index:04d}.csv", cell_csvs[index]) for index in sorted(cell_csvs))
-        files["summary.csv"] = "\n".join(
-            [_SUMMARY_HEADER, *(summary_rows[index] for index in sorted(summary_rows))]) + "\n"
+        files["summary.csv"] = "\n".join([_SUMMARY_HEADER, *summary_rows]) + "\n"
 
     out = output_dir or spec.output_dir
     os.makedirs(out, exist_ok=True)

@@ -27,7 +27,9 @@ p = B* p + H* (H u - g).  As H u(sigma) = A sigma + H (I - B)^{-1} F,
     grad J = A* (A sigma - g_tilde) + alpha sigma,
 
 with the cached A and g_tilde = g - H (I - B)^{-1} F, so they solve
-nothing; the exact-solve forms above are their test oracle.
+nothing; the exact-solve forms above are their test oracle.  ``gradient``
+also takes a (c, n_sigma) stack of sigmas, one gradient per row, each
+equal to that row's own gradient bit for bit.
 
 A problem stacking n_blocks copies of one state model with a shared
 sigma (the cavity's sources) stores the single blocks B and H, while M
@@ -535,11 +537,14 @@ class IterationState:
 # operations
 # ----------------------------------------------------------------------
 
-def _checked_sigma(problem: LinearInverseProblem, sigma) -> np.ndarray:
+def _checked_sigma(problem: LinearInverseProblem, sigma, stacks=False) -> np.ndarray:
+    """sigma as a float array of shape (n_sigma,), or with ``stacks`` also
+    (c, n_sigma); any other shape raises ProblemAssumptionError."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (problem.n_sigma,):
-        raise ProblemAssumptionError(
-            f"sigma has shape {sigma.shape}, expected ({problem.n_sigma},)")
+    n = problem.n_sigma
+    if sigma.shape[-1:] != (n,) or sigma.ndim > 1 + stacks:
+        raise ProblemAssumptionError(f"sigma has shape {sigma.shape}, expected ({n},)"
+                                     + f" or (c, {n})" * stacks)
     return sigma
 
 
@@ -685,10 +690,7 @@ def fixed_point_sweep(problem: LinearInverseProblem, state, sigma_new, g, k: int
     """
     k = positive_int("k", k)
     u, p = state.u, state.p
-    sigma_new, g = np.asarray(sigma_new, dtype=float), np.asarray(g, dtype=float)
-    if sigma_new.ndim not in (1, 2) or sigma_new.shape[-1] != problem.n_sigma:
-        raise ProblemAssumptionError(f"sigma has shape {sigma_new.shape}, expected "
-                                     f"({problem.n_sigma},) or (c, {problem.n_sigma})")
+    sigma_new, g = _checked_sigma(problem, sigma_new, stacks=True), np.asarray(g, dtype=float)
     stack = sigma_new.shape[:-1]
     for name, arr, width in (("u", u, problem.n_u), ("p", p, problem.n_u),
                              ("g", g, problem.n_g)):
@@ -860,11 +862,19 @@ def cost(objective: Objective, sigma) -> float:
 
 
 def gradient(objective: Objective, sigma) -> np.ndarray:
-    """grad J(sigma) = A* (A sigma - g_tilde) + alpha sigma, no state or adjoint solve."""
-    sigma = _checked_sigma(objective.problem, sigma)
+    """grad J(sigma) = A* (A sigma - g_tilde) + alpha sigma, no state or adjoint solve.
+
+    ``sigma`` is a vector or a (c, n_sigma) stack, which gives a stack of c
+    gradients; any other shape raises ProblemAssumptionError.  The residual
+    and the gradient of every row are each one 1-row product of a batched
+    ``matmul``, as for a vector, so each row of a stack's result equals the
+    gradient of that row alone bit for bit.
+    """
     problem = objective.problem
-    residual = sigma @ problem._A_T - objective.shifted_data()
-    return residual @ problem.reduced_operator() + objective.alpha * sigma
+    sigma = _checked_sigma(problem, sigma, stacks=True)
+    residuals = np.matmul(sigma[..., None, :], problem._A_T)
+    residuals -= objective.shifted_data()
+    return np.matmul(residuals, problem.reduced_operator())[..., 0, :] + objective.alpha * sigma
 
 
 def regularized_solution(objective: Objective) -> np.ndarray:

@@ -131,7 +131,7 @@ class TestRunColumns:
             assert trace.status is status
             assert trace.n_outer == n_outer
             assert trace_column(trace, "n") == [str(n) for n in range(n_outer + 1)]
-            for column in (trace.cost, trace.grad_norm, trace.rel_err_sigma, trace.wall_ms):
+            for column in (trace.cost, trace.grad_norm, trace.rel_err_sigma):
                 assert column.shape == (n_outer + 1,)
             assert rel_close(trace.final_state.sigma, sigma)
 
@@ -361,14 +361,12 @@ def test_trace_rows_format_as_the_f_string_form(with_errors):
     cost = np.array(values)
     rel_err = np.array([math.nan if n % 3 == 0 else x * 7.0 for n, x in enumerate(values)])
     trace = ConvergenceTrace(SchemeKind.KStepOneShot, 0.1, 4, cost, cost[::-1],
-                             rel_err if with_errors else None, cost + 1.0, RunStatus.TOL_STEP)
-    for deterministic in (True, False):
-        lines = ["n,cost,grad_norm,rel_err_sigma,acc_inner,wall_ms,status"]
-        for n, x in enumerate(values):
-            rel = f"{x * 7.0:.16e}" if with_errors and n % 3 else ""
-            wall = "0" if deterministic else f"{x + 1.0:.16e}"
-            lines.append(f"{n},{x:.16e},{values[-n - 1]:.16e},{rel},{4 * n},{wall},tol_step")
-        assert format_trace_csv(trace, deterministic) == "\n".join(lines) + "\n"
+                             rel_err if with_errors else None, RunStatus.TOL_STEP)
+    lines = ["n,cost,grad_norm,rel_err_sigma,acc_inner,wall_ms,status"]
+    for n, x in enumerate(values):
+        rel = f"{x * 7.0:.16e}" if with_errors and n % 3 else ""
+        lines.append(f"{n},{x:.16e},{values[-n - 1]:.16e},{rel},{4 * n},0,tol_step")
+    assert format_trace_csv(trace) == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("level, first", [(4.0, 0), (1e300, 0), (3.5, 3), (1.0, 4),
@@ -376,6 +374,5 @@ def test_trace_rows_format_as_the_f_string_form(with_errors):
 def test_iterations_to_cost_is_the_first_row_at_the_level(level, first):
     # an infinite or NaN cost never meets a level
     cost = np.array([4.0, math.inf, math.nan, 3.0, 1.0])
-    trace = ConvergenceTrace(SchemeKind.UsualGD, 0.1, 1, cost, cost, None, cost,
-                             RunStatus.MAX_OUTER)
+    trace = ConvergenceTrace(SchemeKind.UsualGD, 0.1, 1, cost, cost, None, RunStatus.MAX_OUTER)
     assert trace.iterations_to_cost(level) == first

@@ -361,10 +361,13 @@ class TestBoundsAndCertify:
         ("certify", "--tau", "inf"),
         ("certify", "--tau", "0.01", "--spectrum", "{spectrum}", "--size-guard", "0"),
         ("certify", "--tau", "0.01", "--spectrum", "{spectrum}", "--size-guard", "-1"),
+        ("certify", "--tau", "0.01", "--size-guard", "0"),
+        ("certify", "--tau", "0.01", "--size-guard", "-1"),
     ])
     def test_non_finite_input_is_validation_error(self, problem_dir, args, capsys, tmp_path):
         # such values used to print an "unbounded" or convergent certificate,
-        # and a size guard below 1 failed as a numerical failure (exit 3)
+        # a size guard below 1 failed as a numerical failure (exit 3), and
+        # without --spectrum it was not checked at all (exit 0)
         spectrum_path = tmp_path / "spectrum.csv"
         args = [arg.format(spectrum=spectrum_path) for arg in args]
         assert main([args[0], "--problem", str(problem_dir), *args[1:]]) == 2

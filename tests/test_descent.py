@@ -275,10 +275,8 @@ class TestRun:
         assert lines[0] == "n,cost,grad_norm,rel_err_sigma,acc_inner,wall_ms,status"
         assert len(lines) == 9
         assert all(line.endswith(",max_outer") for line in lines[1:])
-        # wall clock zeroed for reproducible export, kept when asked
+        # the wall_ms column stays in the format and is always 0
         assert all(line.split(",")[5] == "0" for line in lines[1:])
-        timed = format_trace_csv(trace, deterministic_wall=False)
-        assert timed != text
 
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("scheme", [SchemeKind.KStepOneShot, SchemeKind.SemiImplicitGD])

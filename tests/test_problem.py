@@ -375,14 +375,40 @@ class TestCostAndGradient:
             cost(obj, sigma), gradient(obj, sigma)
         assert calls == []
 
-    @pytest.mark.parametrize("shape", ["long", "column"])
+    @pytest.mark.parametrize("shape", ["long", "column", "long stack", "3-D"])
     def test_rejects_wrong_sigma_shape(self, shape):
         obj = make_objective(18, alpha=0.1)
         n = obj.problem.n_sigma
-        sigma = np.ones(n + 1) if shape == "long" else np.ones((n, 1))
+        sigma = {"long": np.ones(n + 1), "column": np.ones((n, 1)),
+                 "long stack": np.ones((4, n + 1)), "3-D": np.ones((1, 4, n))}[shape]
         for fn in (cost, gradient):
             with pytest.raises(ProblemAssumptionError, match="sigma has shape"):
                 fn(obj, sigma)
+
+    def test_only_gradient_takes_a_stack(self):
+        obj = make_objective(18, alpha=0.1)
+        stack = np.ones((4, obj.problem.n_sigma))
+        assert gradient(obj, stack).shape == stack.shape
+        with pytest.raises(ProblemAssumptionError, match="sigma has shape"):
+            cost(obj, stack)
+        with pytest.raises(ProblemAssumptionError, match="sigma has shape"):
+            solve_state_exact(obj.problem, stack)
+        with pytest.raises(ProblemAssumptionError, match="sigma must be 1-dimensional"):
+            IterationState(stack, np.zeros(obj.problem.n_u), np.zeros(obj.problem.n_u))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-2])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_each_row_of_a_stack_is_its_own_gradient(self, rng, stacked, alpha):
+        # bit for bit, on a strided view like the run loop's log of sigmas
+        problem = stacked_and_kron_twin(53)[0] if stacked else make_problem(53)
+        assert problem.n_blocks == (3 if stacked else 1)
+        obj = Objective(problem, rng.standard_normal(problem.n_g), alpha)
+        sigmas = rng.standard_normal((5, problem.n_sigma + 1))[:, :-1]
+        grads = gradient(obj, sigmas)
+        assert grads.shape == sigmas.shape
+        for i, sigma in enumerate(sigmas):
+            assert np.array_equal(grads[i], gradient(obj, sigma))
+            assert np.array_equal(gradient(obj, sigmas[i:i + 1]), gradient(obj, sigma)[None])
 
     def test_cost_is_quadratic(self, rng):
         obj = make_objective(17, alpha=0.2)
